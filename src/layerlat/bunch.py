@@ -1,6 +1,7 @@
 """Bunches of layer groups: a finite totally ordered skeleton of layers, one
 abelian o-group per layer, designated subgroups on class-I layers, and
-order-hom transitions stored on covering pairs and composed on demand.
+order-hom transitions stored on covering pairs.  `transition` composes them
+once per bunch, in `hom_compose`'s normal form, for every reader.
 
 Layer classes are "O" (only ever the least layer), "J" (discrete layers whose
 transitions collapse the unit's lower cover), and "I" (layers carrying a
@@ -39,6 +40,9 @@ class Bunch:
     groups: dict[str, og.OGroup]
     subgroups: dict[str, og.Subgroup]
     steps: dict[tuple[str, str], og.Hom]
+    # u -> [transition(u, u), transition(u, next layer), ...] as far as asked
+    _transitions: dict[str, list[og.Hom]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bunch):
@@ -81,16 +85,18 @@ def bunch_type(b: Bunch) -> BunchType:
 
 
 def transition(b: Bunch, u: str, v: str) -> og.Hom:
-    """The composed transition hom from layer ``u`` up to layer ``v``."""
+    """The composed transition hom from layer ``u`` up to layer ``v``: the
+    steps above ``u`` are folded in one at a time and every prefix is kept."""
     iu, iv = b.index(u), b.index(v)
     if iu > iv:
         raise LayerOrderError(f"transition requested downward: {u!r} above {v!r}")
-    if iu == iv:
-        return og.identity(b.groups[u])
-    hom = b.steps[(b.skeleton[iu], b.skeleton[iu + 1])]
-    for i in range(iu + 1, iv):
-        hom = og.hom_compose(b.steps[(b.skeleton[i], b.skeleton[i + 1])], hom)
-    return hom
+    prefix = b._transitions.get(u)
+    if prefix is None:
+        prefix = b._transitions[u] = [og.identity(b.groups[u])]
+    sk = b.skeleton
+    for i in range(iu + len(prefix), iv + 1):
+        prefix.append(og.hom_compose(b.steps[(sk[i - 1], sk[i])], prefix[-1]))
+    return prefix[iv - iu]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ exist only on class-I layers for elements of the designated subgroup and sit
 immediately below their undotted originals.  Order, product, residual
 complement, and residuum are all decided from the bunch data:
 
-* order: push both points up to the higher layer; a strict group comparison
-  decides, and ties are broken by layer position and dottedness;
+* order: push both points up to the higher layer along `bunch.transition`
+  (composed once per bunch in normal form, compiled here on first use); a
+  strict group comparison decides, and ties are broken by layer position
+  and dottedness;
 * product: multiply the lifted group parts in the higher layer's group; the
   result is dotted when the higher operand is dotted across distinct layers,
   or, within one class-I layer, when the product lands in the subgroup and
@@ -24,9 +26,8 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from . import ogroup as og
-from .bunch import Bunch, BunchType, bunch_type, structural_problems
-from .errors import (CoverMissing, LayerOrderError, ParseError, TypeMismatch,
-                     UnknownLayer)
+from .bunch import Bunch, BunchType, bunch_type, structural_problems, transition
+from .errors import CoverMissing, ParseError, TypeMismatch, UnknownLayer
 
 LT, EQ, GT = og.LT, og.EQ, og.GT
 
@@ -53,14 +54,7 @@ class Chain:
         self._op = {u: og.op_fn(g) for u, g in bunch.groups.items()}
         self._inv = {u: og.inv_fn(g) for u, g in bunch.groups.items()}
         self._member = {u: og.member_fn(s) for u, s in bunch.subgroups.items()}
-        self._tr: dict[tuple[str, str], callable] = {}
-        sk = bunch.skeleton
-        for i, u in enumerate(sk):
-            self._tr[(u, u)] = lambda x: x
-            fns: list = []
-            for j in range(i + 1, len(sk)):
-                fns = fns + [og.hom_fn(bunch.steps[(sk[j - 1], sk[j])])]
-                self._tr[(u, sk[j])] = _fold(list(fns))
+        self._tr = _CompiledTransitions(bunch)
 
     # -- structure ---------------------------------------------------------
 
@@ -87,16 +81,7 @@ class Chain:
         is discarded before the transition is applied)."""
         if x.layer != u:
             raise TypeMismatch(f"element lives on layer {x.layer!r}, not {u!r}")
-        iu, iv = self._layer_index(u), self._layer_index(v)
-        if iu > iv:
-            raise LayerOrderError(f"zeta requested downward: {u!r} above {v!r}")
         return self._tr[(u, v)](x.g)
-
-    def _layer_index(self, u: str) -> int:
-        try:
-            return self._idx[u]
-        except KeyError:
-            raise UnknownLayer(f"layer {u!r} not in skeleton") from None
 
     # -- order and algebra ---------------------------------------------------
 
@@ -207,14 +192,16 @@ class Chain:
             streams = alive
 
 
-def _fold(fns: list) -> callable:
-    if len(fns) == 1:
-        return fns[0]
-    def apply(x, fns=tuple(fns)):
-        for f in fns:
-            x = f(x)
-        return x
-    return apply
+class _CompiledTransitions(dict):
+    """(u, v) -> compiled `transition`; later lookups are plain dict hits."""
+
+    def __init__(self, bunch: Bunch):
+        super().__init__()
+        self.bunch = bunch
+
+    def __missing__(self, key: tuple[str, str]):
+        fn = self[key] = og.hom_fn(transition(self.bunch, *key))
+        return fn
 
 
 # ---------------------------------------------------------------------------

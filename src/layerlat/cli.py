@@ -153,11 +153,10 @@ def _cmd_fill_gap(args) -> int:
     x = parse_element(chain, args.x)
     y = parse_element(chain, args.y)
     result = fill_gap(chain, x, y)
-    extended = Chain(result.receipt.new_bunch)
     print(json.dumps({
         "case": result.case_tag,
         "inserted_layer": result.receipt.new_layer,
-        "witness": format_element(extended, result.witness),
+        "witness": format_element(result.chain, result.witness),
         "bunch": bunch_to_json(result.receipt.new_bunch),
     }, indent=2))
     return 0
@@ -172,8 +171,8 @@ def _cmd_densify(args) -> int:
         "trace": [{
             "case_tag": r.case_tag,
             "inserted_layer": r.inserted_layer,
-            "x": format_element(chain, r.x),
-            "y": format_element(chain, r.y),
+            "x": format_element(extended, r.x),
+            "y": format_element(extended, r.y),
             "witness": format_element(extended, r.witness),
         } for r in trace],
     }, indent=2))

@@ -19,6 +19,7 @@ the left layer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import islice
 from typing import Callable
 
@@ -43,6 +44,7 @@ class GapFillResult:
     case_tag: str
     receipt: InsertionReceipt
     witness: ChainElement
+    chain: Chain  # the chain of receipt.new_bunch
 
 
 @dataclass(frozen=True)
@@ -169,42 +171,32 @@ def fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
     extended = Chain(receipt.new_bunch)
     assert extended.compare(x, witness) == og.LT, "witness not above x"
     assert extended.compare(witness, y) == og.LT, "witness not below y"
-    return GapFillResult(tag, receipt, witness)
+    return GapFillResult(tag, receipt, witness, extended)
 
 
 def densify_driver(chain: Chain, prefix: int, rounds: int) -> tuple[Bunch, list[TraceRecord]]:
     """Materialize the first ``prefix`` elements, then run ``rounds`` passes
     that separate every ordered pair lacking a strictly-between element
-    among the materialized set.  Elements keep their coordinates across
-    insertions because each embedding is the coordinatewise identity."""
+    among the materialized set: the adjacent pairs of the sorted set, as a
+    witness never separates a later pair of its pass.  Elements keep their
+    coordinates across insertions because each embedding is the
+    coordinatewise identity."""
     if prefix < 0 or rounds < 0:
         raise ValueError("prefix and rounds must be nonnegative")
     current = chain
     points = list(islice(chain.enumerate_elements(), prefix))
     trace: list[TraceRecord] = []
     for _ in range(rounds):
-        order = _sorted_points(current, points)
-        for i in range(len(order)):
-            for j in range(i + 1, len(order)):
-                a, c = order[i], order[j]
-                if any(current.compare(a, s) == og.LT and current.compare(s, c) == og.LT
-                       for s in points):
-                    continue
-                result = fill_gap(current, a, c)
-                current = Chain(result.receipt.new_bunch)
-                points.append(result.witness)
-                trace.append(TraceRecord(
-                    result.case_tag, result.receipt.new_layer,
-                    result.receipt.new_bunch.partition[result.receipt.new_layer],
-                    a, c, result.witness))
+        order = sorted(points, key=cmp_to_key(current.compare))
+        for a, c in zip(order, order[1:]):
+            result = fill_gap(current, a, c)
+            current = result.chain
+            points.append(result.witness)
+            trace.append(TraceRecord(
+                result.case_tag, result.receipt.new_layer,
+                result.receipt.new_bunch.partition[result.receipt.new_layer],
+                a, c, result.witness))
     return current.bunch, trace
-
-
-def _sorted_points(chain: Chain, points: list[ChainElement]) -> list[ChainElement]:
-    out = list(points)
-    import functools
-    out.sort(key=functools.cmp_to_key(chain.compare))
-    return out
 
 
 def preserves_idempotent_symmetry(trace: list[TraceRecord]) -> bool:

@@ -311,10 +311,21 @@ def project_first(source: Lex) -> Hom:
 
 
 def hom_compose(outer: Hom, inner: Hom) -> Hom:
+    """``outer`` after ``inner``, in normal form: an ``id`` stage is dropped,
+    a ``unit`` stage absorbs the composite, and two ``scale_int`` stages
+    merge into one."""
     if inner.target != outer.source:
         raise TypeMismatch(
             f"cannot compose: inner target {inner.target!r} != outer source {outer.source!r}"
         )
+    if outer.op == "id":
+        return inner
+    if inner.op == "id":
+        return outer
+    if outer.op == "unit" or inner.op == "unit":
+        return unit_map(inner.source, outer.target)
+    if outer.op == inner.op == "scale_int":
+        return scale_int(outer.k * inner.k)
     return Hom("compose", inner.source, outer.target, parts=(outer, inner))
 
 
@@ -353,7 +364,7 @@ def hom_is_constant_unit(h: Hom) -> bool:
         return True
     if h.op == "compose":
         return any(hom_is_constant_unit(p) for p in h.parts)
-    return group_is_trivial(h.source)
+    return group_is_trivial(h.source) or group_is_trivial(h.target)
 
 
 @dataclass

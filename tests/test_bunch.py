@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import islice
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from layerlat import fixtures, ogroup as og
 from layerlat.bunch import (Bunch, BunchType, bunch_from_json, bunch_type,
                             parse_bunch, serialize_bunch, transition, validate)
+from layerlat.chain import Chain, ChainElement
+from layerlat.densify import densify_driver
 from layerlat.errors import LayerOrderError, ParseError, UnknownLayer
 
 
@@ -84,6 +87,9 @@ def test_transition_identity_and_composition():
     # evaluate the two steps one after the other
     staged = og.hom_apply(og.scale_int(3), og.hom_apply(og.scale_int(2), 1))
     assert og.hom_apply(composed, 1) == staged == 6
+    assert composed == og.scale_int(6)
+    # composed once per bunch: a second request returns the cached hom
+    assert transition(three, "t", "v") is composed
 
 
 def test_transition_errors():
@@ -106,6 +112,61 @@ def test_transition_functorial_on_samples():
                            og.hom_fn(transition(b, sk[i], sk[j])))
                     for x in islice(og.g_enumerate(b.groups[sk[i]]), 50):
                         assert direct(x) == via[0](via[1](x))
+
+
+def reference_transition(b, u, v):
+    """The steps from u up to v folded one at a time into a plain compose
+    tree, with no normalisation."""
+    sk = b.skeleton
+    hom = og.identity(b.groups[u])
+    for i in range(sk.index(u), sk.index(v)):
+        step = b.steps[(sk[i], sk[i + 1])]
+        hom = og.Hom("compose", hom.source, step.target, parts=(step, hom))
+    return hom
+
+
+def assert_transitions_match_reference(b, samples=12):
+    sk = b.skeleton
+    for i, u in enumerate(sk):
+        pool = list(islice(og.g_enumerate(b.groups[u]), samples))
+        for v in sk[i:]:
+            got, ref = transition(b, u, v), reference_transition(b, u, v)
+            assert (got.source, got.target) == (ref.source, ref.target)
+            fn, ref_fn = og.hom_fn(got), og.hom_fn(ref)
+            assert [fn(x) for x in pool] == [ref_fn(x) for x in pool], (u, v)
+            # decides whether G3 is reported structural or sampled
+            assert og.hom_is_constant_unit(got) == og.hom_is_constant_unit(ref), (u, v)
+
+
+def test_transitions_match_reference_fold():
+    bunches = [mk() for mk in fixtures.ALL.values()] + [fixtures.trivial_bunch()]
+    bunches += [fixtures.finite_bunch(n) for n in range(1, 41)]
+    bunches.append(densify_driver(Chain(fixtures.s3()), prefix=3, rounds=3)[0])
+    # the normal form drops the trailing id on the trivial group
+    lex = og.Lex(og.TRIVIAL, og.INT)
+    bunches.append(Bunch(("t", "u", "w"), {"t": "O", "u": "I", "w": "I"},
+                         {"t": lex, "u": og.TRIVIAL, "w": og.TRIVIAL},
+                         {"u": og.whole(og.TRIVIAL), "w": og.whole(og.TRIVIAL)},
+                         {("t", "u"): og.project_first(lex),
+                          ("u", "w"): og.identity(og.TRIVIAL)}))
+    rng = random.Random(2312)
+    bunches += [fixtures.random_bunch(rng, max_layers=8) for _ in range(200)]
+    for b in bunches:
+        assert_transitions_match_reference(b)
+
+
+def test_deep_skeleton_transition_and_order():
+    b = fixtures.finite_bunch(2001)
+    top = b.skeleton[-1]
+    hom = transition(b, "t", top)
+    assert hom == og.unit_map(og.TRIVIAL, og.TRIVIAL)
+    assert og.hom_apply(hom, og.UNIT) == og.UNIT
+    chain = Chain(b)
+    t = ChainElement("t", og.UNIT)
+    top_element, bottom = chain.bounds()
+    assert chain.compare(bottom, t) == og.LT
+    assert chain.compare(t, top_element) == og.LT
+    assert chain.compare(bottom, top_element) == og.LT
 
 
 def test_bunch_type_examples():

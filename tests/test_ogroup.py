@@ -176,6 +176,39 @@ def test_hom_apply_examples():
 def test_hom_compose_type_mismatch():
     with pytest.raises(TypeMismatch):
         og.hom_compose(og.scale_int(2), og.int_to_rat())
+    # the types are checked before any normalisation rule applies
+    with pytest.raises(TypeMismatch):
+        og.hom_compose(og.identity(og.RAT), og.scale_int(2))
+    with pytest.raises(TypeMismatch):
+        og.hom_compose(og.unit_map(og.RAT, og.INT), og.scale_int(2))
+
+
+def test_hom_compose_drops_id():
+    s2 = og.scale_int(2)
+    assert og.hom_compose(og.identity(og.INT), s2) == s2
+    assert og.hom_compose(s2, og.identity(og.INT)) == s2
+    # a reducible compose document therefore serialises in normal form
+    back = og.hom_from_json({"compose": ["id", {"scale_int": 2}]}, og.INT, og.INT)
+    assert og.hom_to_json(back) == {"scale_int": 2}
+
+
+def test_hom_compose_unit_absorbs():
+    lex = og.Lex(og.INT, og.RAT)
+    assert (og.hom_compose(og.unit_map(og.RAT, lex), og.int_to_rat())
+            == og.unit_map(og.INT, lex))
+    assert (og.hom_compose(og.int_to_rat(), og.unit_map(lex, og.INT))
+            == og.unit_map(lex, og.RAT))
+
+
+def test_hom_compose_merges_scale_int():
+    assert og.hom_compose(og.scale_int(3), og.scale_int(2)) == og.scale_int(6)
+
+
+def test_hom_into_trivial_group_is_constant_unit():
+    h = og.project_first(og.Lex(og.TRIVIAL, og.INT))
+    assert og.hom_is_constant_unit(h)
+    assert og.hom_compose(og.identity(og.TRIVIAL), h) == h
+    assert not og.hom_is_constant_unit(og.project_first(og.Lex(og.INT, og.TRIVIAL)))
 
 
 @pytest.mark.parametrize("hom", catalog_of_homs(),
