@@ -36,6 +36,19 @@ def _samples_default(fallback: int) -> int:
         return fallback
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _load_chain(path: str) -> Chain:
     return Chain(parse_bunch(Path(path).read_text()))
 
@@ -208,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, decide, decompose, embed, densify, and "
                     "standardize involutive FL_e-chains given as bunches of layer groups.")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
-    parser.add_argument("--samples", type=int, default=_samples_default(100),
+    parser.add_argument("--samples", type=_int_at_least(0), default=_samples_default(100),
                         help="sample count for validation and sampled checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -233,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="extensional table (finite) or window export")
     p.add_argument("bunch")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_int_at_least(1))
     p.add_argument("--format", default="csv", choices=("csv", "json", "dot"))
     p.set_defaults(fn=_cmd_table)
 
@@ -256,24 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("densify", help="separate all pairs of an enumerated prefix")
     p.add_argument("bunch")
-    p.add_argument("--prefix", type=int, required=True)
-    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--prefix", type=_int_at_least(0), required=True)
+    p.add_argument("--rounds", type=_int_at_least(0), required=True)
     p.set_defaults(fn=_cmd_densify)
 
     p = sub.add_parser("enumerate", help="all odd-or-even involutive chain tables of a size")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--bound", type=int, default=7)
+    p.add_argument("--size", type=_int_at_least(1), required=True)
+    p.add_argument("--bound", type=_int_at_least(1), default=10,
+                   help="largest size searched (default 10)")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("standardize", help="rational placement CSV of a bounded prefix")
     p.add_argument("bunch")
-    p.add_argument("--prefix", type=int, required=True)
-    p.add_argument("--depth", type=int, default=0)
+    p.add_argument("--prefix", type=_int_at_least(2), required=True)
+    p.add_argument("--depth", type=_int_at_least(0), default=0)
     p.set_defaults(fn=_cmd_standardize)
 
     p = sub.add_parser("laws", help="sample-check the chain axioms of a bunch")
     p.add_argument("bunch")
-    p.add_argument("--law-samples", type=int, default=_samples_default(10000))
+    p.add_argument("--law-samples", type=_int_at_least(0), default=_samples_default(10000))
     p.set_defaults(fn=_cmd_laws)
 
     return parser

@@ -17,8 +17,8 @@ from itertools import islice
 from . import ogroup as og
 from .bunch import Bunch, transition, validate
 from .chain import Chain, ChainElement
-from .errors import (AxiomFailure, InfiniteChain, NotInvolutive, NotOddOrEven,
-                     RoundTripMismatch, WindowTooSmall)
+from .errors import (AxiomFailure, InfiniteChain, InternalInvariant, NotInvolutive,
+                     NotOddOrEven, RoundTripMismatch, WindowTooSmall)
 from .oracle import AxiomReport, CayleyTable, brute_residuum, check_flea_axioms
 
 
@@ -100,7 +100,8 @@ def decompose_table(tbl: CayleyTable) -> DecompositionResult:
     Layers are the positive idempotents; each element lands in the layer of
     its local unit; an element of a class-I layer is dotted exactly when it
     is the shifted copy of an invertible one.  Trivial layer groups are
-    asserted, not assumed: a violation would mean the axiom checker is wrong.
+    checked, not assumed: a violation raises InternalInvariant, since it
+    would mean the axiom checker is wrong.
     """
     report = check_flea_axioms(tbl)
     if not report.ok:
@@ -110,7 +111,8 @@ def decompose_table(tbl: CayleyTable) -> DecompositionResult:
     local_unit = [brute_residuum(tbl, x, x) for x in range(n)]
 
     kappa = [u for u in range(n) if u >= t and p[u][u] == u]
-    assert kappa == sorted(set(local_unit)), "skeleton characterizations disagree"
+    if kappa != sorted(set(local_unit)):
+        raise InternalInvariant("skeleton characterizations disagree")
 
     is_odd = report.is_odd
     classes: dict[int, str] = {}
@@ -133,24 +135,28 @@ def decompose_table(tbl: CayleyTable) -> DecompositionResult:
             invertible = [x for x in layers[u] if p[x][neg[u]] < x]
             exists_inverse = [x for x in layers[u]
                               if any(p[x][y] == u for y in layers[u])]
-            assert invertible == exists_inverse, "invertibility characterizations disagree"
+            if invertible != exists_inverse:
+                raise InternalInvariant("invertibility characterizations disagree")
             dotted = {p[x][neg[u]]: x for x in invertible}
             group_part = [x for x in layers[u] if x not in dotted]
             # the class-I layer operation, written with double residuation,
             # must collapse to the plain product on the trivial layer group
             twisted = brute_residuum(tbl, brute_residuum(tbl, p[u][u], u), u)
-            assert twisted == u, "twisted layer product did not collapse"
+            if twisted != u:
+                raise InternalInvariant("twisted layer product did not collapse")
             for shifted in dotted:
                 assignment[shifted] = ChainElement(name, og.UNIT, True)
         else:
             group_part = list(layers[u])
-        assert group_part == [u], f"layer group of idempotent {u} is not trivial"
-        assert brute_residuum(tbl, u, u) == u
+        if group_part != [u]:
+            raise InternalInvariant(f"layer group of idempotent {u} is not trivial")
+        if brute_residuum(tbl, u, u) != u:
+            raise InternalInvariant(f"idempotent {u} is not its own local unit")
         assignment[u] = ChainElement(name, og.UNIT, False)
     for u in kappa:
         for v in kappa:
-            if u <= v:
-                assert p[v][u] == v, "idempotent multiplication is not the transition"
+            if u <= v and p[v][u] != v:
+                raise InternalInvariant("idempotent multiplication is not the transition")
 
     skeleton = tuple(names[u] for u in kappa)
     partition = {names[u]: classes[u] for u in kappa}
@@ -159,8 +165,10 @@ def decompose_table(tbl: CayleyTable) -> DecompositionResult:
     steps = {(skeleton[i], skeleton[i + 1]): og.unit_map(og.TRIVIAL, og.TRIVIAL)
              for i in range(len(skeleton) - 1)}
     bunch = Bunch(skeleton, partition, groups, subgroups, steps)
-    assert validate(bunch).ok, "decomposition produced an invalid bunch"
-    assert len(assignment) == n, "layer assignment is not a bijection"
+    if not validate(bunch).ok:
+        raise InternalInvariant("decomposition produced an invalid bunch")
+    if len(assignment) != n:
+        raise InternalInvariant("layer assignment is not a bijection")
     layer_of = {x: assignment[x].layer for x in range(n)}
     return DecompositionResult(bunch, assignment, layer_of)
 

@@ -27,8 +27,8 @@ from . import ogroup as og
 from .bunch import Bunch, BunchType, bunch_type
 from .chain import Chain, ChainElement
 from .embed import EmbeddingSpec, identity_embedding
-from .errors import (EvenTypeUnsupported, LayerClassError, LeastLayerError,
-                     NotLess, SubgroupObstruction, UnknownLayer)
+from .errors import (EvenTypeUnsupported, InternalInvariant, LayerClassError,
+                     LeastLayerError, NotLess, SubgroupObstruction, UnknownLayer)
 
 
 @dataclass
@@ -160,17 +160,21 @@ def fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
             tag, receipt = "2a", insert_below(b, v, label)
             witness = receipt.witness_maker(y.g)
         elif iu == iv:
-            assert x.dotted and not y.dotted
+            if not (x.dotted and not y.dotted):
+                raise InternalInvariant("tied pair in one layer is not dotted below undotted")
             tag, receipt = "2b", insert_below(b, v, label)
             witness = receipt.witness_maker(y.g)
         else:
-            assert x.dotted
+            if not x.dotted:
+                raise InternalInvariant("tied pair across layers has an undotted left end")
             tag, receipt = "2c", insert_below(b, u, label)
             witness = ChainElement(receipt.new_layer, x.g, True)
 
     extended = Chain(receipt.new_bunch)
-    assert extended.compare(x, witness) == og.LT, "witness not above x"
-    assert extended.compare(witness, y) == og.LT, "witness not below y"
+    if extended.compare(x, witness) != og.LT:
+        raise InternalInvariant("witness not above x")
+    if extended.compare(witness, y) != og.LT:
+        raise InternalInvariant("witness not below y")
     return GapFillResult(tag, receipt, witness, extended)
 
 

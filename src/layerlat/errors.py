@@ -7,6 +7,10 @@ class LayerlatError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InternalInvariant(LayerlatError):
+    """A condition the algorithm guarantees did not hold: a bug, not bad input."""
+
+
 class TypeMismatch(LayerlatError):
     """An element, hom, or subgroup does not fit the group it was used with."""
 

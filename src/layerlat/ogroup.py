@@ -289,7 +289,7 @@ def identity(group: OGroup) -> Hom:
 
 
 def scale_int(k: int) -> Hom:
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise TypeMismatch(f"scale_int needs a positive integer, got {k!r}")
     return Hom("scale_int", INT, INT, k=k)
 
@@ -421,7 +421,7 @@ def whole(ambient: OGroup) -> Subgroup:
 
 
 def int_multiples(k: int) -> Subgroup:
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise TypeMismatch(f"int_multiples needs a positive integer, got {k!r}")
     return Subgroup("int_multiples", INT, k=k)
 
@@ -581,7 +581,10 @@ def subgroup_from_json(doc, ambient: OGroup) -> Subgroup:
     if isinstance(doc, dict) and set(doc) == {"int_multiples"}:
         if ambient != INT:
             raise ParseError("int_multiples needs an integer ambient group")
-        return int_multiples(doc["int_multiples"])
+        try:
+            return int_multiples(doc["int_multiples"])
+        except TypeMismatch as e:
+            raise ParseError(str(e)) from None
     raise ParseError(f"unknown subgroup encoding {doc!r}")
 
 
@@ -660,7 +663,10 @@ def hom_from_json(doc, source: OGroup, target: OGroup) -> Hom:
     if isinstance(doc, dict) and set(doc) == {"scale_int"}:
         if source != INT or target != INT:
             raise ParseError("scale_int must go from int to int")
-        return scale_int(doc["scale_int"])
+        try:
+            return scale_int(doc["scale_int"])
+        except TypeMismatch as e:
+            raise ParseError(str(e)) from None
     if isinstance(doc, dict) and set(doc) == {"compose"}:
         pair = doc["compose"]
         if not (isinstance(pair, list) and len(pair) == 2):

@@ -4,6 +4,12 @@ A CayleyTable is an extensional chain: carrier 0 < 1 < ... < n-1, an n-by-n
 product table, and unit/falsum indices.  Everything here is checked by
 exhaustive search and is deliberately independent of the bunch machinery, so
 it can act as an oracle for it.
+
+The enumerator searches one (unit, falsum) placement.  In a finite
+involutive chain x -> x->f is an order-reversing bijection of 0 < ... < n-1,
+hence x -> n-1-x; so f = n-1-t, and odd or even forces t = n // 2.  This and
+the involution row bound in _search_tables are elementary order theory, not
+the representation theorem, so the oracle stays independent of the bunch code.
 """
 
 from __future__ import annotations
@@ -130,13 +136,18 @@ def check_flea_axioms(tbl: CayleyTable) -> AxiomReport:
     return report
 
 
-def _search_tables(n: int, t: int, f: int) -> list[CayleyTable]:
-    # Prefill the unit row and the absorbing bottom row, then backtrack over
-    # the remaining cells.  Rows adjacent to the unit row are filled first so
-    # its values bound them tightly; each assignment is pruned by
-    # monotonicity against known neighbours and by every associativity
-    # instance that the assignment completes.  The exhaustive checker still
-    # accepts or rejects each finished table.
+def _search_tables(n: int) -> list[CayleyTable]:
+    # Search the forced placement t = n // 2, f = n-1-t.  Prefill the unit row
+    # and the absorbing bottom row, then backtrack over the remaining cells.
+    # Rows adjacent to the unit row are filled first so its values bound them
+    # tightly; each assignment is pruned by monotonicity against known
+    # neighbours, by the involution (x->z = not(x * not z) gives x*y <= z iff
+    # x*(n-1-z) <= n-1-y, so r*a = v puts r*c <= n-1-a if c <= n-1-v and
+    # r*c >= n-a otherwise) and by every associativity instance that the
+    # assignment completes.  The exhaustive checker still accepts or rejects
+    # each finished table.
+    t = n // 2
+    f = n - 1 - t
     grid: list[list[int | None]] = [[None] * n for _ in range(n)]
 
     def put(i: int, j: int, v: int) -> None:
@@ -190,6 +201,12 @@ def _search_tables(n: int, t: int, f: int) -> list[CayleyTable]:
             hi = min(hi, grid[i + 1][j])
         if j + 1 < n and grid[i][j + 1] is not None:
             hi = min(hi, grid[i][j + 1])
+        for r, c in ((i, j), (j, i)):
+            for a, v in enumerate(grid[r]):
+                if v is not None and c <= n - 1 - v:
+                    hi = min(hi, n - 1 - a)
+                elif v is not None:
+                    lo = max(lo, n - a)
         for v in range(lo, hi + 1):
             put(i, j, v)
             if assoc_ok(i, j):
@@ -202,24 +219,14 @@ def _search_tables(n: int, t: int, f: int) -> list[CayleyTable]:
     return results
 
 
-def enumerate_finite_chains(n: int, bound: int = 7) -> list[CayleyTable]:
+def enumerate_finite_chains(n: int, bound: int = 10) -> list[CayleyTable]:
     """All odd-or-even involutive chain tables on n elements, by backtracking.
 
     The carrier is the fixed chain 0 < ... < n-1, so order-isomorphism is the
-    identity and deduplication is plain equality.
+    identity; the one forced placement never yields a table twice.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
     if n > bound:
         raise BoundExceeded(f"size {n} above the configured bound {bound}")
-    results: list[CayleyTable] = []
-    seen = set()
-    for t in range(n):
-        falsums = [t] + ([t - 1] if t >= 1 else [])
-        for f in falsums:
-            for tbl in _search_tables(n, t, f):
-                key = (tbl.product, tbl.unit, tbl.falsum)
-                if key not in seen:
-                    seen.add(key)
-                    results.append(tbl)
-    return results
+    return _search_tables(n)

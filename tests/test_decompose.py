@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from layerlat import fixtures, ogroup as og
@@ -7,8 +9,8 @@ from layerlat.bunch import validate
 from layerlat.chain import Chain, ChainElement
 from layerlat.decompose import (decompose_table, recover_bunch_samples,
                                 roundtrip_table, table_of_chain, window_table)
-from layerlat.errors import (AxiomFailure, InfiniteChain, NotInvolutive,
-                             NotOddOrEven, WindowTooSmall)
+from layerlat.errors import (AxiomFailure, InfiniteChain, InternalInvariant,
+                             NotInvolutive, NotOddOrEven, WindowTooSmall)
 from layerlat.oracle import CayleyTable, brute_residuum, enumerate_finite_chains
 
 S3_TABLE = CayleyTable(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)), 1, 1)
@@ -66,6 +68,14 @@ def test_roundtrip_on_enumerated_chains(n):
     for tbl in enumerate_finite_chains(n):
         witness = roundtrip_table(tbl)
         assert witness.size == n
+
+
+def test_invalid_decomposition_raises_under_optimisation(monkeypatch):
+    # an explicit raise, not an assert, so python -O keeps the check
+    failing = types.SimpleNamespace(ok=False)
+    monkeypatch.setattr("layerlat.decompose.validate", lambda bunch: failing)
+    with pytest.raises(InternalInvariant, match="invalid bunch"):
+        roundtrip_table(S3_TABLE)
 
 
 def test_roundtrip_five_element_chain_has_two_dotted_layers():

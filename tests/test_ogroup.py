@@ -315,6 +315,21 @@ def test_hom_json_uninferable_compose_is_rejected():
         og.hom_from_json(doc, og.INT, og.INT)
 
 
+def test_scale_int_rejects_bool():
+    # bool is an int subclass; true must not pass for the factor 1
+    with pytest.raises(TypeMismatch):
+        og.scale_int(True)
+    with pytest.raises(ParseError, match="positive integer"):
+        og.hom_from_json({"scale_int": True}, og.INT, og.INT)
+
+
+def test_int_multiples_rejects_bool():
+    with pytest.raises(TypeMismatch):
+        og.int_multiples(True)
+    with pytest.raises(ParseError, match="positive integer"):
+        og.subgroup_from_json({"int_multiples": True}, og.INT)
+
+
 def test_subgroup_json_round_trip():
     for sub in (og.whole(og.RAT), og.int_multiples(2), og.int_in_rat(),
                 og.first_zero(og.Lex(og.INT, og.INT))):
