@@ -277,11 +277,7 @@ def bunch_to_json(b: Bunch) -> dict:
 
 
 def parse_bunch(text: str) -> Bunch:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return bunch_from_json(doc)
+    return bunch_from_json(og.load_json(text))
 
 
 def bunch_from_json(doc) -> Bunch:

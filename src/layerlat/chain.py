@@ -268,6 +268,15 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     Covers order totality/transitivity, commutativity, associativity, the
     unit law, monotonicity, adjointness, involution, and the odd/even shape
     of the falsum.  Finite chains get their whole carrier as the pool.
+
+    Each value over a pool pair is decided once.  A pool point is named by
+    its index in ``pool``, and the pair (i, j) by ``i * n + j``: ``order``
+    holds compare(pool[i], pool[j]), ``prod`` the product pool[i] * pool[j]
+    and ``resid`` the residual not(pool[i] * not(pool[j])), each filled on
+    first use, so a lookup hashes no element.  The tables are ordered, entry
+    (i, j) never standing in for (j, i), so commutativity still compares two
+    independently computed products.  Products leave the pool, so the
+    products and complements taken at them go through memos keyed by element.
     """
     pool = list(islice(chain.enumerate_elements(), pool_size))
     n = len(pool)
@@ -277,6 +286,22 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     t, f = chain.constants()
     cmp = chain.compare
     raw_mul = chain.mul
+    order: list = [None] * (n * n)
+    prod: list = [None] * (n * n)
+    resid: list = [None] * (n * n)
+
+    def pool_cmp(i, j):
+        r = order[i * n + j]
+        if r is None:
+            r = order[i * n + j] = cmp(pool[i], pool[j])
+        return r
+
+    def pool_mul(i, j):
+        r = prod[i * n + j]
+        if r is None:
+            r = prod[i * n + j] = raw_mul(pool[i], pool[j])
+        return r
+
     mul_memo: dict = {}
 
     def mul(a, b):
@@ -297,16 +322,23 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
             neg_memo[a] = r
         return r
 
+    def pool_resid(i, j):
+        r = resid[i * n + j]
+        if r is None:
+            r = resid[i * n + j] = neg(mul(pool[i], neg(pool[j])))
+        return r
+
     results = []
 
     res = LawResult("totality", len(triples))
     for i, j, k in triples:
         x, y, z = pool[i], pool[j], pool[k]
-        if cmp(x, y) != -cmp(y, x):
+        c = pool_cmp(i, j)
+        if c != -pool_cmp(j, i):
             res.failures.append(f"asymmetry broken at {x}, {y}")
-        elif (x == y) != (cmp(x, y) == EQ):
+        elif (x == y) != (c == EQ):
             res.failures.append(f"equality vs EQ mismatch at {x}, {y}")
-        elif cmp(x, y) <= 0 and cmp(y, z) <= 0 and cmp(x, z) > 0:
+        elif c <= 0 and pool_cmp(j, k) <= 0 and pool_cmp(i, k) > 0:
             res.failures.append(f"transitivity broken at {x}, {y}, {z}")
         if res.failures:
             break
@@ -314,17 +346,15 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
 
     res = LawResult("commutativity", len(triples))
     for i, j, _ in triples:
-        x, y = pool[i], pool[j]
-        if raw_mul(x, y) != raw_mul(y, x):
-            res.failures.append(f"{x} * {y}")
+        if pool_mul(i, j) != pool_mul(j, i):
+            res.failures.append(f"{pool[i]} * {pool[j]}")
             break
     results.append(res)
 
     res = LawResult("associativity", len(triples))
     for i, j, k in triples:
-        x, y, z = pool[i], pool[j], pool[k]
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            res.failures.append(f"{x}, {y}, {z}")
+        if mul(pool_mul(i, j), pool[k]) != mul(pool[i], pool_mul(j, k)):
+            res.failures.append(f"{pool[i]}, {pool[j]}, {pool[k]}")
             break
     results.append(res)
 
@@ -337,18 +367,16 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
 
     res = LawResult("monotonicity", len(triples))
     for i, j, k in triples:
-        x, y, z = pool[i], pool[j], pool[k]
-        if cmp(x, y) <= 0 and cmp(mul(x, z), mul(y, z)) > 0:
-            res.failures.append(f"{x} <= {y} but products reversed with {z}")
+        if pool_cmp(i, j) <= 0 and cmp(pool_mul(i, k), pool_mul(j, k)) > 0:
+            res.failures.append(f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}")
             break
     results.append(res)
 
     res = LawResult("adjointness", len(triples))
     for i, j, k in triples:
-        x, v, z = pool[i], pool[j], pool[k]
-        r = neg(mul(x, neg(z)))
-        if (cmp(mul(x, v), z) <= 0) != (cmp(v, r) <= 0):
-            res.failures.append(f"x={x}, v={v}, z={z}")
+        r = pool_resid(i, k)
+        if (cmp(pool_mul(i, j), pool[k]) <= 0) != (cmp(pool[j], r) <= 0):
+            res.failures.append(f"x={pool[i]}, v={pool[j]}, z={pool[k]}")
             break
     results.append(res)
 

@@ -106,24 +106,22 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
             "partition", u, ok, "proved",
             "" if ok else f"class {sb.partition[u]} maps onto class {db.partition[smap[u]]}"))
 
-    def layer_pool(u: str) -> list:
-        return list(islice(og.g_enumerate(sb.groups[u]), samples))
+    # once per call, not once per clause or element: each layer map is looked
+    # up, and each layer's sample pool enumerated and mapped
+    maps = {u: og.hom_fn(spec.layer_maps[u]) for u in sb.skeleton}
+    pools = {u: list(islice(og.g_enumerate(sb.groups[u]), samples)) for u in sb.skeleton}
+    mapped = {u: [maps[u](a) for a in pools[u]] for u in sb.skeleton}
+
+    def emap(x: ChainElement) -> ChainElement:
+        return ChainElement(smap[x.layer], maps[x.layer](x.g), x.dotted)
 
     for u in sb.skeleton:
-        h = spec.layer_maps[u]
-        hr = og.hom_check(h, samples)
-        fn = og.hom_fn(h)
+        hr = og.hom_check(spec.layer_maps[u], samples)
         cmp_s = og.cmp_fn(sb.groups[u])
         cmp_d = og.cmp_fn(db.groups[smap[u]])
-        strict_ok = True
-        pool = layer_pool(u)
-        for a in pool:
-            for c in pool:
-                if cmp_s(a, c) < 0 and cmp_d(fn(a), fn(c)) >= 0:
-                    strict_ok = False
-                    break
-            if not strict_ok:
-                break
+        pairs = list(zip(pools[u], mapped[u]))
+        strict_ok = all(cmp_s(a, c) >= 0 or cmp_d(fa, fc) < 0
+                        for a, fa in pairs for c, fc in pairs)
         lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
         report.clauses.append(ClauseResult(
             "layer-group-hom", u, hr.ok and strict_ok, lm,
@@ -138,13 +136,9 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                 continue
             src_tr = og.hom_fn(transition(sb, u, v))
             dst_tr = og.hom_fn(transition(db, smap[u], smap[v]))
-            fu = og.hom_fn(spec.layer_maps[u])
-            fv = og.hom_fn(spec.layer_maps[v])
-            bad = None
-            for a in layer_pool(u):
-                if fv(src_tr(a)) != dst_tr(fu(a)):
-                    bad = a
-                    break
+            fv = maps[v]
+            bad = next((a for a, fa in zip(pools[u], mapped[u])
+                        if fv(src_tr(a)) != dst_tr(fa)), None)
             lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
             report.clauses.append(ClauseResult(
                 "transition-square", f"{u}->{v}", bad is None, lm,
@@ -160,12 +154,8 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
             continue
         mem_s = og.member_fn(sb.subgroups[u])
         mem_d = og.member_fn(db.subgroups[smap[u]])
-        fn = og.hom_fn(spec.layer_maps[u])
-        bad = None
-        for a in layer_pool(u):
-            if mem_s(a) != mem_d(fn(a)):
-                bad = a
-                break
+        bad = next((a for a, fa in zip(pools[u], mapped[u])
+                    if mem_s(a) != mem_d(fa)), None)
         lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
         report.clauses.append(ClauseResult(
             "subgroup-both-ways", u, bad is None, lm,
@@ -174,7 +164,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
     for u in sb.skeleton:
         if sb.partition[u] != "J":
             continue
-        fn = og.hom_fn(spec.layer_maps[u])
+        fn = maps[u]
         up_s = og.g_cover_up(sb.groups[u], og.g_unit(sb.groups[u]))
         up_d = og.g_cover_up(db.groups[smap[u]], og.g_unit(db.groups[smap[u]]))
         ok = up_s is not None and fn(up_s) == up_d
@@ -183,11 +173,11 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
             "" if ok else f"cover of the unit maps to {fn(up_s)!r}, expected {up_d!r}"))
 
     pool = list(islice(src.enumerate_elements(), samples))
-    images = [element_map(spec, x) for x in pool]
+    images = [emap(x) for x in pool]
     bad = None
-    for i, x in enumerate(pool):
-        for j, y in enumerate(pool):
-            if src.compare(x, y) != dst.compare(images[i], images[j]):
+    for x, fx in zip(pool, images):
+        for y, fy in zip(pool, images):
+            if src.compare(x, y) != dst.compare(fx, fy):
                 bad = (x, y)
                 break
         if bad:
@@ -196,9 +186,9 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         "element-order", "carrier", bad is None, method,
         "" if bad is None else f"order not preserved at {bad}"))
     bad = None
-    for i, x in enumerate(pool):
-        for j, y in enumerate(pool):
-            if element_map(spec, src.mul(x, y)) != dst.mul(images[i], images[j]):
+    for x, fx in zip(pool, images):
+        for y, fy in zip(pool, images):
+            if emap(src.mul(x, y)) != dst.mul(fx, fy):
                 bad = (x, y)
                 break
         if bad:
@@ -208,7 +198,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         "" if bad is None else f"product not preserved at {bad}"))
     ts, fs = src.constants()
     td, fd = dst.constants()
-    ok = element_map(spec, ts) == td and element_map(spec, fs) == fd
+    ok = emap(ts) == td and emap(fs) == fd
     report.clauses.append(ClauseResult(
         "element-constants", "t, f", ok, "proved",
         "" if ok else "constants not preserved"))
@@ -228,10 +218,7 @@ def serialize_embedding_spec(spec: EmbeddingSpec, src: Bunch) -> str:
 
 
 def parse_embedding_spec(text: str, src: Bunch, dst: Bunch) -> EmbeddingSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    doc = og.load_json(text)
     if not isinstance(doc, dict) or set(doc) != {"skeleton_map", "layer_maps"}:
         raise ParseError("embedding spec needs exactly skeleton_map and layer_maps")
     smap = doc["skeleton_map"]
@@ -243,7 +230,7 @@ def parse_embedding_spec(text: str, src: Bunch, dst: Bunch) -> EmbeddingSpec:
     layer_maps = {}
     for u in src.skeleton:
         v = smap[u]
-        if v not in dst.partition:
+        if not isinstance(v, str) or v not in dst.partition:
             raise ParseError(f"skeleton_map.{u}: unknown target layer {v!r}")
         try:
             layer_maps[u] = og.hom_from_json(lmaps[u], src.groups[u], dst.groups[v])

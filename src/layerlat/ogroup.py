@@ -11,6 +11,7 @@ and subgroups used by bunch files and the CLI.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -508,6 +509,16 @@ def _split_pair(body: str) -> tuple[str, str]:
     raise ParseError(f"pair literal without top-level comma: {body!r}")
 
 
+def _int_literal(text: str) -> int:
+    """``int(text)`` for a literal matching _INT_RE; a literal longer than the
+    interpreter's int-to-string digit limit is a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(text)} characters exceeds the "
+                         f"digit limit") from None
+
+
 def _parse_gelem(group: OGroup, text: str) -> GElem:
     if isinstance(group, Trivial):
         if text != "e":
@@ -516,12 +527,17 @@ def _parse_gelem(group: OGroup, text: str) -> GElem:
     if isinstance(group, Int):
         if not _INT_RE.match(text):
             raise ParseError(f"bad integer literal {text!r}")
-        return int(text)
+        return _int_literal(text)
     if isinstance(group, Rat):
         num, slash, den = text.partition("/")
         if not _INT_RE.match(num) or (slash and not _INT_RE.match(den)):
             raise ParseError(f"bad rational literal {text!r}")
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if not slash:
+            return Fraction(_int_literal(num))
+        d = _int_literal(den)
+        if d == 0:
+            raise ParseError(f"rational literal with zero denominator {text!r}")
+        return Fraction(_int_literal(num), d)
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"lex element must be a parenthesized pair, got {text!r}")
     left, right = _split_pair(text[1:-1])
@@ -530,6 +546,35 @@ def _parse_gelem(group: OGroup, text: str) -> GElem:
 
 # ---------------------------------------------------------------------------
 # JSON encodings for groups, homs, subgroups
+
+#: Deepest nesting of lists and objects accepted in a group or hom document;
+#: the decoders recurse once per level, so this also bounds their stack use.
+MAX_NESTING = 64
+
+
+def load_json(text: str):
+    """``json.loads`` with every malformed document reported as a ParseError,
+    including integers past the digit limit and nesting past the stack."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:
+        raise ParseError("integer literal exceeds the digit limit") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
+
+
+def _check_nesting(doc) -> None:
+    """Raise ParseError when ``doc`` nests lists and objects more than
+    MAX_NESTING deep; walks one level at a time, without recursion."""
+    level = [doc]
+    for _ in range(MAX_NESTING + 1):
+        level = [d for d in level if isinstance(d, (dict, list))]
+        if not level:
+            return
+        level = [v for d in level for v in (d.values() if isinstance(d, dict) else d)]
+    raise ParseError(f"document nests more than {MAX_NESTING} levels deep")
 
 
 def group_to_json(group: OGroup):
@@ -543,6 +588,11 @@ def group_to_json(group: OGroup):
 
 
 def group_from_json(doc) -> OGroup:
+    _check_nesting(doc)
+    return _group_from_json(doc)
+
+
+def _group_from_json(doc) -> OGroup:
     if doc == "trivial":
         return TRIVIAL
     if doc == "int":
@@ -551,9 +601,9 @@ def group_from_json(doc) -> OGroup:
         return RAT
     if isinstance(doc, dict) and set(doc) == {"lex"}:
         pair = doc["lex"]
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not _is_pair(pair):
             raise ParseError(f"lex group needs a two-element list, got {pair!r}")
-        return Lex(group_from_json(pair[0]), group_from_json(pair[1]))
+        return Lex(_group_from_json(pair[0]), _group_from_json(pair[1]))
     raise ParseError(f"unknown group encoding {doc!r}")
 
 
@@ -604,6 +654,10 @@ def hom_to_json(h: Hom):
     return {"compose": [hom_to_json(h.parts[0]), hom_to_json(h.parts[1])]}
 
 
+def _is_pair(doc) -> bool:
+    return isinstance(doc, list) and len(doc) == 2
+
+
 def _infer_target(doc, source: OGroup) -> OGroup | None:
     if doc == "id":
         return source
@@ -615,7 +669,7 @@ def _infer_target(doc, source: OGroup) -> OGroup | None:
         return source.left if isinstance(source, Lex) else None
     if isinstance(doc, dict) and "scale_int" in doc:
         return INT
-    if isinstance(doc, dict) and "compose" in doc:
+    if isinstance(doc, dict) and _is_pair(doc.get("compose")):
         outer, inner = doc["compose"]
         mid = _infer_target(inner, source)
         return None if mid is None else _infer_target(outer, mid)
@@ -633,7 +687,7 @@ def _infer_source(doc, target: OGroup) -> OGroup | None:
         return target.left if isinstance(target, Lex) else None
     if isinstance(doc, dict) and "scale_int" in doc:
         return INT
-    if isinstance(doc, dict) and "compose" in doc:
+    if isinstance(doc, dict) and _is_pair(doc.get("compose")):
         outer, inner = doc["compose"]
         mid = _infer_source(outer, target)
         return None if mid is None else _infer_source(inner, mid)
@@ -642,6 +696,11 @@ def _infer_source(doc, target: OGroup) -> OGroup | None:
 
 def hom_from_json(doc, source: OGroup, target: OGroup) -> Hom:
     """Decode a hom document against the source/target known from context."""
+    _check_nesting(doc)
+    return _hom_from_json(doc, source, target)
+
+
+def _hom_from_json(doc, source: OGroup, target: OGroup) -> Hom:
     if doc == "unit":
         return unit_map(source, target)
     if doc == "id":
@@ -669,7 +728,7 @@ def hom_from_json(doc, source: OGroup, target: OGroup) -> Hom:
             raise ParseError(str(e)) from None
     if isinstance(doc, dict) and set(doc) == {"compose"}:
         pair = doc["compose"]
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not _is_pair(pair):
             raise ParseError(f"compose needs [outer, inner], got {pair!r}")
         outer_doc, inner_doc = pair
         mid = _infer_target(inner_doc, source)
@@ -678,6 +737,6 @@ def hom_from_json(doc, source: OGroup, target: OGroup) -> Hom:
         if mid is None:
             raise ParseError("cannot infer the intermediate group of a compose; "
                              "use determined stages such as scale_int or int_to_rat")
-        return hom_compose(hom_from_json(outer_doc, mid, target),
-                           hom_from_json(inner_doc, source, mid))
+        return hom_compose(_hom_from_json(outer_doc, mid, target),
+                           _hom_from_json(inner_doc, source, mid))
     raise ParseError(f"unknown hom encoding {doc!r}")

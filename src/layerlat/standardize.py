@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate
 
 from .chain import Chain, ChainElement, format_element
 from .errors import TrivialChain, Unbounded
@@ -39,7 +39,7 @@ class RationalPlacement:
             self._q = {self.bottom: Fraction(0), self.top: Fraction(1)}
             self._sorted = [self.bottom, self.top]
             self._seq = [self.bottom, self.top]
-        self._ext_cache: dict[int, tuple[list[Fraction], list[list[Fraction]]]] = {}
+        self._ext_cache: dict[int, tuple[list[Fraction], list[list[int]]]] = {}
 
     def __len__(self) -> int:
         return len(self._q)
@@ -137,33 +137,33 @@ def extend_with_products(chain: Chain, placement: RationalPlacement,
 
 
 def _extended_tables(chain: Chain, placement: RationalPlacement,
-                     depth: int) -> tuple[list[Fraction], list[list[Fraction]]]:
+                     depth: int) -> tuple[list[Fraction], list[list[int]]]:
+    """The extended placement's values ``qs`` in ascending order and the table
+    ``best``: best[i][j] is the largest rank r such that qs[r] is the value of
+    a placed product x * y with x among the first i + 1 and y among the first
+    j + 1 placed points, or -1 when no such product is placed.
+
+    ``q`` is strictly increasing along ``_sorted``, so a product is stored by
+    its rank there, and the running maximum of ranks picks out the same
+    product as the running maximum of its values would.
+    """
     cached = placement._ext_cache.get(depth)
     if cached is not None:
         return cached
     work = extend_with_products(chain, placement, depth)
     elems = work._sorted
     qs = [work._q[e] for e in elems]
+    rank = {e: r for r, e in enumerate(elems)}
     n = len(elems)
-    # running prefix maximum of placed product values; 0 stands for "nothing"
-    zero = Fraction(0)
-    best = [[zero] * n for _ in range(n)]
-    mul_q: dict[tuple[int, int], Fraction] = {}
-    for i in range(n):
+    prods = [[-1] * n for _ in range(n)]
+    for i, x in enumerate(elems):
         for j in range(i + 1):
-            z = chain.mul(elems[i], elems[j])
-            value = work._q.get(z)
-            if value is not None:
-                mul_q[(i, j)] = value
-                mul_q[(j, i)] = value
-    for i in range(n):
-        for j in range(n):
-            value = mul_q.get((i, j), zero)
-            if i:
-                value = max(value, best[i - 1][j])
-            if j:
-                value = max(value, best[i][j - 1])
-            best[i][j] = value
+            prods[i][j] = prods[j][i] = rank.get(chain.mul(x, elems[j]), -1)
+    best = []
+    above = [-1] * n
+    for row in prods:
+        above = list(accumulate(map(max, row, above), max))
+        best.append(above)
     placement._ext_cache[depth] = (qs, best)
     return qs, best
 
@@ -187,7 +187,8 @@ def sup_extend(chain: Chain, placement: RationalPlacement, a: Fraction,
     count_b = _count_below(qs, b)
     if count_a == 0 or count_b == 0:
         return Fraction(0)
-    return best[count_a - 1][count_b - 1]
+    r = best[count_a - 1][count_b - 1]
+    return qs[r] if r >= 0 else Fraction(0)
 
 
 def _count_below(qs: list[Fraction], a: Fraction) -> int:

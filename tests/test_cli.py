@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
+import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from layerlat import cli, fixtures, ogroup as og
 from layerlat.bunch import bunch_from_json, serialize_bunch
 from layerlat.chain import Chain, parse_element
+from layerlat.embed import identity_embedding, serialize_embedding_spec
 
 
 def run(argv, capsys) -> tuple[int, str]:
@@ -125,5 +128,157 @@ def numeric_argv(draw) -> list[str]:
 @given(numeric_argv())
 def test_numeric_options_never_end_in_a_traceback(fixture_files, argv):
     code, err = cli_exit([a.format(**fixture_files) for a in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# -- documents and literals ----------------------------------------------------
+
+
+def test_oversize_element_literal_is_a_parse_error(fixture_files):
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 700 if limit else 5000)
+    code, err = cli_exit(["eval", fixture_files["zb"], "--op", "neg", "--lhs", f"t:{digits}"])
+    assert "Traceback" not in err
+    if limit:
+        assert code == 1 and "digit limit" in err
+    else:
+        assert code == 0
+
+
+def nested_lex(depth: int) -> str:
+    return '{"lex": [' * depth + '"int"' + ', "int"]}' * depth
+
+
+def test_deeply_nested_bunch_is_a_parse_error(tmp_path):
+    text = serialize_bunch(fixtures.zb())
+    assert '"t": "int"' in text
+    for depth in (3000, og.MAX_NESTING // 2 + 1):
+        path = tmp_path / f"deep{depth}.json"
+        path.write_text(text.replace('"t": "int"', f'"t": {nested_lex(depth)}', 1))
+        code, err = cli_exit(["validate", str(path)])
+        assert code == 1 and "Traceback" not in err
+        assert "nests" in err
+
+
+def test_deeply_nested_embedding_spec_is_a_parse_error(fixture_files, tmp_path):
+    zb = fixtures.zb()
+    doc = json.loads(serialize_embedding_spec(identity_embedding(zb), zb))
+    for depth in (3000, og.MAX_NESTING + 1):
+        doc["layer_maps"]["t"] = "@deep"
+        path = tmp_path / f"spec{depth}.json"
+        path.write_text(json.dumps(doc).replace('"@deep"', "[" * depth + "]" * depth))
+        code, err = cli_exit(["embed-check", fixture_files["zb"], fixture_files["zb"], str(path)])
+        assert code == 1 and "Traceback" not in err
+        assert "nests" in err
+
+
+def test_unreadable_input_files_are_errors(tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, latin, tmp_path / "missing.json"):
+        code, err = cli_exit(["validate", str(path)])
+        assert code == 1 and err.startswith("error: ")
+
+
+# JSON text for values that json.dumps cannot or will not write
+RAW_VALUES = {
+    "@big": "9" * 5000,
+    "@negbig": "-" + "7" * 5000,
+    "@deep": "[" * 3000 + "]" * 3000,
+    "@deep_lex": nested_lex(2000),
+    "@lex_at_limit": nested_lex(og.MAX_NESTING // 2),
+    "@lex_past_limit": nested_lex(og.MAX_NESTING),
+}
+NAMES = ["int", "rat", "trivial", "unit", "id", "whole", "first_zero", "int_in_rat",
+         "int_to_rat", "inject_first", "project_first", "O", "I", "J", "t", "u",
+         "t->u", "lex", "compose", "scale_int", "int_multiples", "skeleton", "steps"]
+VALUES = st.recursive(
+    st.one_of(st.booleans(), st.none(), st.integers(-3, 3), st.integers(-10**40, 10**40),
+              st.floats(), st.text(max_size=4), st.sampled_from(NAMES),
+              st.sampled_from(sorted(RAW_VALUES))),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(NAMES), inner, max_size=2)),
+    max_leaves=4)
+
+
+def doc_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from doc_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from doc_paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three values replaced, keys or items deleted, or
+    keys or items added; returned as JSON text."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(doc_paths(doc))))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        value = draw(VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(NAMES))] = value
+        else:
+            parent.append(value)
+    text = json.dumps(doc)
+    for token, raw in RAW_VALUES.items():
+        text = text.replace(json.dumps(token), raw)
+    return text
+
+
+FIXTURE_DOCS = {k: json.loads(serialize_bunch(f())) for k, f in fixtures.ALL.items()}
+SPEC_DOCS = {k: json.loads(serialize_embedding_spec(identity_embedding(f()), f()))
+             for k, f in fixtures.ALL.items()}
+
+
+@st.composite
+def document_calls(draw):
+    """A subcommand on a mutated fixture bunch, or embed-check with a mutated
+    identity spec; the files are written by the test."""
+    name = draw(st.sampled_from(sorted(FIXTURE_DOCS)))
+    if draw(st.booleans()):
+        spec = draw(mutated(SPEC_DOCS[name]))
+        return name, serialize_bunch(fixtures.ALL[name]()), spec, \
+            ["embed-check", "{bunch}", "{bunch}", "{spec}"]
+    bunch = draw(mutated(FIXTURE_DOCS[name]))
+    spec = json.dumps(SPEC_DOCS[name])
+    argv = draw(st.sampled_from([
+        ["validate", "{bunch}"],
+        ["type", "{bunch}"],
+        ["bounded", "{bunch}"],
+        ["table", "{bunch}", "--limit", "4"],
+        ["laws", "{bunch}", "--law-samples", "40"],
+        ["eval", "{bunch}", "--op", "neg", "--lhs", "t:0"],
+        ["standardize", "{bunch}", "--prefix", "5", "--depth", "2"],
+        ["densify", "{bunch}", "--prefix", "3", "--rounds", "1"],
+        ["embed-check", "{bunch}", "{bunch}", "{spec}"],
+    ]))
+    return name, bunch, spec, argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(document_calls())
+def test_mutated_documents_never_end_in_a_traceback(tmp_path_factory, call):
+    name, bunch, spec, argv = call
+    root = tmp_path_factory.mktemp("docs", numbered=True)
+    files = {"bunch": root / f"{name}.json", "spec": root / f"id_{name}.json"}
+    files["bunch"].write_text(bunch)
+    files["spec"].write_text(spec)
+    code, err = cli_exit(["--samples", "20"] + [a.format(**files) for a in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -1,0 +1,491 @@
+"""The law, embedding and sup-table kernels against their earlier loops.
+
+Each ``reference_*`` function below is the earlier implementation, kept
+literally: the law checker with element-keyed memos, the embedding checker
+that maps every element through ``element_map``, and the ``Fraction``-valued
+prefix-maximum table behind ``sup_extend`` (minus its per-placement cache,
+which now holds rank tables).  The current kernels decide each pool pair
+once and compare ranks instead of values; these tests pin that their reports
+and values are unchanged, on passing and on deliberately broken chains.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import islice
+
+import pytest
+
+from layerlat import fixtures, ogroup as og
+from layerlat.bunch import Bunch, BunchType, transition
+from layerlat.chain import Chain, LawReport, LawResult, check_chain_laws
+from layerlat.densify import insert_above
+from layerlat.embed import (ClauseResult, EmbeddingReport, EmbeddingSpec, _typecheck,
+                            check_embedding, element_map, identity_embedding)
+from layerlat.errors import TypeMismatch
+from layerlat.standardize import (RationalPlacement, _count_below, cantor_map,
+                                  extend_with_products, sup_extend)
+
+EQ, LT = og.EQ, og.LT
+
+
+# ---------------------------------------------------------------------------
+# the earlier loops
+
+
+def reference_check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
+                               seed: int = 0) -> LawReport:
+    """Sample-check the chain axioms on random triples from an enumerated pool.
+
+    Covers order totality/transitivity, commutativity, associativity, the
+    unit law, monotonicity, adjointness, involution, and the odd/even shape
+    of the falsum.  Finite chains get their whole carrier as the pool.
+    """
+    pool = list(islice(chain.enumerate_elements(), pool_size))
+    n = len(pool)
+    rng = random.Random(seed)
+    triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+               for _ in range(samples)]
+    t, f = chain.constants()
+    cmp = chain.compare
+    raw_mul = chain.mul
+    mul_memo: dict = {}
+
+    def mul(a, b):
+        key = (a, b)
+        r = mul_memo.get(key)
+        if r is None:
+            r = raw_mul(a, b)
+            mul_memo[key] = r
+            mul_memo[(b, a)] = r
+        return r
+
+    neg_memo: dict = {}
+
+    def neg(a):
+        r = neg_memo.get(a)
+        if r is None:
+            r = chain.negate(a)
+            neg_memo[a] = r
+        return r
+
+    results = []
+
+    res = LawResult("totality", len(triples))
+    for i, j, k in triples:
+        x, y, z = pool[i], pool[j], pool[k]
+        if cmp(x, y) != -cmp(y, x):
+            res.failures.append(f"asymmetry broken at {x}, {y}")
+        elif (x == y) != (cmp(x, y) == EQ):
+            res.failures.append(f"equality vs EQ mismatch at {x}, {y}")
+        elif cmp(x, y) <= 0 and cmp(y, z) <= 0 and cmp(x, z) > 0:
+            res.failures.append(f"transitivity broken at {x}, {y}, {z}")
+        if res.failures:
+            break
+    results.append(res)
+
+    res = LawResult("commutativity", len(triples))
+    for i, j, _ in triples:
+        x, y = pool[i], pool[j]
+        if raw_mul(x, y) != raw_mul(y, x):
+            res.failures.append(f"{x} * {y}")
+            break
+    results.append(res)
+
+    res = LawResult("associativity", len(triples))
+    for i, j, k in triples:
+        x, y, z = pool[i], pool[j], pool[k]
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+            res.failures.append(f"{x}, {y}, {z}")
+            break
+    results.append(res)
+
+    res = LawResult("unit", n)
+    for x in pool:
+        if raw_mul(t, x) != x or raw_mul(x, t) != x:
+            res.failures.append(f"{x}")
+            break
+    results.append(res)
+
+    res = LawResult("monotonicity", len(triples))
+    for i, j, k in triples:
+        x, y, z = pool[i], pool[j], pool[k]
+        if cmp(x, y) <= 0 and cmp(mul(x, z), mul(y, z)) > 0:
+            res.failures.append(f"{x} <= {y} but products reversed with {z}")
+            break
+    results.append(res)
+
+    res = LawResult("adjointness", len(triples))
+    for i, j, k in triples:
+        x, v, z = pool[i], pool[j], pool[k]
+        r = neg(mul(x, neg(z)))
+        if (cmp(mul(x, v), z) <= 0) != (cmp(v, r) <= 0):
+            res.failures.append(f"x={x}, v={v}, z={z}")
+            break
+    results.append(res)
+
+    res = LawResult("involution", n)
+    for x in pool:
+        if neg(neg(x)) != x:
+            res.failures.append(f"{x}")
+            break
+    results.append(res)
+
+    res = LawResult("falsum-shape", n)
+    kind = chain.type()
+    if kind == BunchType.ODD:
+        if f != t:
+            res.failures.append("odd chain must fix the unit under complement")
+    else:
+        if cmp(f, t) != LT:
+            res.failures.append("even chain needs falsum strictly below unit")
+        else:
+            for x in pool:
+                if cmp(f, x) == LT and cmp(x, t) == LT:
+                    res.failures.append(f"{x} lies strictly between falsum and unit")
+                    break
+    results.append(res)
+
+    return LawReport(results, n)
+
+
+def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
+                              samples: int = 64) -> EmbeddingReport:
+    """Run every embedding clause; exhaustive on finite sources ("proved"),
+    sampled otherwise ("tested")."""
+    sb, db = src.bunch, dst.bunch
+    _typecheck(sb, db, spec)
+    report = EmbeddingReport(samples=samples)
+    smap = spec.skeleton_map
+    finite = src.is_finite
+    method = "proved" if finite else "tested"
+
+    positions = [db.index(smap[u]) for u in sb.skeleton]
+    ok = all(positions[i] < positions[i + 1] for i in range(len(positions) - 1))
+    report.clauses.append(ClauseResult(
+        "skeleton-order", "skeleton", ok, "proved",
+        "" if ok else "image positions are not strictly ascending"))
+    ok = smap[sb.least()] == db.least()
+    report.clauses.append(ClauseResult(
+        "least-element", sb.least(), ok, "proved",
+        "" if ok else f"least layer maps to {smap[sb.least()]!r}"))
+    for u in sb.skeleton:
+        ok = sb.partition[u] == db.partition[smap[u]]
+        report.clauses.append(ClauseResult(
+            "partition", u, ok, "proved",
+            "" if ok else f"class {sb.partition[u]} maps onto class {db.partition[smap[u]]}"))
+
+    def layer_pool(u: str) -> list:
+        return list(islice(og.g_enumerate(sb.groups[u]), samples))
+
+    for u in sb.skeleton:
+        h = spec.layer_maps[u]
+        hr = og.hom_check(h, samples)
+        fn = og.hom_fn(h)
+        cmp_s = og.cmp_fn(sb.groups[u])
+        cmp_d = og.cmp_fn(db.groups[smap[u]])
+        strict_ok = True
+        pool = layer_pool(u)
+        for a in pool:
+            for c in pool:
+                if cmp_s(a, c) < 0 and cmp_d(fn(a), fn(c)) >= 0:
+                    strict_ok = False
+                    break
+            if not strict_ok:
+                break
+        lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
+        report.clauses.append(ClauseResult(
+            "layer-group-hom", u, hr.ok and strict_ok, lm,
+            "" if hr.ok and strict_ok else (hr.failures + ["not strictly order-preserving"])[0]))
+
+    for i, u in enumerate(sb.skeleton):
+        for v in sb.skeleton[i:]:
+            if db.index(smap[u]) > db.index(smap[v]):
+                report.clauses.append(ClauseResult(
+                    "transition-square", f"{u}->{v}", False, "proved",
+                    "image layers are not skeleton-ordered"))
+                continue
+            src_tr = og.hom_fn(transition(sb, u, v))
+            dst_tr = og.hom_fn(transition(db, smap[u], smap[v]))
+            fu = og.hom_fn(spec.layer_maps[u])
+            fv = og.hom_fn(spec.layer_maps[v])
+            bad = None
+            for a in layer_pool(u):
+                if fv(src_tr(a)) != dst_tr(fu(a)):
+                    bad = a
+                    break
+            lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
+            report.clauses.append(ClauseResult(
+                "transition-square", f"{u}->{v}", bad is None, lm,
+                "" if bad is None else f"square does not commute at {bad!r}"))
+
+    for u in sb.skeleton:
+        if sb.partition[u] != "I":
+            continue
+        if db.partition[smap[u]] != "I":
+            report.clauses.append(ClauseResult(
+                "subgroup-both-ways", u, False, "proved",
+                "image layer carries no subgroup"))
+            continue
+        mem_s = og.member_fn(sb.subgroups[u])
+        mem_d = og.member_fn(db.subgroups[smap[u]])
+        fn = og.hom_fn(spec.layer_maps[u])
+        bad = None
+        for a in layer_pool(u):
+            if mem_s(a) != mem_d(fn(a)):
+                bad = a
+                break
+        lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
+        report.clauses.append(ClauseResult(
+            "subgroup-both-ways", u, bad is None, lm,
+            "" if bad is None else f"membership not reflected at {bad!r}"))
+
+    for u in sb.skeleton:
+        if sb.partition[u] != "J":
+            continue
+        fn = og.hom_fn(spec.layer_maps[u])
+        up_s = og.g_cover_up(sb.groups[u], og.g_unit(sb.groups[u]))
+        up_d = og.g_cover_up(db.groups[smap[u]], og.g_unit(db.groups[smap[u]]))
+        ok = up_s is not None and fn(up_s) == up_d
+        report.clauses.append(ClauseResult(
+            "unit-cover", u, ok, "proved",
+            "" if ok else f"cover of the unit maps to {fn(up_s)!r}, expected {up_d!r}"))
+
+    pool = list(islice(src.enumerate_elements(), samples))
+    images = [element_map(spec, x) for x in pool]
+    bad = None
+    for i, x in enumerate(pool):
+        for j, y in enumerate(pool):
+            if src.compare(x, y) != dst.compare(images[i], images[j]):
+                bad = (x, y)
+                break
+        if bad:
+            break
+    report.clauses.append(ClauseResult(
+        "element-order", "carrier", bad is None, method,
+        "" if bad is None else f"order not preserved at {bad}"))
+    bad = None
+    for i, x in enumerate(pool):
+        for j, y in enumerate(pool):
+            if element_map(spec, src.mul(x, y)) != dst.mul(images[i], images[j]):
+                bad = (x, y)
+                break
+        if bad:
+            break
+    report.clauses.append(ClauseResult(
+        "element-product", "carrier", bad is None, method,
+        "" if bad is None else f"product not preserved at {bad}"))
+    ts, fs = src.constants()
+    td, fd = dst.constants()
+    ok = element_map(spec, ts) == td and element_map(spec, fs) == fd
+    report.clauses.append(ClauseResult(
+        "element-constants", "t, f", ok, "proved",
+        "" if ok else "constants not preserved"))
+    return report
+
+
+def reference_extended_tables(chain: Chain, placement: RationalPlacement,
+                              depth: int) -> tuple[list[Fraction], list[list[Fraction]]]:
+    work = extend_with_products(chain, placement, depth)
+    elems = work._sorted
+    qs = [work._q[e] for e in elems]
+    n = len(elems)
+    # running prefix maximum of placed product values; 0 stands for "nothing"
+    zero = Fraction(0)
+    best = [[zero] * n for _ in range(n)]
+    mul_q: dict[tuple[int, int], Fraction] = {}
+    for i in range(n):
+        for j in range(i + 1):
+            z = chain.mul(elems[i], elems[j])
+            value = work._q.get(z)
+            if value is not None:
+                mul_q[(i, j)] = value
+                mul_q[(j, i)] = value
+    for i in range(n):
+        for j in range(n):
+            value = mul_q.get((i, j), zero)
+            if i:
+                value = max(value, best[i - 1][j])
+            if j:
+                value = max(value, best[i][j - 1])
+            best[i][j] = value
+    return qs, best
+
+
+def reference_sup_extend(tables, a: Fraction, b: Fraction) -> Fraction:
+    qs, best = tables
+    count_a = _count_below(qs, a)
+    count_b = _count_below(qs, b)
+    if count_a == 0 or count_b == 0:
+        return Fraction(0)
+    return best[count_a - 1][count_b - 1]
+
+
+# ---------------------------------------------------------------------------
+# laws
+
+
+def law_bunches() -> list[tuple[str, object]]:
+    rng = random.Random(2024)
+    named = [(k, f()) for k, f in sorted(fixtures.ALL.items())]
+    return named + [(f"random{i}", fixtures.random_bunch(rng, max_layers=4))
+                    for i in range(100)]
+
+
+def same_laws(chain: Chain, **kw) -> LawReport:
+    new = check_chain_laws(chain, **kw)
+    ref = reference_check_chain_laws(chain, **kw)
+    assert new.render() == ref.render()
+    assert [(r.law, r.checked, r.failures) for r in new.results] == \
+        [(r.law, r.checked, r.failures) for r in ref.results]
+    assert new.pool_size == ref.pool_size
+    return new
+
+
+def test_law_reports_match_the_reference_on_fixtures_and_random_bunches():
+    for seed, (name, b) in enumerate(law_bunches()):
+        assert same_laws(Chain(b), samples=200, seed=seed).ok, name
+
+
+def test_law_reports_match_the_reference_on_a_finite_carrier():
+    # the pool is the whole carrier, so the tables fill completely
+    same_laws(Chain(fixtures.finite_bunch(9)), samples=2000, seed=1)
+
+
+def broken_chains(patch) -> list[Chain]:
+    rng = random.Random(7)
+    bunches = [f() for _, f in sorted(fixtures.ALL.items())]
+    bunches += [fixtures.random_bunch(rng, max_layers=4) for _ in range(12)]
+    chains = []
+    for b in bunches:
+        chain = Chain(b)
+        name, fn = patch(chain)
+        setattr(chain, name, fn)
+        chains.append(chain)
+    return chains
+
+
+def flip_across_layers(chain):
+    compare = chain.compare
+    return "compare", lambda x, y: -compare(x, y) if x.layer != y.layer else compare(x, y)
+
+
+def lopsided_across_layers(chain):
+    compare = chain.compare
+    return "compare", lambda x, y: LT if x.layer != y.layer else compare(x, y)
+
+
+def blind_within_layers(chain):
+    compare = chain.compare
+    return "compare", lambda x, y: EQ if x.layer == y.layer else compare(x, y)
+
+
+def negate_is_identity(chain):
+    return "negate", lambda x: x
+
+
+def negate_drops_the_dot(chain):
+    negate = chain.negate
+    return "negate", lambda x: negate(x)._replace(dotted=False)
+
+
+@pytest.mark.parametrize("patch", [flip_across_layers, lopsided_across_layers,
+                                   blind_within_layers, negate_is_identity,
+                                   negate_drops_the_dot])
+def test_law_reports_match_the_reference_on_broken_chains(patch):
+    reports = [same_laws(chain, samples=400, seed=i)
+               for i, chain in enumerate(broken_chains(patch))]
+    assert not all(r.ok for r in reports)
+
+
+def test_commutativity_failure_matches_the_reference_on_a_non_commutative_mul():
+    def keep_the_left(chain):
+        mul = chain.mul
+        return "mul", lambda x, y: x if x.layer != y.layer else mul(x, y)
+
+    failed = 0
+    for i, chain in enumerate(broken_chains(keep_the_left)):
+        new = check_chain_laws(chain, samples=400, seed=i)
+        ref = reference_check_chain_laws(chain, samples=400, seed=i)
+        assert new.results[1].law == "commutativity"
+        assert new.render().splitlines()[1] == ref.render().splitlines()[1]
+        assert new.results[1].failures == ref.results[1].failures
+        failed += not new.results[1].ok
+    assert failed
+
+
+# ---------------------------------------------------------------------------
+# embeddings
+
+
+def embedding_cases() -> list[tuple[Chain, Chain, EmbeddingSpec]]:
+    """Every spec of test_embed.py, the failing ones included, a layer map
+    that is not strictly order-preserving, and the identity of each fixture
+    and of seeded random bunches."""
+    s3, ze, lz2 = Chain(fixtures.s3()), Chain(fixtures.ze()), Chain(fixtures.lz2())
+    receipt = insert_above(s3.bunch, "u")
+    target = Chain(receipt.new_bunch)
+    trivial = og.identity(og.TRIVIAL)
+    cases = [
+        (s3, target, receipt.iota),
+        (s3, target, EmbeddingSpec({"t": "u", "u": "t"}, {"t": trivial, "u": trivial})),
+        (ze, ze, EmbeddingSpec({"t": "t"}, {"t": og.scale_int(2)})),
+        (ze, ze, identity_embedding(ze.bunch)),
+        (ze, ze, EmbeddingSpec({"t": "t"}, {"t": og.unit_map(og.INT, og.INT)})),
+        (lz2, lz2, EmbeddingSpec({"t": "t", "u": "u"},
+                                 {"t": og.scale_int(3), "u": og.scale_int(3)})),
+        (lz2, lz2, EmbeddingSpec({"t": "t", "u": "u"},
+                                 {"t": og.scale_int(2), "u": og.scale_int(2)})),
+    ]
+    rng = random.Random(11)
+    bunches = [f() for _, f in sorted(fixtures.ALL.items())]
+    bunches += [fixtures.random_bunch(rng, max_layers=4) for _ in range(10)]
+    cases += [(Chain(b), Chain(b), identity_embedding(b)) for b in bunches]
+    return cases
+
+
+@pytest.mark.parametrize("samples", [64, 9])
+def test_embedding_reports_match_the_reference(samples):
+    reports = []
+    for src, dst, spec in embedding_cases():
+        new = check_embedding(src, dst, spec, samples=samples)
+        ref = reference_check_embedding(src, dst, spec, samples=samples)
+        assert new.render() == ref.render()
+        assert new.samples == ref.samples
+        reports.append(new)
+    assert not all(r.ok for r in reports)
+
+
+def test_ill_typed_spec_raises_in_both():
+    s3, zb = Chain(fixtures.s3()), Chain(fixtures.zb())
+    trivial = og.identity(og.TRIVIAL)
+    spec = EmbeddingSpec({"t": "t", "u": "u"}, {"t": trivial, "u": trivial})
+    for check in (check_embedding, reference_check_embedding):
+        with pytest.raises(TypeMismatch):
+            check(s3, zb, spec)
+
+
+# ---------------------------------------------------------------------------
+# sup_extend
+
+
+def bounded_rationals() -> Bunch:
+    """Like zb over the rationals.  Its placed products are not monotone in
+    the placement order, so the table needs its maximum over both axes."""
+    return Bunch(("t", "u"), {"t": "O", "u": "I"}, {"t": og.RAT, "u": og.TRIVIAL},
+                 {"u": og.whole(og.TRIVIAL)}, {("t", "u"): og.unit_map(og.RAT, og.TRIVIAL)})
+
+
+@pytest.mark.parametrize("make, prefix", [(fixtures.zb, 80),
+                                          (lambda: fixtures.finite_bunch(31), 16),
+                                          (bounded_rationals, 24)])
+def test_sup_extend_matches_the_reference_on_a_grid(make, prefix):
+    chain = Chain(make())
+    placement = cantor_map(chain, prefix)
+    grid = [Fraction(k, 96) for k in range(97)]
+    for depth in (0, 6, 200):
+        tables = reference_extended_tables(chain, placement, depth)
+        expected = [reference_sup_extend(tables, a, b) for a in grid for b in grid]
+        got = [sup_extend(chain, placement, a, b, depth) for a in grid for b in grid]
+        assert got == expected, depth

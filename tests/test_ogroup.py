@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import islice, product
 
@@ -273,6 +274,20 @@ def test_parse_rejects_garbage():
         og.parse_gelem(og.TRIVIAL, "0")
     with pytest.raises(ParseError):
         og.parse_gelem(og.Lex(og.INT, og.INT), "(1;2)")
+    with pytest.raises(ParseError, match="zero denominator"):
+        og.parse_gelem(og.RAT, "3/0")
+
+
+def test_parse_rejects_literals_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-string digit limit")
+    digits = "7" * (limit + 1)
+    for group, text in ((og.INT, digits), (og.RAT, digits), (og.RAT, f"1/{digits}"),
+                        (og.Lex(og.INT, og.RAT), f"(1,-{digits}/2)")):
+        with pytest.raises(ParseError, match="digit limit"):
+            og.parse_gelem(group, text)
+    assert og.parse_gelem(og.INT, "7" * limit) == int("7" * limit)
 
 
 @st.composite
@@ -313,6 +328,44 @@ def test_hom_json_uninferable_compose_is_rejected():
     doc = og.hom_to_json(og.hom_compose(og.project_first(lex), og.inject_first(lex)))
     with pytest.raises(ParseError, match="intermediate group"):
         og.hom_from_json(doc, og.INT, og.INT)
+
+
+def lex_tower(depth: int) -> og.OGroup:
+    group = og.INT
+    for _ in range(depth):
+        group = og.Lex(group, og.INT)
+    return group
+
+
+def test_json_nesting_is_bounded():
+    # each lex or compose level nests an object and a list
+    deepest = og.MAX_NESTING // 2
+    group = lex_tower(deepest)
+    assert og.group_from_json(og.group_to_json(group)) == group
+    with pytest.raises(ParseError, match="nests"):
+        og.group_from_json(og.group_to_json(lex_tower(deepest + 1)))
+    ids = "id"
+    for _ in range(deepest + 1):
+        ids = {"compose": [ids, "id"]}
+    with pytest.raises(ParseError, match="nests"):
+        og.hom_from_json(ids, og.INT, og.INT)
+    assert og.hom_from_json(ids["compose"][0], og.INT, og.INT) == og.identity(og.INT)
+
+
+def test_load_json_reports_every_failure_as_a_parse_error():
+    assert og.load_json('{"a": [1, 2]}') == {"a": [1, 2]}
+    bad = ["{", "[" * 100_000 + "]" * 100_000]
+    if sys.get_int_max_str_digits():
+        bad.append("9" * (sys.get_int_max_str_digits() + 1))
+    for text in bad:
+        with pytest.raises(ParseError):
+            og.load_json(text)
+
+
+def test_malformed_compose_inside_a_compose_is_a_parse_error():
+    for inner in ({"compose": 5}, {"compose": ["id"]}, {"compose": ["id", "id", "id"]}):
+        with pytest.raises(ParseError):
+            og.hom_from_json({"compose": ["id", inner]}, og.INT, og.INT)
 
 
 def test_scale_int_rejects_bool():
