@@ -6,6 +6,9 @@ once per bunch, in `hom_compose`'s normal form, for every reader.
 Layer classes are "O" (only ever the least layer), "J" (discrete layers whose
 transitions collapse the unit's lower cover), and "I" (layers carrying a
 subgroup whose elements get dotted companions in the reconstructed chain).
+
+`validate` checks the bunch laws G1-G3 and D1-D2 and returns a
+`report.Report`, one `Check` per clause and subject.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from itertools import islice
 
 from . import ogroup as og
 from .errors import LayerOrderError, ParseError, UnknownLayer
+from .report import VALIDATE, Check, Report
 
 LAYER_CLASSES = ("O", "J", "I")
 
@@ -103,37 +107,6 @@ def transition(b: Bunch, u: str, v: str) -> og.Hom:
 # validation
 
 
-@dataclass
-class CheckResult:
-    clause: str
-    subject: str
-    ok: bool
-    method: str  # structural | exact | sampled
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    samples: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def violations(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.ok]
-
-    def render(self) -> str:
-        lines = []
-        for c in self.checks:
-            state = "ok" if c.ok else "VIOLATION"
-            detail = f" -- {c.detail}" if c.detail else ""
-            lines.append(f"{state:9s} {c.clause:12s} {c.subject}{detail} [{c.method}]")
-        lines.append(f"{'ok' if self.ok else 'FAIL'} ({len(self.checks)} checks, {self.samples} samples per sampled clause)")
-        return "\n".join(lines)
-
-
 def structural_problems(b: Bunch) -> list[str]:
     """Structural-completeness defects that make the bunch unusable."""
     problems = []
@@ -169,49 +142,49 @@ def structural_problems(b: Bunch) -> list[str]:
     return problems
 
 
-def validate(b: Bunch, samples: int = 100) -> ValidationReport:
-    """Check every bunch law; returns a report and never raises.
+def validate(b: Bunch, samples: int = 100) -> Report:
+    """Check every bunch law; returns a `report.Report` and never raises.
 
     Structural shortcuts are used where a clause holds by construction (a
     constant-unit transition lands in any subgroup; a whole subgroup absorbs
     anything); otherwise the first ``samples`` enumerated elements of the
     relevant source group are pushed through the transitions.
     """
-    report = ValidationReport(samples=samples)
+    report = Report([], samples, VALIDATE)
     problems = structural_problems(b)
     for p in problems:
-        report.checks.append(CheckResult("structure", "bunch", False, "structural", p))
+        report.checks.append(Check("structure", "bunch", False, "structural", p))
     if problems:
         return report
-    report.checks.append(CheckResult("structure", "bunch", True, "structural"))
+    report.checks.append(Check("structure", "bunch", True, "structural"))
 
     least = b.least()
     for u in b.skeleton:
         if b.partition[u] == "O" and u != least:
-            report.checks.append(CheckResult(
+            report.checks.append(Check(
                 "G1", u, False, "structural", "class O is reserved for the least layer"))
     if not any(c.clause == "G1" and not c.ok for c in report.checks):
-        report.checks.append(CheckResult("G1", least, True, "structural"))
+        report.checks.append(Check("G1", least, True, "structural"))
 
     # identity transitions hold by definition of `transition`
-    report.checks.append(CheckResult("D1", "all layers", True, "structural"))
+    report.checks.append(Check("D1", "all layers", True, "structural"))
 
     for u in b.skeleton:
         if b.partition[u] != "J":
             continue
         group = b.groups[u]
         if not og.is_discrete(group):
-            report.checks.append(CheckResult(
+            report.checks.append(Check(
                 "G2", u, False, "structural",
                 f"class-J layer group {group!r} is not discrete"))
             continue
-        report.checks.append(CheckResult("G2", f"{u} discrete", True, "structural"))
+        report.checks.append(Check("G2", f"{u} discrete", True, "structural"))
         down = og.g_cover_down(group, og.g_unit(group))
         iu = b.index(u)
         for v in b.skeleton[iu + 1:]:
             fn = og.hom_fn(transition(b, u, v))
             ok = fn(down) == og.g_unit(b.groups[v])
-            report.checks.append(CheckResult(
+            report.checks.append(Check(
                 "G2", f"{u}->{v}", ok, "exact",
                 "" if ok else "transition does not collapse the unit's lower cover"))
 
@@ -224,7 +197,7 @@ def validate(b: Bunch, samples: int = 100) -> ValidationReport:
         for u in b.skeleton[:iv]:
             hom = transition(b, u, v)
             if og.subgroup_is_whole(sub) or og.hom_is_constant_unit(hom):
-                report.checks.append(CheckResult("G3", f"{u}->{v}", True, "structural"))
+                report.checks.append(Check("G3", f"{u}->{v}", True, "structural"))
                 continue
             fn = og.hom_fn(hom)
             bad = None
@@ -232,9 +205,10 @@ def validate(b: Bunch, samples: int = 100) -> ValidationReport:
                 if not member(fn(x)):
                     bad = x
                     break
-            report.checks.append(CheckResult(
+            report.checks.append(Check(
                 "G3", f"{u}->{v}", bad is None, "sampled",
-                "" if bad is None else f"{og.format_gelem(b.groups[u], bad)} maps outside the subgroup"))
+                "" if bad is None else f"{og.format_gelem(b.groups[u], bad)} maps outside the subgroup",
+                witness=bad))
 
     n = len(b.skeleton)
     for i in range(n):
@@ -249,9 +223,10 @@ def validate(b: Bunch, samples: int = 100) -> ValidationReport:
                     if direct(x) != second(first(x)):
                         bad = x
                         break
-                report.checks.append(CheckResult(
+                report.checks.append(Check(
                     "D2", f"{u}->{v}->{w}", bad is None, "sampled",
-                    "" if bad is None else f"composition disagrees at {og.format_gelem(b.groups[u], bad)}"))
+                    "" if bad is None else f"composition disagrees at {og.format_gelem(b.groups[u], bad)}",
+                    witness=bad))
     return report
 
 
@@ -259,8 +234,8 @@ def validate(b: Bunch, samples: int = 100) -> ValidationReport:
 # serialization
 
 
-def serialize_bunch(b: Bunch) -> str:
-    doc = {
+def bunch_to_json(b: Bunch) -> dict:
+    return {
         "skeleton": list(b.skeleton),
         "partition": {u: b.partition[u] for u in b.skeleton},
         "groups": {u: og.group_to_json(b.groups[u]) for u in b.skeleton},
@@ -269,11 +244,10 @@ def serialize_bunch(b: Bunch) -> str:
         "steps": {f"{u}->{v}": og.hom_to_json(b.steps[(u, v)])
                   for (u, v) in b.consecutive_pairs()},
     }
-    return json.dumps(doc, indent=2)
 
 
-def bunch_to_json(b: Bunch) -> dict:
-    return json.loads(serialize_bunch(b))
+def serialize_bunch(b: Bunch) -> str:
+    return json.dumps(bunch_to_json(b), indent=2)
 
 
 def parse_bunch(text: str) -> Bunch:

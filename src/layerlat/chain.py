@@ -16,18 +16,21 @@ complement, and residuum are all decided from the bunch data:
 * complement: invert the group part, then dot (class-I subgroup members),
   take the lower cover (class-J), or leave as is;
 * residuum: x -> y = not(x * not(y)).
+
+`check_chain_laws` samples the chain axioms and returns a `report.Report`,
+one `Check` per law.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, NamedTuple
 
 from . import ogroup as og
 from .bunch import Bunch, BunchType, bunch_type, structural_problems, transition
 from .errors import CoverMissing, ParseError, TypeMismatch, UnknownLayer
+from .report import LAWS, Check, Report
 
 LT, EQ, GT = og.LT, og.EQ, og.GT
 
@@ -234,40 +237,15 @@ def parse_element(chain: Chain, text: str) -> ChainElement:
 # law checking
 
 
-@dataclass
-class LawResult:
-    law: str
-    checked: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-@dataclass
-class LawReport:
-    results: list[LawResult]
-    pool_size: int
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def render(self) -> str:
-        lines = [f"{'ok' if r.ok else 'FAIL':4s} {r.law:14s} {r.checked} samples"
-                 + (f" -- {r.failures[0]}" if r.failures else "")
-                 for r in self.results]
-        return "\n".join(lines)
-
-
 def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
-                     seed: int = 0) -> LawReport:
+                     seed: int = 0) -> Report:
     """Sample-check the chain axioms on random triples from an enumerated pool.
 
     Covers order totality/transitivity, commutativity, associativity, the
     unit law, monotonicity, adjointness, involution, and the odd/even shape
-    of the falsum.  Finite chains get their whole carrier as the pool.
+    of the falsum, one sampled `Check` per law whose ``samples`` is the
+    number of triples, or of pool points, it looked at and whose detail is
+    its first failure.  Finite chains get their whole carrier as the pool.
 
     Each value over a pool pair is decided once.  A pool point is named by
     its index in ``pool``, and the pair (i, j) by ``i * n + j``: ``order``
@@ -330,76 +308,54 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
 
     results = []
 
-    res = LawResult("totality", len(triples))
+    def law(name: str, checked: int, failure: str | None) -> None:
+        results.append(Check(name, f"{checked} samples", failure is None, "sampled",
+                             failure or "", checked))
+
+    failure = None
     for i, j, k in triples:
         x, y, z = pool[i], pool[j], pool[k]
         c = pool_cmp(i, j)
         if c != -pool_cmp(j, i):
-            res.failures.append(f"asymmetry broken at {x}, {y}")
+            failure = f"asymmetry broken at {x}, {y}"
         elif (x == y) != (c == EQ):
-            res.failures.append(f"equality vs EQ mismatch at {x}, {y}")
+            failure = f"equality vs EQ mismatch at {x}, {y}"
         elif c <= 0 and pool_cmp(j, k) <= 0 and pool_cmp(i, k) > 0:
-            res.failures.append(f"transitivity broken at {x}, {y}, {z}")
-        if res.failures:
+            failure = f"transitivity broken at {x}, {y}, {z}"
+        if failure:
             break
-    results.append(res)
+    law("totality", len(triples), failure)
 
-    res = LawResult("commutativity", len(triples))
-    for i, j, _ in triples:
-        if pool_mul(i, j) != pool_mul(j, i):
-            res.failures.append(f"{pool[i]} * {pool[j]}")
-            break
-    results.append(res)
+    law("commutativity", len(triples), next(
+        (f"{pool[i]} * {pool[j]}" for i, j, _ in triples
+         if pool_mul(i, j) != pool_mul(j, i)), None))
 
-    res = LawResult("associativity", len(triples))
-    for i, j, k in triples:
-        if mul(pool_mul(i, j), pool[k]) != mul(pool[i], pool_mul(j, k)):
-            res.failures.append(f"{pool[i]}, {pool[j]}, {pool[k]}")
-            break
-    results.append(res)
+    law("associativity", len(triples), next(
+        (f"{pool[i]}, {pool[j]}, {pool[k]}" for i, j, k in triples
+         if mul(pool_mul(i, j), pool[k]) != mul(pool[i], pool_mul(j, k))), None))
 
-    res = LawResult("unit", n)
-    for x in pool:
-        if raw_mul(t, x) != x or raw_mul(x, t) != x:
-            res.failures.append(f"{x}")
-            break
-    results.append(res)
+    law("unit", n, next(
+        (f"{x}" for x in pool if raw_mul(t, x) != x or raw_mul(x, t) != x), None))
 
-    res = LawResult("monotonicity", len(triples))
-    for i, j, k in triples:
-        if pool_cmp(i, j) <= 0 and cmp(pool_mul(i, k), pool_mul(j, k)) > 0:
-            res.failures.append(f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}")
-            break
-    results.append(res)
+    law("monotonicity", len(triples), next(
+        (f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}"
+         for i, j, k in triples
+         if pool_cmp(i, j) <= 0 and cmp(pool_mul(i, k), pool_mul(j, k)) > 0), None))
 
-    res = LawResult("adjointness", len(triples))
-    for i, j, k in triples:
-        r = pool_resid(i, k)
-        if (cmp(pool_mul(i, j), pool[k]) <= 0) != (cmp(pool[j], r) <= 0):
-            res.failures.append(f"x={pool[i]}, v={pool[j]}, z={pool[k]}")
-            break
-    results.append(res)
+    law("adjointness", len(triples), next(
+        (f"x={pool[i]}, v={pool[j]}, z={pool[k]}" for i, j, k in triples
+         if (cmp(pool_mul(i, j), pool[k]) <= 0) != (cmp(pool[j], pool_resid(i, k)) <= 0)),
+        None))
 
-    res = LawResult("involution", n)
-    for x in pool:
-        if neg(neg(x)) != x:
-            res.failures.append(f"{x}")
-            break
-    results.append(res)
+    law("involution", n, next((f"{x}" for x in pool if neg(neg(x)) != x), None))
 
-    res = LawResult("falsum-shape", n)
-    kind = chain.type()
-    if kind == BunchType.ODD:
-        if f != t:
-            res.failures.append("odd chain must fix the unit under complement")
+    if chain.type() == BunchType.ODD:
+        failure = None if f == t else "odd chain must fix the unit under complement"
+    elif cmp(f, t) != LT:
+        failure = "even chain needs falsum strictly below unit"
     else:
-        if cmp(f, t) != LT:
-            res.failures.append("even chain needs falsum strictly below unit")
-        else:
-            for x in pool:
-                if cmp(f, x) == LT and cmp(x, t) == LT:
-                    res.failures.append(f"{x} lies strictly between falsum and unit")
-                    break
-    results.append(res)
+        failure = next((f"{x} lies strictly between falsum and unit" for x in pool
+                        if cmp(f, x) == LT and cmp(x, t) == LT), None)
+    law("falsum-shape", n, failure)
 
-    return LawReport(results, n)
+    return Report(results, samples, LAWS)

@@ -1,7 +1,7 @@
 """Batch command-line surface.
 
 Subcommands: validate, type, bounded, eval, table, decompose, embed-check,
-fill-gap, densify, enumerate, standardize.  Exit codes: 0 ok, 1 domain
+fill-gap, densify, enumerate, standardize, laws.  Exit codes: 0 ok, 1 domain
 error, 2 usage error.  Randomized sampling is seeded (--seed, default 0);
 the LAYERLAT_SAMPLES environment variable overrides default sample counts.
 """
@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import oracle
-from .bunch import bunch_to_json, bunch_type, parse_bunch, validate
+from .bunch import bunch_to_json, parse_bunch, validate
 from .chain import Chain, check_chain_laws, format_element, parse_element
 from .decompose import roundtrip_table, table_of_chain, window_table
 from .densify import densify_driver, fill_gap
@@ -47,10 +46,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
-
-
-def _load_chain(path: str) -> Chain:
-    return Chain(parse_bunch(Path(path).read_text()))
 
 
 def _require_valid(path: str, samples: int) -> Chain:

@@ -5,12 +5,13 @@ Finite decomposition always produces trivial layer groups (a finite abelian
 o-group is trivial), so every layer carries one element or, on class-I
 layers, an undotted/dotted pair.  On symbolic chains the decomposition is
 verified as a family of identities instead of re-derived, since the chain
-already carries its bunch.
+already carries its bunch: `recover_bunch_samples` returns a `report.Report`,
+one `Check` per identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import islice
 
@@ -19,7 +20,8 @@ from .bunch import Bunch, transition, validate
 from .chain import Chain, ChainElement
 from .errors import (AxiomFailure, InfiniteChain, InternalInvariant, NotInvolutive,
                      NotOddOrEven, RoundTripMismatch, WindowTooSmall)
-from .oracle import AxiomReport, CayleyTable, brute_residuum, check_flea_axioms
+from .oracle import CayleyTable, brute_residuum, check_flea_axioms
+from .report import RECOVER, Check, Report
 
 
 def table_of_chain(chain: Chain) -> tuple[CayleyTable, list[ChainElement]]:
@@ -81,17 +83,8 @@ class DecompositionResult:
     layer_of: dict[int, str]
 
 
-def _raise_for(report: AxiomReport) -> None:
-    basic = [v for v in report.violations if v[0] not in ("involution", "odd-or-even")]
-    if basic:
-        law, witness = basic[0]
-        raise AxiomFailure(f"table fails {law} at {witness}", witness)
-    inv = report.first("involution")
-    if inv is not None:
-        raise NotInvolutive(f"double complement moves {inv[0]} to {inv[2]}", inv)
-    shape = report.first("odd-or-even")
-    if shape is not None:
-        raise NotOddOrEven(f"falsum {shape[1]} is neither unit {shape[0]} nor its lower cover", shape)
+# the error raised for a table's first axiom violation, by its clause
+_AXIOM_ERRORS = {"involution": NotInvolutive, "odd-or-even": NotOddOrEven}
 
 
 def decompose_table(tbl: CayleyTable) -> DecompositionResult:
@@ -105,7 +98,8 @@ def decompose_table(tbl: CayleyTable) -> DecompositionResult:
     """
     report = check_flea_axioms(tbl)
     if not report.ok:
-        _raise_for(report)
+        bad = report.violations()[0]
+        raise _AXIOM_ERRORS.get(bad.clause, AxiomFailure)(bad.detail, bad.witness)
     n, p, t, f = tbl.size, tbl.product, tbl.unit, tbl.falsum
     neg = [brute_residuum(tbl, x, f) for x in range(n)]
     local_unit = [brute_residuum(tbl, x, x) for x in range(n)]
@@ -114,11 +108,10 @@ def decompose_table(tbl: CayleyTable) -> DecompositionResult:
     if kappa != sorted(set(local_unit)):
         raise InternalInvariant("skeleton characterizations disagree")
 
-    is_odd = report.is_odd
     classes: dict[int, str] = {}
     for u in kappa:
         if u == t:
-            classes[u] = "O" if is_odd else ("I" if p[f][f] == f else "J")
+            classes[u] = "O" if f == t else ("I" if p[f][f] == f else "J")
         else:
             nu = neg[u]
             classes[u] = "I" if p[nu][nu] == nu else "J"
@@ -206,21 +199,7 @@ def roundtrip_table(tbl: CayleyTable) -> RoundTripWitness:
 # symbolic round trip: identities checked on samples
 
 
-@dataclass
-class RecoverReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def render(self) -> str:
-        head = f"{'ok' if self.ok else 'FAIL'} ({self.checked} identity checks)"
-        return "\n".join([head] + self.failures[:10])
-
-
-def recover_bunch_samples(chain: Chain, samples: int = 1000) -> RecoverReport:
+def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
     """Verify, on sampled elements, that the decomposition equations re-read
     the bunch off the reconstructed chain:
 
@@ -231,8 +210,11 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> RecoverReport:
        undotted elements;
     d) a dotted element is its original times the layer complement, and the
        dot projection recovers the original.
+
+    The report has one sampled `Check` per identity, with the number of
+    elements (for c, element-layer pairs) it was tried on and its first
+    failure; the report's ``samples`` is the number of elements plus pairs.
     """
-    report = RecoverReport()
     b = chain.bunch
     per_layer = max(1, samples // max(1, len(b.skeleton)))
     pools: dict[str, list[ChainElement]] = {}
@@ -246,36 +228,44 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> RecoverReport:
         pools[u] = pool
 
     idem = {u: ChainElement(u, og.g_unit(b.groups[u]), False) for u in b.skeleton}
+    tried = dict.fromkeys("abcd", 0)
+    first: dict[str, str] = {}
+    fail = first.setdefault
 
     for u in b.skeleton:
         member = og.member_fn(b.subgroups[u]) if b.partition[u] == "I" else None
         inv = og.inv_fn(b.groups[u])
         comp_u = chain.negate(idem[u])
+        tried["a"] += len(pools[u])
+        tried["b"] += len(pools[u]) if member is not None else 0
         for x in pools[u]:
-            report.checked += 1
             if chain.residuum(x, x) != idem[u]:
-                report.failures.append(f"(a) local unit of {x} is not the layer idempotent")
+                fail("a", f"local unit of {x} is not the layer idempotent")
             if member is not None:
                 expected = (not x.dotted) and member(x.g)
                 shifted = chain.mul(x, comp_u)
                 if (chain.compare(shifted, x) < 0) != expected:
-                    report.failures.append(f"(b) complement-shift test wrong at {x}")
+                    fail("b", f"complement-shift test wrong at {x}")
                 candidate = ChainElement(u, inv(x.g), False)
                 if (chain.mul(x, candidate) == idem[u]) != expected:
-                    report.failures.append(f"(b) invertibility wrong at {x}")
+                    fail("b", f"invertibility wrong at {x}")
             if x.dotted:
+                tried["d"] += 1
                 original = ChainElement(u, x.g, False)
                 if chain.mul(original, comp_u) != x:
-                    report.failures.append(f"(d) {x} is not its original times the complement")
+                    fail("d", f"{x} is not its original times the complement")
                 if chain.zeta(u, u, x) != x.g:
-                    report.failures.append(f"(d) dot projection broken at {x}")
+                    fail("d", f"dot projection broken at {x}")
         iu = b.index(u)
         for v in b.skeleton[iu:]:
             tr = og.hom_fn(transition(b, u, v))
             for x in pools[u]:
                 if x.dotted:
                     continue
-                report.checked += 1
+                tried["c"] += 1
                 if chain.mul(idem[v], x) != ChainElement(v, tr(x.g), False):
-                    report.failures.append(f"(c) idempotent multiplication is not the transition at {x} -> {v}")
-    return report
+                    fail("c", f"idempotent multiplication is not the transition at {x} -> {v}")
+    checks = [Check(f"({k})", subject, k not in first, "sampled", first.get(k, ""), tried[k])
+              for k, subject in (("a", "local units"), ("b", "class-I invertibility"),
+                                 ("c", "idempotent transitions"), ("d", "dotted elements"))]
+    return Report(checks, tried["a"] + tried["c"], RECOVER)

@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Callable
 
 from . import ogroup as og
-from .bunch import Bunch, BunchType, bunch_type
+from .bunch import Bunch, BunchType
 from .chain import Chain, ChainElement
 from .embed import EmbeddingSpec, identity_embedding
 from .errors import (EvenTypeUnsupported, InternalInvariant, LayerClassError,

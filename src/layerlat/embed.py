@@ -2,23 +2,24 @@
 
 A candidate embedding is given coordinatewise: a skeleton map plus one hom
 per source layer; the induced element map carries (u, g, dotted) to
-(skeleton_map(u), layer_maps[u](g), dotted).  The checker reports each clause
-separately: skeleton order/least/partition preservation, commuting
-transition squares, subgroup membership both ways on class-I layers, unit
-covers on class-J layers, and a direct order/product/constants check on
-sampled elements.
+(skeleton_map(u), layer_maps[u](g), dotted).  `check_embedding` returns a
+`report.Report` with one `Check` per clause and subject: skeleton
+order/least/partition preservation, commuting transition squares, subgroup
+membership both ways on class-I layers, unit covers on class-J layers, and a
+direct order/product/constants check on sampled elements.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from . import ogroup as og
 from .bunch import Bunch, transition
 from .chain import Chain, ChainElement
 from .errors import ParseError, TypeMismatch
+from .report import EMBED, Check, Report
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,34 +39,6 @@ def identity_embedding(src: Bunch) -> EmbeddingSpec:
                          {u: og.identity(src.groups[u]) for u in src.skeleton})
 
 
-@dataclass
-class ClauseResult:
-    clause: str
-    subject: str
-    ok: bool
-    method: str  # proved | tested
-    detail: str = ""
-
-
-@dataclass
-class EmbeddingReport:
-    clauses: list[ClauseResult] = field(default_factory=list)
-    samples: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.clauses)
-
-    def render(self) -> str:
-        lines = []
-        for c in self.clauses:
-            state = "ok" if c.ok else "FAIL"
-            detail = f" -- {c.detail}" if c.detail else ""
-            lines.append(f"{state:4s} {c.clause:18s} {c.subject}{detail} [{c.method}]")
-        lines.append("embedding ok" if self.ok else "embedding FAILED")
-        return "\n".join(lines)
-
-
 def _typecheck(src: Bunch, dst: Bunch, spec: EmbeddingSpec) -> None:
     for u in src.skeleton:
         if u not in spec.skeleton_map:
@@ -81,28 +54,28 @@ def _typecheck(src: Bunch, dst: Bunch, spec: EmbeddingSpec) -> None:
 
 
 def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
-                    samples: int = 64) -> EmbeddingReport:
+                    samples: int = 64) -> Report:
     """Run every embedding clause; exhaustive on finite sources ("proved"),
     sampled otherwise ("tested")."""
     sb, db = src.bunch, dst.bunch
     _typecheck(sb, db, spec)
-    report = EmbeddingReport(samples=samples)
+    report = Report([], samples, EMBED)
     smap = spec.skeleton_map
     finite = src.is_finite
     method = "proved" if finite else "tested"
 
     positions = [db.index(smap[u]) for u in sb.skeleton]
     ok = all(positions[i] < positions[i + 1] for i in range(len(positions) - 1))
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "skeleton-order", "skeleton", ok, "proved",
         "" if ok else "image positions are not strictly ascending"))
     ok = smap[sb.least()] == db.least()
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "least-element", sb.least(), ok, "proved",
         "" if ok else f"least layer maps to {smap[sb.least()]!r}"))
     for u in sb.skeleton:
         ok = sb.partition[u] == db.partition[smap[u]]
-        report.clauses.append(ClauseResult(
+        report.checks.append(Check(
             "partition", u, ok, "proved",
             "" if ok else f"class {sb.partition[u]} maps onto class {db.partition[smap[u]]}"))
 
@@ -123,14 +96,15 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         strict_ok = all(cmp_s(a, c) >= 0 or cmp_d(fa, fc) < 0
                         for a, fa in pairs for c, fc in pairs)
         lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
-        report.clauses.append(ClauseResult(
+        report.checks.append(Check(
             "layer-group-hom", u, hr.ok and strict_ok, lm,
-            "" if hr.ok and strict_ok else (hr.failures + ["not strictly order-preserving"])[0]))
+            "" if hr.ok and strict_ok else next(
+                (c.detail for c in hr.violations()), "not strictly order-preserving")))
 
     for i, u in enumerate(sb.skeleton):
         for v in sb.skeleton[i:]:
             if db.index(smap[u]) > db.index(smap[v]):
-                report.clauses.append(ClauseResult(
+                report.checks.append(Check(
                     "transition-square", f"{u}->{v}", False, "proved",
                     "image layers are not skeleton-ordered"))
                 continue
@@ -140,7 +114,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
             bad = next((a for a, fa in zip(pools[u], mapped[u])
                         if fv(src_tr(a)) != dst_tr(fa)), None)
             lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
-            report.clauses.append(ClauseResult(
+            report.checks.append(Check(
                 "transition-square", f"{u}->{v}", bad is None, lm,
                 "" if bad is None else f"square does not commute at {bad!r}"))
 
@@ -148,7 +122,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         if sb.partition[u] != "I":
             continue
         if db.partition[smap[u]] != "I":
-            report.clauses.append(ClauseResult(
+            report.checks.append(Check(
                 "subgroup-both-ways", u, False, "proved",
                 "image layer carries no subgroup"))
             continue
@@ -157,7 +131,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         bad = next((a for a, fa in zip(pools[u], mapped[u])
                     if mem_s(a) != mem_d(fa)), None)
         lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
-        report.clauses.append(ClauseResult(
+        report.checks.append(Check(
             "subgroup-both-ways", u, bad is None, lm,
             "" if bad is None else f"membership not reflected at {bad!r}"))
 
@@ -168,7 +142,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         up_s = og.g_cover_up(sb.groups[u], og.g_unit(sb.groups[u]))
         up_d = og.g_cover_up(db.groups[smap[u]], og.g_unit(db.groups[smap[u]]))
         ok = up_s is not None and fn(up_s) == up_d
-        report.clauses.append(ClauseResult(
+        report.checks.append(Check(
             "unit-cover", u, ok, "proved",
             "" if ok else f"cover of the unit maps to {fn(up_s)!r}, expected {up_d!r}"))
 
@@ -182,7 +156,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                 break
         if bad:
             break
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "element-order", "carrier", bad is None, method,
         "" if bad is None else f"order not preserved at {bad}"))
     bad = None
@@ -193,13 +167,13 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                 break
         if bad:
             break
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "element-product", "carrier", bad is None, method,
         "" if bad is None else f"product not preserved at {bad}"))
     ts, fs = src.constants()
     td, fd = dst.constants()
     ok = emap(ts) == td and emap(fs) == fd
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "element-constants", "t, f", ok, "proved",
         "" if ok else "constants not preserved"))
     return report

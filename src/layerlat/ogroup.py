@@ -6,7 +6,8 @@ subgroup membership all stay decidable.  Element values are plain Python
 data: the unit mark, exact ints, ``fractions.Fraction``, and nested pairs.
 
 The module also owns the textual/JSON encodings for groups, elements, homs,
-and subgroups used by bunch files and the CLI.
+and subgroups used by bunch files and the CLI.  `hom_check` tests the hom
+laws and returns a `report.Report`, one `Check` per property.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import islice
 from typing import Callable, Iterator
 
 from .errors import ParseError, TypeMismatch
+from .report import HOM, Check, Report
 
 LT, EQ, GT = -1, 0, 1
 ORDERING_NAMES = {LT: "LT", EQ: "EQ", GT: "GT"}
@@ -368,40 +370,35 @@ def hom_is_constant_unit(h: Hom) -> bool:
     return group_is_trivial(h.source) or group_is_trivial(h.target)
 
 
-@dataclass
-class HomCheckReport:
-    ok: bool
-    checked: int
-    failures: list[str]
-
-
-def hom_check(h: Hom, samples: int = 1000) -> HomCheckReport:
-    """Verify op/unit/inverse/order preservation on enumerated sample pairs."""
+def hom_check(h: Hom, samples: int = 1000) -> Report:
+    """Verify unit, inverse, operation and order preservation on enumerated
+    sample pairs: a `report.Report` with one `Check` per property, carrying
+    the number of elements or pairs tried and the first failure."""
     fn = hom_fn(h)
     src, dst = h.source, h.target
     cmp_s, cmp_d = cmp_fn(src), cmp_fn(dst)
     op_s, op_d = op_fn(src), op_fn(dst)
     inv_s, inv_d = inv_fn(src), inv_fn(dst)
-    failures: list[str] = []
-    if fn(g_unit(src)) != g_unit(dst):
-        failures.append("unit not preserved")
     pool = list(islice(g_enumerate(src), max(2, math.isqrt(samples) + 1)))
-    checked = 0
-    for x in pool:
-        if fn(inv_s(x)) != inv_d(fn(x)):
-            failures.append(f"inverse not preserved at {x!r}")
-    for x in pool:
-        for y in pool:
-            if checked >= samples:
-                break
-            checked += 1
-            if fn(op_s(x, y)) != op_d(fn(x), fn(y)):
-                failures.append(f"operation not preserved at ({x!r}, {y!r})")
-            if cmp_s(x, y) <= 0 and cmp_d(fn(x), fn(y)) > 0:
-                failures.append(f"order not preserved at ({x!r}, {y!r})")
-        if checked >= samples:
-            break
-    return HomCheckReport(not failures, checked, failures[:10])
+    pairs = list(islice(((x, y) for x in pool for y in pool), samples))
+
+    def check(prop: str, method: str, bad, tried: int, message: str) -> Check:
+        return Check(prop, h.op, bad is None, method,
+                     "" if bad is None else message.format(bad), tried, bad)
+
+    unit = g_unit(src)
+    return Report([
+        check("unit", "exact", None if fn(unit) == g_unit(dst) else unit, 1,
+              "unit not preserved"),
+        check("inverse", "sampled", next((x for x in pool if fn(inv_s(x)) != inv_d(fn(x))), None),
+              len(pool), "inverse not preserved at {!r}"),
+        check("operation", "sampled", next(((x, y) for x, y in pairs
+                                            if fn(op_s(x, y)) != op_d(fn(x), fn(y))), None),
+              len(pairs), "operation not preserved at {!r}"),
+        check("order", "sampled", next(((x, y) for x, y in pairs
+                                        if cmp_s(x, y) <= 0 and cmp_d(fn(x), fn(y)) > 0), None),
+              len(pairs), "order not preserved at {!r}"),
+    ], len(pairs), HOM)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A CayleyTable is an extensional chain: carrier 0 < 1 < ... < n-1, an n-by-n
 product table, and unit/falsum indices.  Everything here is checked by
 exhaustive search and is deliberately independent of the bunch machinery, so
-it can act as an oracle for it.
+it can act as an oracle for it.  `check_flea_axioms` returns a
+`report.Report`, one exact `Check` per law.
 
 The enumerator searches one (unit, falsum) placement.  In a finite
 involutive chain x -> x->f is an order-reversing bijection of 0 < ... < n-1,
@@ -14,9 +15,10 @@ the representation theorem, so the oracle stays independent of the bunch code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BoundExceeded, NotResiduated, ParseError
+from .report import AXIOMS, Check, Report
 
 
 @dataclass(frozen=True)
@@ -72,68 +74,40 @@ def brute_residuum(tbl: CayleyTable, x: int, z: int) -> int:
     return best
 
 
-@dataclass
-class AxiomReport:
-    violations: list[tuple[str, tuple]] = field(default_factory=list)
-    is_odd: bool = False
-    is_even: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def first(self, law: str) -> tuple | None:
-        for name, witness in self.violations:
-            if name == law:
-                return witness
-        return None
-
-    def render(self) -> str:
-        if self.ok:
-            kind = "odd" if self.is_odd else "even"
-            return f"ok ({kind})"
-        return "\n".join(f"VIOLATION {law} at {witness}" for law, witness in self.violations)
-
-
-def check_flea_axioms(tbl: CayleyTable) -> AxiomReport:
+def check_flea_axioms(tbl: CayleyTable) -> Report:
     """Exhaustively check the chain-monoid axioms plus involutivity and the
-    odd/even falsum shape; violations come with a witnessing tuple."""
-    report = AxiomReport()
+    odd/even falsum shape: one exact `Check` per law, carrying its first
+    witnessing tuple and the message `decompose_table` raises for it.  The
+    involution check needs the residual complement, so it is left out when
+    residuation fails; the odd-or-even check's subject is the shape found."""
     n, p, t, f = tbl.size, tbl.product, tbl.unit, tbl.falsum
-    for x in range(n):
-        if p[t][x] != x:
-            report.violations.append(("unit", (t, x)))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if p[x][y] != p[y][x]:
-                report.violations.append(("commutativity", (x, y)))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if p[p[x][y]][z] != p[x][p[y][z]]:
-                    report.violations.append(("associativity", (x, y, z)))
-    for x in range(n):
-        for y in range(n - 1):
-            if p[x][y] > p[x][y + 1]:
-                report.violations.append(("monotonicity", (x, y, y + 1)))
-    residuated = True
-    for x in range(n):
-        for z in range(n):
-            if not any(p[x][v] <= z for v in range(n)):
-                report.violations.append(("residuation", (x, z)))
-                residuated = False
-    if residuated:
-        neg = [brute_residuum(tbl, x, f) for x in range(n)]
-        for x in range(n):
-            if neg[neg[x]] != x:
-                report.violations.append(("involution", (x, neg[x], neg[neg[x]])))
-    if f == t:
-        report.is_odd = True
-    elif f == t - 1:
-        report.is_even = True
-    else:
-        report.violations.append(("odd-or-even", (t, f)))
-    return report
+    checks: list[Check] = []
+
+    def law(name: str, witness: tuple | None, subject: str = "table",
+            message: str | None = None) -> None:
+        detail = "" if witness is None else message or f"table fails {name} at {witness}"
+        checks.append(Check(name, subject, witness is None, "exact", detail, witness=witness))
+
+    rows = range(n)
+    law("unit", next(((t, x) for x in rows if p[t][x] != x), None))
+    law("commutativity", next(((x, y) for x in rows for y in range(x + 1, n)
+                               if p[x][y] != p[y][x]), None))
+    law("associativity", next(((x, y, z) for x in rows for y in rows for z in rows
+                               if p[p[x][y]][z] != p[x][p[y][z]]), None))
+    law("monotonicity", next(((x, y, y + 1) for x in rows for y in range(n - 1)
+                              if p[x][y] > p[x][y + 1]), None))
+    unresiduated = next(((x, z) for x in rows for z in rows
+                         if not any(p[x][v] <= z for v in rows)), None)
+    law("residuation", unresiduated)
+    if unresiduated is None:
+        neg = [brute_residuum(tbl, x, f) for x in rows]
+        moved = next(((x, neg[x], neg[neg[x]]) for x in rows if neg[neg[x]] != x), None)
+        law("involution", moved, message=None if moved is None else
+            f"double complement moves {moved[0]} to {moved[2]}")
+    shape = "odd" if f == t else "even" if f == t - 1 else "neither"
+    law("odd-or-even", (t, f) if shape == "neither" else None, shape,
+        f"falsum {f} is neither unit {t} nor its lower cover")
+    return Report(checks, 0, AXIOMS)
 
 
 def _search_tables(n: int) -> list[CayleyTable]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 
@@ -84,8 +85,10 @@ class RationalPlacement:
         writer = csv.writer(out)
         for x in self._sorted:
             value = self._q[x]
+            # str(Decimal(n)) is exact for an int and, unlike str(n), not
+            # bounded by the interpreter's int-to-string digit limit
             writer.writerow([format_element(self.chain, x),
-                             value.numerator, value.denominator])
+                             str(Decimal(value.numerator)), str(Decimal(value.denominator))])
         return out.getvalue()
 
 

@@ -244,4 +244,4 @@ def test_finite_carriers_pass_the_axiom_checker_exactly(n):
     tbl, _ = table_of_chain(Chain(fixtures.finite_bunch(n)))
     report = check_flea_axioms(tbl)
     assert report.ok
-    assert report.is_odd == (n % 2 == 1)
+    assert report.first("odd-or-even").subject == ("odd" if n % 2 == 1 else "even")

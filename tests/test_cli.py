@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import copy
+import csv
 import io
 import json
 import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerlat import cli, fixtures, ogroup as og
-from layerlat.bunch import bunch_from_json, serialize_bunch
-from layerlat.chain import Chain, parse_element
-from layerlat.embed import identity_embedding, serialize_embedding_spec
+from layerlat.bunch import Bunch, bunch_from_json, serialize_bunch
+from layerlat.chain import Chain, check_chain_laws, parse_element
+from layerlat.densify import insert_above
+from layerlat.embed import EmbeddingSpec, identity_embedding, serialize_embedding_spec
+from layerlat.standardize import cantor_map
 
 
 def run(argv, capsys) -> tuple[int, str]:
@@ -173,6 +178,25 @@ def test_deeply_nested_embedding_spec_is_a_parse_error(fixture_files, tmp_path):
         assert "nests" in err
 
 
+def test_standardize_writes_numbers_past_the_digit_limit(fixture_files, capsys):
+    # Midpoint denominators reach 2**2200 at this prefix, past 640 digits,
+    # the lowest int-to-string limit the interpreter accepts.  At the default
+    # limit of 4300 digits the same happens from about --prefix 28600, which
+    # takes seconds to write.
+    expected = sorted(cantor_map(Chain(fixtures.zb()), 4400)._q.values())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(["standardize", fixture_files["zb"], "--prefix", "4400"], capsys)
+        values = [Fraction(int(Decimal(num)), int(Decimal(den)))
+                  for _, num, den in csv.reader(io.StringIO(out))]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert values == expected
+    assert len(str(Decimal(values[-2].denominator))) > 640
+
+
 def test_unreadable_input_files_are_errors(tmp_path):
     latin = tmp_path / "latin.json"
     latin.write_bytes(b"\xff\xfe{")
@@ -282,3 +306,214 @@ def test_mutated_documents_never_end_in_a_traceback(tmp_path_factory, call):
     code, err = cli_exit(["--samples", "20"] + [a.format(**files) for a in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# -- pinned renders ------------------------------------------------------------
+# The exact stdout of validate, embed-check and laws, recorded as literals so
+# that the text is pinned independently of the report code that renders it.
+
+OK_VALIDATE = """\
+ok        structure    bunch [structural]
+ok        G1           t [structural]
+ok        D1           all layers [structural]
+ok        G3           t->u [{g3}]
+ok        D2           t->t->t [sampled]
+ok        D2           t->t->u [sampled]
+ok        D2           t->u->u [sampled]
+ok        D2           u->u->u [sampled]
+ok (8 checks, 12 samples per sampled clause)
+"""
+
+G3_VALIDATE = """\
+ok        structure    bunch [structural]
+ok        G1           t [structural]
+ok        D1           all layers [structural]
+VIOLATION G3           t->u -- 1 maps outside the subgroup [sampled]
+ok        D2           t->t->t [sampled]
+ok        D2           t->t->u [sampled]
+ok        D2           t->u->u [sampled]
+ok        D2           u->u->u [sampled]
+FAIL (8 checks, 12 samples per sampled clause)
+"""
+
+G1_VALIDATE = """\
+ok        structure    bunch [structural]
+VIOLATION G1           u -- class O is reserved for the least layer [structural]
+ok        D1           all layers [structural]
+ok        D2           t->t->t [sampled]
+ok        D2           t->t->u [sampled]
+ok        D2           t->u->u [sampled]
+ok        D2           u->u->u [sampled]
+FAIL (7 checks, 12 samples per sampled clause)
+"""
+
+OK_EMBED = """\
+ok   skeleton-order     skeleton [proved]
+ok   least-element      t [proved]
+ok   partition          t [proved]
+ok   partition          u [proved]
+ok   layer-group-hom    t [{t}]
+ok   layer-group-hom    u [{u}]
+ok   transition-square  t->t [{t}]
+ok   transition-square  t->u [{t}]
+ok   transition-square  u->u [{u}]
+ok   subgroup-both-ways u [{u}]
+ok   element-order      carrier [{carrier}]
+ok   element-product    carrier [{carrier}]
+ok   element-constants  t, f [proved]
+embedding ok
+"""
+
+CROSSED_EMBED = """\
+FAIL skeleton-order     skeleton -- image positions are not strictly ascending [proved]
+FAIL least-element      t -- least layer maps to 'u' [proved]
+FAIL partition          t -- class O maps onto class I [proved]
+FAIL partition          u -- class I maps onto class O [proved]
+ok   layer-group-hom    t [proved]
+ok   layer-group-hom    u [proved]
+ok   transition-square  t->t [proved]
+FAIL transition-square  t->u -- image layers are not skeleton-ordered [proved]
+ok   transition-square  u->u [proved]
+FAIL subgroup-both-ways u -- image layer carries no subgroup [proved]
+FAIL element-order      carrier -- order not preserved at (ChainElement(layer='t', g=e, \
+dotted=False), ChainElement(layer='u', g=e, dotted=False)) [proved]
+FAIL element-product    carrier -- product not preserved at (ChainElement(layer='t', g=e, \
+dotted=False), ChainElement(layer='u', g=e, dotted=False)) [proved]
+FAIL element-constants  t, f -- constants not preserved [proved]
+embedding FAILED
+"""
+
+COLLAPSE_EMBED = """\
+ok   skeleton-order     skeleton [proved]
+ok   least-element      t [proved]
+ok   partition          t [proved]
+FAIL layer-group-hom    t -- not strictly order-preserving [tested]
+ok   transition-square  t->t [tested]
+FAIL unit-cover         t -- cover of the unit maps to 0, expected 1 [proved]
+FAIL element-order      carrier -- order not preserved at (ChainElement(layer='t', g=0, \
+dotted=False), ChainElement(layer='t', g=1, dotted=False)) [tested]
+ok   element-product    carrier [tested]
+FAIL element-constants  t, f -- constants not preserved [proved]
+embedding FAILED
+"""
+
+DOUBLE_EMBED = """\
+ok   skeleton-order     skeleton [proved]
+ok   least-element      t [proved]
+ok   partition          t [proved]
+ok   partition          u [proved]
+ok   layer-group-hom    t [tested]
+ok   layer-group-hom    u [tested]
+ok   transition-square  t->t [tested]
+ok   transition-square  t->u [tested]
+ok   transition-square  u->u [tested]
+FAIL subgroup-both-ways u -- membership not reflected at 1 [tested]
+ok   element-order      carrier [tested]
+FAIL element-product    carrier -- product not preserved at (ChainElement(layer='u', g=0, \
+dotted=True), ChainElement(layer='u', g=1, dotted=False)) [tested]
+ok   element-constants  t, f [proved]
+embedding FAILED
+"""
+
+OK_LAWS = """\
+ok   totality       300 samples
+ok   commutativity  300 samples
+ok   associativity  300 samples
+ok   unit           {n} samples
+ok   monotonicity   300 samples
+ok   adjointness    300 samples
+ok   involution     {n} samples
+ok   falsum-shape   {n} samples
+"""
+
+
+@pytest.fixture(scope="module")
+def render_files(tmp_path_factory) -> dict[str, str]:
+    root = tmp_path_factory.mktemp("renders")
+    s3, ze, lz2 = fixtures.s3(), fixtures.ze(), fixtures.lz2()
+    trivial = og.identity(og.TRIVIAL)
+    docs = {
+        "g3": serialize_bunch(Bunch(("t", "u"), {"t": "O", "u": "I"},
+                                    {"t": og.INT, "u": og.INT}, {"u": og.int_multiples(2)},
+                                    {("t", "u"): og.identity(og.INT)})),
+        "g1": serialize_bunch(Bunch(("t", "u"), {"t": "O", "u": "O"},
+                                    {"t": og.TRIVIAL, "u": og.TRIVIAL}, {},
+                                    {("t", "u"): og.unit_map(og.TRIVIAL, og.TRIVIAL)})),
+        "ze": serialize_bunch(ze),
+        "s3_above": serialize_bunch(insert_above(s3, "u").new_bunch),
+        "crossed": serialize_embedding_spec(
+            EmbeddingSpec({"t": "u", "u": "t"}, {"t": trivial, "u": trivial}), s3),
+        "collapse": serialize_embedding_spec(
+            EmbeddingSpec({"t": "t"}, {"t": og.unit_map(og.INT, og.INT)}), ze),
+        "double": serialize_embedding_spec(
+            EmbeddingSpec({"t": "t", "u": "u"}, {"t": og.scale_int(2), "u": og.scale_int(2)}),
+            lz2),
+    }
+    for name in ("s3", "zb", "lz2"):
+        b = fixtures.ALL[name]()
+        docs[name] = serialize_bunch(b)
+        docs[f"id_{name}"] = serialize_embedding_spec(identity_embedding(b), b)
+    files = {}
+    for name, text in docs.items():
+        path = root / f"{name}.json"
+        path.write_text(text)
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["validate", "{s3}"], 0, OK_VALIDATE.format(g3="structural")),
+    (["validate", "{zb}"], 0, OK_VALIDATE.format(g3="structural")),
+    (["validate", "{lz2}"], 0, OK_VALIDATE.format(g3="sampled")),
+    (["validate", "{g3}"], 1, G3_VALIDATE),
+    (["validate", "{g1}"], 1, G1_VALIDATE),
+    (["embed-check", "{s3}", "{s3}", "{id_s3}"], 0,
+     OK_EMBED.format(t="proved", u="proved", carrier="proved")),
+    (["embed-check", "{zb}", "{zb}", "{id_zb}"], 0,
+     OK_EMBED.format(t="tested", u="proved", carrier="tested")),
+    (["embed-check", "{lz2}", "{lz2}", "{id_lz2}"], 0,
+     OK_EMBED.format(t="tested", u="tested", carrier="tested")),
+    (["embed-check", "{s3}", "{s3_above}", "{crossed}"], 1, CROSSED_EMBED),
+    (["embed-check", "{ze}", "{ze}", "{collapse}"], 1, COLLAPSE_EMBED),
+    (["embed-check", "{lz2}", "{lz2}", "{double}"], 1, DOUBLE_EMBED),
+    (["laws", "{s3}", "--law-samples", "300"], 0, OK_LAWS.format(n=3)),
+    (["laws", "{zb}", "--law-samples", "300"], 0, OK_LAWS.format(n=48)),
+    (["laws", "{lz2}", "--law-samples", "300"], 0, OK_LAWS.format(n=48)),
+], ids=["validate-s3", "validate-zb", "validate-lz2", "validate-g3", "validate-g1",
+        "embed-s3", "embed-zb", "embed-lz2", "embed-crossed", "embed-collapse", "embed-double",
+        "laws-s3", "laws-zb", "laws-lz2"])
+def test_report_renders_are_pinned(render_files, capsys, argv, code, expected):
+    assert run(["--samples", "12"] + [a.format(**render_files) for a in argv], capsys) \
+        == (code, expected)
+
+
+def test_failing_law_renders_are_pinned():
+    zb = Chain(fixtures.zb())
+    zb.negate = lambda x: x
+    assert check_chain_laws(zb, samples=300, seed=3).render() == """\
+ok   totality       300 samples
+ok   commutativity  300 samples
+ok   associativity  300 samples
+ok   unit           48 samples
+ok   monotonicity   300 samples
+FAIL adjointness    300 samples -- x=ChainElement(layer='t', g=23, dotted=False), \
+v=ChainElement(layer='t', g=0, dotted=False), z=ChainElement(layer='t', g=-20, dotted=False)
+ok   involution     48 samples
+ok   falsum-shape   48 samples"""
+    jz = Chain(fixtures.jz())
+    compare = jz.compare
+    jz.compare = lambda x, y: -compare(x, y) if x.layer != y.layer else compare(x, y)
+    assert check_chain_laws(jz, samples=300, seed=3).render() == """\
+FAIL totality       300 samples -- transitivity broken at ChainElement(layer='u', g=4, \
+dotted=False), ChainElement(layer='t', g=e, dotted=False), ChainElement(layer='u', g=-15, \
+dotted=False)
+ok   commutativity  300 samples
+ok   associativity  300 samples
+ok   unit           48 samples
+FAIL monotonicity   300 samples -- ChainElement(layer='u', g=6, dotted=False) <= \
+ChainElement(layer='t', g=e, dotted=False) but products reversed with ChainElement(layer='u', \
+g=15, dotted=False)
+FAIL adjointness    300 samples -- x=ChainElement(layer='u', g=2, dotted=False), \
+v=ChainElement(layer='u', g=19, dotted=False), z=ChainElement(layer='t', g=e, dotted=False)
+ok   involution     48 samples
+ok   falsum-shape   48 samples"""

@@ -17,7 +17,7 @@ def test_identity_into_insertion_passes_all_clauses(s3_chain):
     report = check_embedding(s3_chain, target, receipt.iota)
     assert report.ok, report.render()
     # finite source, so every clause is proved, not merely tested
-    assert all(c.method == "proved" for c in report.clauses)
+    assert all(c.method == "proved" for c in report.checks)
 
 
 def test_exhaustive_pass_implies_monomorphism(s3_chain):
@@ -42,7 +42,7 @@ def test_partition_swap_fails_e1(s3_chain):
     crossed = EmbeddingSpec({"t": "u", "u": "t"},
                             {"t": og.identity(og.TRIVIAL), "u": og.identity(og.TRIVIAL)})
     report = check_embedding(s3_chain, target, crossed)
-    bad = {c.clause for c in report.clauses if not c.ok}
+    bad = {c.clause for c in report.checks if not c.ok}
     assert {"partition", "skeleton-order", "least-element"} & bad
     assert not report.ok
 
@@ -50,7 +50,7 @@ def test_partition_swap_fails_e1(s3_chain):
 def test_ze_doubling_fails_unit_cover(ze_chain):
     spec = EmbeddingSpec({"t": "t"}, {"t": og.scale_int(2)})
     report = check_embedding(ze_chain, ze_chain, spec)
-    cover = next(c for c in report.clauses if c.clause == "unit-cover")
+    cover = next(c for c in report.checks if c.clause == "unit-cover")
     assert not cover.ok  # 1 doubles to 2, but the unit cover is 1
     assert not report.ok
 
@@ -59,7 +59,7 @@ def test_ze_identity_embeds_into_itself(ze_chain):
     spec = identity_embedding(ze_chain.bunch)
     report = check_embedding(ze_chain, ze_chain, spec)
     assert report.ok
-    assert any(c.method == "tested" for c in report.clauses)
+    assert any(c.method == "tested" for c in report.checks)
 
 
 def test_lz2_scaling_respects_subgroup_both_ways(lz2_chain):
@@ -67,13 +67,13 @@ def test_lz2_scaling_respects_subgroup_both_ways(lz2_chain):
     good = EmbeddingSpec({"t": "t", "u": "u"},
                          {"t": og.scale_int(3), "u": og.scale_int(3)})
     report = check_embedding(lz2_chain, lz2_chain, good)
-    both = next(c for c in report.clauses if c.clause == "subgroup-both-ways")
+    both = next(c for c in report.checks if c.clause == "subgroup-both-ways")
     assert both.ok
     # doubling maps odd non-members into the subgroup: caught both-ways
     bad = EmbeddingSpec({"t": "t", "u": "u"},
                         {"t": og.scale_int(2), "u": og.scale_int(2)})
     report = check_embedding(lz2_chain, lz2_chain, bad)
-    both = next(c for c in report.clauses if c.clause == "subgroup-both-ways")
+    both = next(c for c in report.checks if c.clause == "subgroup-both-ways")
     assert not both.ok
 
 

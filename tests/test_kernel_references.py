@@ -1,12 +1,13 @@
 """The law, embedding and sup-table kernels against their earlier loops.
 
 Each ``reference_*`` function below is the earlier implementation, kept
-literally: the law checker with element-keyed memos, the embedding checker
-that maps every element through ``element_map``, and the ``Fraction``-valued
-prefix-maximum table behind ``sup_extend`` (minus its per-placement cache,
-which now holds rank tables).  The current kernels decide each pool pair
-once and compare ranks instead of values; these tests pin that their reports
-and values are unchanged, on passing and on deliberately broken chains.
+literally but for the `report.Check`s it builds: the law checker with
+element-keyed memos, the embedding checker that maps every element through
+``element_map``, and the ``Fraction``-valued prefix-maximum table behind
+``sup_extend`` (minus its per-placement cache, which now holds rank tables).
+The current kernels decide each pool pair once and compare ranks instead of
+values; these tests pin that their reports and values are unchanged, on
+passing and on deliberately broken chains.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import pytest
 
 from layerlat import fixtures, ogroup as og
 from layerlat.bunch import Bunch, BunchType, transition
-from layerlat.chain import Chain, LawReport, LawResult, check_chain_laws
+from layerlat.chain import Chain, check_chain_laws
 from layerlat.densify import insert_above
-from layerlat.embed import (ClauseResult, EmbeddingReport, EmbeddingSpec, _typecheck,
-                            check_embedding, element_map, identity_embedding)
+from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
+                            identity_embedding)
 from layerlat.errors import TypeMismatch
+from layerlat.report import EMBED, LAWS, Check, Report
 from layerlat.standardize import (RationalPlacement, _count_below, cantor_map,
                                   extend_with_products, sup_extend)
 
@@ -34,8 +36,13 @@ EQ, LT = og.EQ, og.LT
 # the earlier loops
 
 
+def law_check(law: str, checked: int, failures: list[str]) -> Check:
+    return Check(law, f"{checked} samples", not failures, "sampled",
+                 failures[0] if failures else "", checked)
+
+
 def reference_check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
-                               seed: int = 0) -> LawReport:
+                               seed: int = 0) -> Report:
     """Sample-check the chain axioms on random triples from an enumerated pool.
 
     Covers order totality/transitivity, commutativity, associativity, the
@@ -72,107 +79,107 @@ def reference_check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: i
 
     results = []
 
-    res = LawResult("totality", len(triples))
+    failures = []
     for i, j, k in triples:
         x, y, z = pool[i], pool[j], pool[k]
         if cmp(x, y) != -cmp(y, x):
-            res.failures.append(f"asymmetry broken at {x}, {y}")
+            failures.append(f"asymmetry broken at {x}, {y}")
         elif (x == y) != (cmp(x, y) == EQ):
-            res.failures.append(f"equality vs EQ mismatch at {x}, {y}")
+            failures.append(f"equality vs EQ mismatch at {x}, {y}")
         elif cmp(x, y) <= 0 and cmp(y, z) <= 0 and cmp(x, z) > 0:
-            res.failures.append(f"transitivity broken at {x}, {y}, {z}")
-        if res.failures:
+            failures.append(f"transitivity broken at {x}, {y}, {z}")
+        if failures:
             break
-    results.append(res)
+    results.append(law_check("totality", len(triples), failures))
 
-    res = LawResult("commutativity", len(triples))
+    failures = []
     for i, j, _ in triples:
         x, y = pool[i], pool[j]
         if raw_mul(x, y) != raw_mul(y, x):
-            res.failures.append(f"{x} * {y}")
+            failures.append(f"{x} * {y}")
             break
-    results.append(res)
+    results.append(law_check("commutativity", len(triples), failures))
 
-    res = LawResult("associativity", len(triples))
+    failures = []
     for i, j, k in triples:
         x, y, z = pool[i], pool[j], pool[k]
         if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            res.failures.append(f"{x}, {y}, {z}")
+            failures.append(f"{x}, {y}, {z}")
             break
-    results.append(res)
+    results.append(law_check("associativity", len(triples), failures))
 
-    res = LawResult("unit", n)
+    failures = []
     for x in pool:
         if raw_mul(t, x) != x or raw_mul(x, t) != x:
-            res.failures.append(f"{x}")
+            failures.append(f"{x}")
             break
-    results.append(res)
+    results.append(law_check("unit", n, failures))
 
-    res = LawResult("monotonicity", len(triples))
+    failures = []
     for i, j, k in triples:
         x, y, z = pool[i], pool[j], pool[k]
         if cmp(x, y) <= 0 and cmp(mul(x, z), mul(y, z)) > 0:
-            res.failures.append(f"{x} <= {y} but products reversed with {z}")
+            failures.append(f"{x} <= {y} but products reversed with {z}")
             break
-    results.append(res)
+    results.append(law_check("monotonicity", len(triples), failures))
 
-    res = LawResult("adjointness", len(triples))
+    failures = []
     for i, j, k in triples:
         x, v, z = pool[i], pool[j], pool[k]
         r = neg(mul(x, neg(z)))
         if (cmp(mul(x, v), z) <= 0) != (cmp(v, r) <= 0):
-            res.failures.append(f"x={x}, v={v}, z={z}")
+            failures.append(f"x={x}, v={v}, z={z}")
             break
-    results.append(res)
+    results.append(law_check("adjointness", len(triples), failures))
 
-    res = LawResult("involution", n)
+    failures = []
     for x in pool:
         if neg(neg(x)) != x:
-            res.failures.append(f"{x}")
+            failures.append(f"{x}")
             break
-    results.append(res)
+    results.append(law_check("involution", n, failures))
 
-    res = LawResult("falsum-shape", n)
+    failures = []
     kind = chain.type()
     if kind == BunchType.ODD:
         if f != t:
-            res.failures.append("odd chain must fix the unit under complement")
+            failures.append("odd chain must fix the unit under complement")
     else:
         if cmp(f, t) != LT:
-            res.failures.append("even chain needs falsum strictly below unit")
+            failures.append("even chain needs falsum strictly below unit")
         else:
             for x in pool:
                 if cmp(f, x) == LT and cmp(x, t) == LT:
-                    res.failures.append(f"{x} lies strictly between falsum and unit")
+                    failures.append(f"{x} lies strictly between falsum and unit")
                     break
-    results.append(res)
+    results.append(law_check("falsum-shape", n, failures))
 
-    return LawReport(results, n)
+    return Report(results, samples, LAWS)
 
 
 def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
-                              samples: int = 64) -> EmbeddingReport:
+                              samples: int = 64) -> Report:
     """Run every embedding clause; exhaustive on finite sources ("proved"),
     sampled otherwise ("tested")."""
     sb, db = src.bunch, dst.bunch
     _typecheck(sb, db, spec)
-    report = EmbeddingReport(samples=samples)
+    report = Report([], samples, EMBED)
     smap = spec.skeleton_map
     finite = src.is_finite
     method = "proved" if finite else "tested"
 
     positions = [db.index(smap[u]) for u in sb.skeleton]
     ok = all(positions[i] < positions[i + 1] for i in range(len(positions) - 1))
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "skeleton-order", "skeleton", ok, "proved",
         "" if ok else "image positions are not strictly ascending"))
     ok = smap[sb.least()] == db.least()
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "least-element", sb.least(), ok, "proved",
         "" if ok else f"least layer maps to {smap[sb.least()]!r}"))
     for u in sb.skeleton:
         ok = sb.partition[u] == db.partition[smap[u]]
-        report.clauses.append(ClauseResult(
+        report.checks.append(Check(
             "partition", u, ok, "proved",
             "" if ok else f"class {sb.partition[u]} maps onto class {db.partition[smap[u]]}"))
 
@@ -195,14 +202,15 @@ def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
             if not strict_ok:
                 break
         lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
-        report.clauses.append(ClauseResult(
+        report.checks.append(Check(
             "layer-group-hom", u, hr.ok and strict_ok, lm,
-            "" if hr.ok and strict_ok else (hr.failures + ["not strictly order-preserving"])[0]))
+            "" if hr.ok and strict_ok else ([c.detail for c in hr.violations()]
+                                            + ["not strictly order-preserving"])[0]))
 
     for i, u in enumerate(sb.skeleton):
         for v in sb.skeleton[i:]:
             if db.index(smap[u]) > db.index(smap[v]):
-                report.clauses.append(ClauseResult(
+                report.checks.append(Check(
                     "transition-square", f"{u}->{v}", False, "proved",
                     "image layers are not skeleton-ordered"))
                 continue
@@ -216,7 +224,7 @@ def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                     bad = a
                     break
             lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
-            report.clauses.append(ClauseResult(
+            report.checks.append(Check(
                 "transition-square", f"{u}->{v}", bad is None, lm,
                 "" if bad is None else f"square does not commute at {bad!r}"))
 
@@ -224,7 +232,7 @@ def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         if sb.partition[u] != "I":
             continue
         if db.partition[smap[u]] != "I":
-            report.clauses.append(ClauseResult(
+            report.checks.append(Check(
                 "subgroup-both-ways", u, False, "proved",
                 "image layer carries no subgroup"))
             continue
@@ -237,7 +245,7 @@ def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                 bad = a
                 break
         lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
-        report.clauses.append(ClauseResult(
+        report.checks.append(Check(
             "subgroup-both-ways", u, bad is None, lm,
             "" if bad is None else f"membership not reflected at {bad!r}"))
 
@@ -248,7 +256,7 @@ def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         up_s = og.g_cover_up(sb.groups[u], og.g_unit(sb.groups[u]))
         up_d = og.g_cover_up(db.groups[smap[u]], og.g_unit(db.groups[smap[u]]))
         ok = up_s is not None and fn(up_s) == up_d
-        report.clauses.append(ClauseResult(
+        report.checks.append(Check(
             "unit-cover", u, ok, "proved",
             "" if ok else f"cover of the unit maps to {fn(up_s)!r}, expected {up_d!r}"))
 
@@ -262,7 +270,7 @@ def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                 break
         if bad:
             break
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "element-order", "carrier", bad is None, method,
         "" if bad is None else f"order not preserved at {bad}"))
     bad = None
@@ -273,13 +281,13 @@ def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                 break
         if bad:
             break
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "element-product", "carrier", bad is None, method,
         "" if bad is None else f"product not preserved at {bad}"))
     ts, fs = src.constants()
     td, fd = dst.constants()
     ok = element_map(spec, ts) == td and element_map(spec, fs) == fd
-    report.clauses.append(ClauseResult(
+    report.checks.append(Check(
         "element-constants", "t, f", ok, "proved",
         "" if ok else "constants not preserved"))
     return report
@@ -333,13 +341,13 @@ def law_bunches() -> list[tuple[str, object]]:
                     for i in range(100)]
 
 
-def same_laws(chain: Chain, **kw) -> LawReport:
+def same_laws(chain: Chain, **kw) -> Report:
     new = check_chain_laws(chain, **kw)
     ref = reference_check_chain_laws(chain, **kw)
     assert new.render() == ref.render()
-    assert [(r.law, r.checked, r.failures) for r in new.results] == \
-        [(r.law, r.checked, r.failures) for r in ref.results]
-    assert new.pool_size == ref.pool_size
+    # the unit, involution and falsum-shape checks count the pool
+    assert [(c.clause, c.samples, c.ok, c.detail) for c in new.checks] == \
+        [(c.clause, c.samples, c.ok, c.detail) for c in ref.checks]
     return new
 
 
@@ -408,10 +416,10 @@ def test_commutativity_failure_matches_the_reference_on_a_non_commutative_mul():
     for i, chain in enumerate(broken_chains(keep_the_left)):
         new = check_chain_laws(chain, samples=400, seed=i)
         ref = reference_check_chain_laws(chain, samples=400, seed=i)
-        assert new.results[1].law == "commutativity"
+        assert new.checks[1].clause == "commutativity"
         assert new.render().splitlines()[1] == ref.render().splitlines()[1]
-        assert new.results[1].failures == ref.results[1].failures
-        failed += not new.results[1].ok
+        assert new.checks[1].detail == ref.checks[1].detail
+        failed += not new.checks[1].ok
     assert failed
 
 
