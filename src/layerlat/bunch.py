@@ -64,14 +64,6 @@ class Bunch:
         except ValueError:
             raise UnknownLayer(f"layer {layer!r} not in skeleton {list(self.skeleton)}") from None
 
-    def class_of(self, layer: str) -> str:
-        self.index(layer)
-        return self.partition[layer]
-
-    def group_of(self, layer: str) -> og.OGroup:
-        self.index(layer)
-        return self.groups[layer]
-
     def consecutive_pairs(self) -> list[tuple[str, str]]:
         return list(zip(self.skeleton, self.skeleton[1:]))
 
@@ -148,7 +140,9 @@ def validate(b: Bunch, samples: int = 100) -> Report:
     Structural shortcuts are used where a clause holds by construction (a
     constant-unit transition lands in any subgroup; a whole subgroup absorbs
     anything); otherwise the first ``samples`` enumerated elements of the
-    relevant source group are pushed through the transitions.
+    relevant source group are pushed through the transitions, each compiled
+    once per layer pair.  D2 is sampled per triple u <= v <= w, streaming
+    each layer's samples once, so memory does not grow with ``samples``.
     """
     report = Report([], samples, VALIDATE)
     problems = structural_problems(b)
@@ -169,7 +163,12 @@ def validate(b: Bunch, samples: int = 100) -> Report:
     # identity transitions hold by definition of `transition`
     report.checks.append(Check("D1", "all layers", True, "structural"))
 
-    for u in b.skeleton:
+    sk, n = b.skeleton, len(b.skeleton)
+    # fns[i][k] applies transition(sk[i], sk[k]) for i <= k
+    fns = [[og.hom_fn(transition(b, sk[i], sk[k])) if i <= k else None for k in range(n)]
+           for i in range(n)]
+
+    for i, u in enumerate(sk):
         if b.partition[u] != "J":
             continue
         group = b.groups[u]
@@ -180,26 +179,22 @@ def validate(b: Bunch, samples: int = 100) -> Report:
             continue
         report.checks.append(Check("G2", f"{u} discrete", True, "structural"))
         down = og.g_cover_down(group, og.g_unit(group))
-        iu = b.index(u)
-        for v in b.skeleton[iu + 1:]:
-            fn = og.hom_fn(transition(b, u, v))
-            ok = fn(down) == og.g_unit(b.groups[v])
+        for k in range(i + 1, n):
+            ok = fns[i][k](down) == og.g_unit(b.groups[sk[k]])
             report.checks.append(Check(
-                "G2", f"{u}->{v}", ok, "exact",
+                "G2", f"{u}->{sk[k]}", ok, "exact",
                 "" if ok else "transition does not collapse the unit's lower cover"))
 
-    for v in b.skeleton:
+    for k, v in enumerate(sk):
         if b.partition[v] != "I":
             continue
         sub = b.subgroups[v]
         member = og.member_fn(sub)
-        iv = b.index(v)
-        for u in b.skeleton[:iv]:
-            hom = transition(b, u, v)
-            if og.subgroup_is_whole(sub) or og.hom_is_constant_unit(hom):
+        for i, u in enumerate(sk[:k]):
+            if og.subgroup_is_whole(sub) or og.hom_is_constant_unit(transition(b, u, v)):
                 report.checks.append(Check("G3", f"{u}->{v}", True, "structural"))
                 continue
-            fn = og.hom_fn(hom)
+            fn = fns[i][k]
             bad = None
             for x in islice(og.g_enumerate(b.groups[u]), samples):
                 if not member(fn(x)):
@@ -210,23 +205,25 @@ def validate(b: Bunch, samples: int = 100) -> Report:
                 "" if bad is None else f"{og.format_gelem(b.groups[u], bad)} maps outside the subgroup",
                 witness=bad))
 
-    n = len(b.skeleton)
-    for i in range(n):
+    for i, u in enumerate(sk):
+        # (j, k) -> the first sample x of u where transition(u, sk[k]) differs
+        # from transition(sk[j], sk[k]) after transition(u, sk[j]); the samples
+        # are streamed once, each pushed through every transition out of u
+        bad = {}
+        for x in islice(og.g_enumerate(b.groups[u]), samples):
+            images = [None] * i + [f(x) for f in fns[i][i:]]
+            for j in range(i, n):
+                mid, second = images[j], fns[j]
+                for k in range(j, n):
+                    if images[k] != second[k](mid) and (j, k) not in bad:
+                        bad[j, k] = x
         for j in range(i, n):
             for k in range(j, n):
-                u, v, w = b.skeleton[i], b.skeleton[j], b.skeleton[k]
-                direct = og.hom_fn(transition(b, u, w))
-                first = og.hom_fn(transition(b, u, v))
-                second = og.hom_fn(transition(b, v, w))
-                bad = None
-                for x in islice(og.g_enumerate(b.groups[u]), samples):
-                    if direct(x) != second(first(x)):
-                        bad = x
-                        break
+                x = bad.get((j, k))
                 report.checks.append(Check(
-                    "D2", f"{u}->{v}->{w}", bad is None, "sampled",
-                    "" if bad is None else f"composition disagrees at {og.format_gelem(b.groups[u], bad)}",
-                    witness=bad))
+                    "D2", f"{u}->{sk[j]}->{sk[k]}", x is None, "sampled",
+                    "" if x is None else f"composition disagrees at {og.format_gelem(b.groups[u], x)}",
+                    witness=x))
     return report
 
 

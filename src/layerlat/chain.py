@@ -166,9 +166,6 @@ class Chain:
             return ChainElement(top_layer, u, False), ChainElement(top_layer, u, True)
         return None
 
-    def is_bounded(self) -> bool:
-        return self.bounds() is not None
-
     # -- enumeration ---------------------------------------------------------
 
     def _layer_blocks(self, u: str) -> Iterator[list[ChainElement]]:

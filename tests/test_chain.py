@@ -7,7 +7,6 @@ from itertools import islice
 import pytest
 
 from layerlat import fixtures, ogroup as og
-from layerlat.bunch import BunchType
 from layerlat.chain import (Chain, ChainElement, check_chain_laws,
                             format_element, parse_element)
 from layerlat.decompose import table_of_chain, window_table

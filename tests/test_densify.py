@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from layerlat import fixtures, ogroup as og
-from layerlat.bunch import BunchType, bunch_type, validate
+from layerlat.bunch import bunch_type, validate
 from layerlat.chain import Chain, ChainElement
 from layerlat.decompose import table_of_chain
 from layerlat.densify import (TraceRecord, densify_driver, fill_gap,

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from layerlat import fixtures, ogroup as og
-from layerlat.chain import Chain, ChainElement
+from layerlat import ogroup as og
+from layerlat.chain import Chain
 from layerlat.densify import insert_above
 from layerlat.embed import (EmbeddingSpec, check_embedding, element_map,
                             identity_embedding, parse_embedding_spec,

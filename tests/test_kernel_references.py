@@ -1,25 +1,31 @@
-"""The law, embedding and sup-table kernels against their earlier loops.
+"""The law, embedding, sup-table and validation kernels against their
+earlier loops.
 
 Each ``reference_*`` function below is the earlier implementation, kept
 literally but for the `report.Check`s it builds: the law checker with
 element-keyed memos, the embedding checker that maps every element through
-``element_map``, and the ``Fraction``-valued prefix-maximum table behind
-``sup_extend`` (minus its per-placement cache, which now holds rank tables).
-The current kernels decide each pool pair once and compare ranks instead of
-values; these tests pin that their reports and values are unchanged, on
-passing and on deliberately broken chains.
+``element_map``, the ``Fraction``-valued prefix-maximum table behind
+``sup_extend`` (minus its per-placement cache, which now holds rank tables),
+and `validate`'s D2 triple loop, which compiles three transitions and draws
+the sample pool afresh for every triple.  The current kernels decide each
+pool pair once, compare ranks instead of values, and compile each
+transition pair once and stream each layer's samples once; these tests pin
+that their reports and values are unchanged, on passing and on
+deliberately broken inputs.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from typing import Callable
 
 import pytest
 
-from layerlat import fixtures, ogroup as og
-from layerlat.bunch import Bunch, BunchType, transition
+from layerlat import bunch as bunch_module, fixtures, ogroup as og
+from layerlat.bunch import Bunch, BunchType, transition, validate
 from layerlat.chain import Chain, check_chain_laws
 from layerlat.densify import insert_above
 from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
@@ -328,6 +334,115 @@ def reference_sup_extend(tables, a: Fraction, b: Fraction) -> Fraction:
     if count_a == 0 or count_b == 0:
         return Fraction(0)
     return best[count_a - 1][count_b - 1]
+
+
+def reference_validate_d2(b: Bunch, samples: int = 100) -> list[Check]:
+    """The D2 checks of `validate`: ς_{u→w} = ς_{v→w} ∘ ς_{u→v} on the first
+    ``samples`` elements of u's group, for every triple u <= v <= w.  It
+    reads `transition` from its module, so a patched one reaches it too."""
+    checks = []
+    n = len(b.skeleton)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                u, v, w = b.skeleton[i], b.skeleton[j], b.skeleton[k]
+                direct = og.hom_fn(bunch_module.transition(b, u, w))
+                first = og.hom_fn(bunch_module.transition(b, u, v))
+                second = og.hom_fn(bunch_module.transition(b, v, w))
+                bad = None
+                for x in islice(og.g_enumerate(b.groups[u]), samples):
+                    if direct(x) != second(first(x)):
+                        bad = x
+                        break
+                checks.append(Check(
+                    "D2", f"{u}->{v}->{w}", bad is None, "sampled",
+                    "" if bad is None else f"composition disagrees at {og.format_gelem(b.groups[u], bad)}",
+                    witness=bad))
+    return checks
+
+
+# ---------------------------------------------------------------------------
+# validate
+
+
+def d2_checks(report: Report) -> list[Check]:
+    return [c for c in report.checks if c.clause == "D2"]
+
+
+def validation_bunches() -> list[Bunch]:
+    rng = random.Random(2312)
+    return ([f() for _, f in sorted(fixtures.ALL.items())]
+            + [fixtures.finite_bunch(n) for n in range(1, 41)]
+            + [fixtures.random_bunch(rng, max_layers=8) for _ in range(200)])
+
+
+@pytest.mark.parametrize("samples", [100, 3])
+def test_d2_checks_match_the_reference(samples):
+    for b in validation_bunches():
+        new = d2_checks(validate(b, samples=samples))
+        assert new == reference_validate_d2(b, samples=samples), b.skeleton
+        assert len(new) == len(b.skeleton) * (len(b.skeleton) + 1) * (len(b.skeleton) + 2) // 6
+
+
+def int_tower() -> Bunch:
+    """Three Int layers joined by identity steps, every subgroup whole."""
+    return Bunch(("t", "u", "w"), {"t": "O", "u": "I", "w": "I"},
+                 {u: og.INT for u in "tuw"}, {u: og.whole(og.INT) for u in "uw"},
+                 {("t", "u"): og.identity(og.INT), ("u", "w"): og.identity(og.INT)})
+
+
+def wrong_transition(wrong: Callable[[Bunch, str, str], og.Hom | None]):
+    """`transition` with the hom of some pairs replaced by ``wrong``'s."""
+    def patched(b, u, v):
+        hom = wrong(b, u, v)
+        return transition(b, u, v) if hom is None else hom
+    return patched
+
+
+def test_d2_failure_and_witness_match_the_reference(monkeypatch):
+    # t->w doubles, so t->u->w disagrees at 1, the first sample 0 maps to 0
+    monkeypatch.setattr(bunch_module, "transition", wrong_transition(
+        lambda b, u, v: og.scale_int(2) if (u, v) == ("t", "w") else None))
+    b = int_tower()
+    report = validate(b)
+    new = d2_checks(report)
+    assert new == reference_validate_d2(b)
+    assert [(c.subject, c.detail, c.witness) for c in report.violations()] == \
+        [("t->u->w", "composition disagrees at 1", 1)]
+
+
+def test_validate_streams_its_samples():
+    # Int enumerates without end; 5,000 samples held at once take 200 kB
+    b = int_tower()
+    tracemalloc.start()
+    try:
+        report = validate(b, samples=5_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and peak < 100_000, peak
+
+
+def test_d2_failures_on_collapsed_transitions_match_the_reference(monkeypatch):
+    # in each bunch one transition that spans a middle layer, and does not
+    # collapse, becomes the unit map; D2 then fails through the middle layer
+    collapsed = {}
+    cases = []
+    for b in validation_bunches():  # drawn unpatched: random_bunch validates
+        sk = b.skeleton
+        spans = [(sk[i], sk[k]) for i in range(len(sk)) for k in range(i + 2, len(sk))
+                 if not og.hom_is_constant_unit(transition(b, sk[i], sk[k]))]
+        if spans:
+            collapsed[id(b)] = spans[0]
+            cases.append(b)
+    monkeypatch.setattr(bunch_module, "transition", wrong_transition(
+        lambda b, u, v: og.unit_map(b.groups[u], b.groups[v])
+        if collapsed.get(id(b)) == (u, v) else None))
+    assert len(cases) >= 5
+    for b in cases:
+        new = d2_checks(validate(b))
+        assert new == reference_validate_d2(b), b.skeleton
+        assert not all(c.ok for c in new), b.skeleton
 
 
 # ---------------------------------------------------------------------------

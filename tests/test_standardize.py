@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
