@@ -17,6 +17,10 @@ complement, and residuum are all decided from the bunch data:
   take the lower cover (class-J), or leave as is;
 * residuum: x -> y = not(x * not(y)).
 
+`compare` is antisymmetric (its branches negate when the arguments swap) and
+`mul` commutative (abelian groups, a symmetric dotting rule) by construction;
+`check_embedding` and `standardize._extended_tables` scan one triangle for it.
+
 `check_chain_laws` samples the chain axioms and returns a `report.Report`,
 one `Check` per law.
 """
@@ -242,7 +246,8 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     unit law, monotonicity, adjointness, involution, and the odd/even shape
     of the falsum, one sampled `Check` per law whose ``samples`` is the
     number of triples, or of pool points, it looked at and whose detail is
-    its first failure.  Finite chains get their whole carrier as the pool.
+    its first failure.  A finite chain gets its whole carrier as the pool only
+    when it has at most ``pool_size`` points.
 
     Each value over a pool pair is decided once.  A pool point is named by
     its index in ``pool``, and the pair (i, j) by ``i * n + j``: ``order``

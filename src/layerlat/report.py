@@ -9,9 +9,9 @@ the sample count the checker was asked for.
 
 A check states its method: "structural" (holds by construction), "exact"
 (one computation decides it), "sampled" (first failure over drawn samples),
-or, for embeddings, "proved" (exhaustive on a finite source) and "tested".
-`samples` is how many cases the check itself looked at, and `witness` the
-first counterexample when the checker has one.
+or, for embeddings, "proved" (exhaustive over the whole finite carrier or
+group) and "tested".  `samples` is how many cases the check itself looked
+at, and `witness` the first counterexample when the checker has one.
 
 `render()` is the text every checker prints.  It has one layout, set by the
 checker's `Style` constant below; nothing branches on the checker.

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from layerlat import ogroup as og
+from layerlat import fixtures, ogroup as og
 from layerlat.chain import Chain
 from layerlat.densify import insert_above
 from layerlat.embed import (EmbeddingSpec, check_embedding, element_map,
@@ -18,6 +18,16 @@ def test_identity_into_insertion_passes_all_clauses(s3_chain):
     assert report.ok, report.render()
     # finite source, so every clause is proved, not merely tested
     assert all(c.method == "proved" for c in report.checks)
+
+
+def test_element_checks_are_proved_only_on_the_whole_carrier():
+    b = fixtures.finite_bunch(101)
+    chain = Chain(b)
+    for samples, method in ((10, "tested"), (100, "tested"), (101, "proved")):
+        report = check_embedding(chain, chain, identity_embedding(b), samples=samples)
+        assert report.ok, report.render()
+        for clause in ("element-order", "element-product"):
+            assert report.first(clause).method == method, (samples, clause)
 
 
 def test_exhaustive_pass_implies_monomorphism(s3_chain):

@@ -165,14 +165,15 @@ def reference_check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: i
 
 def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                               samples: int = 64) -> Report:
-    """Run every embedding clause; exhaustive on finite sources ("proved"),
-    sampled otherwise ("tested")."""
+    """Run every embedding clause; the element checks are exhaustive
+    ("proved") when the source carrier has at most ``samples`` points, and
+    sampled ("tested") otherwise."""
     sb, db = src.bunch, dst.bunch
     _typecheck(sb, db, spec)
     report = Report([], samples, EMBED)
     smap = spec.skeleton_map
-    finite = src.is_finite
-    method = "proved" if finite else "tested"
+    whole = src.is_finite and sum(1 for _ in src.enumerate_elements()) <= samples
+    method = "proved" if whole else "tested"
 
     positions = [db.index(smap[u]) for u in sb.skeleton]
     ok = all(positions[i] < positions[i + 1] for i in range(len(positions) - 1))
@@ -545,8 +546,20 @@ def test_commutativity_failure_matches_the_reference_on_a_non_commutative_mul():
 def embedding_cases() -> list[tuple[Chain, Chain, EmbeddingSpec]]:
     """Every spec of test_embed.py, the failing ones included, a layer map
     that is not strictly order-preserving, and the identity of each fixture
-    and of seeded random bunches."""
+    and of seeded random bunches.
+
+    Three cases pin the one-triangle scans of `check_embedding`: a
+    non-injective layer map, whose strictness fails on (0, 0) < (0, 1), two
+    points not adjacent in enumeration order; a spec whose products fail on
+    the diagonal while its order holds; and a 101-point carrier, which is
+    exhaustive at neither sample count."""
     s3, ze, lz2 = Chain(fixtures.s3()), Chain(fixtures.ze()), Chain(fixtures.lz2())
+    jz = Chain(fixtures.jz())
+    lex = og.Lex(og.INT, og.INT)
+
+    def one_layer(group: og.OGroup) -> Chain:
+        return Chain(Bunch(("t",), {"t": "O"}, {"t": group}, {}, {}))
+
     receipt = insert_above(s3.bunch, "u")
     target = Chain(receipt.new_bunch)
     trivial = og.identity(og.TRIVIAL)
@@ -560,10 +573,15 @@ def embedding_cases() -> list[tuple[Chain, Chain, EmbeddingSpec]]:
                                  {"t": og.scale_int(3), "u": og.scale_int(3)})),
         (lz2, lz2, EmbeddingSpec({"t": "t", "u": "u"},
                                  {"t": og.scale_int(2), "u": og.scale_int(2)})),
+        (one_layer(lex), one_layer(og.INT),
+         EmbeddingSpec({"t": "t"}, {"t": og.project_first(lex)})),
+        (jz, lz2, EmbeddingSpec({"t": "t", "u": "u"},
+                                {"t": og.unit_map(og.TRIVIAL, og.INT), "u": og.identity(og.INT)})),
     ]
     rng = random.Random(11)
     bunches = [f() for _, f in sorted(fixtures.ALL.items())]
     bunches += [fixtures.random_bunch(rng, max_layers=4) for _ in range(10)]
+    bunches.append(fixtures.finite_bunch(101))
     cases += [(Chain(b), Chain(b), identity_embedding(b)) for b in bunches]
     return cases
 

@@ -6,15 +6,21 @@ most a few layers with lex depth 1.  The strategies here draw bunches with
 up to 8 layers and lex groups nested up to 3 deep, valid by construction,
 and elements with coordinates up to 10**30 on any layer, so that the laws
 are also checked directly on triples far from the units and from each other.
+
+The same bunches, with the fixtures and seeded random and finite bunches,
+also pin the two invariants that one-triangle pair scans rely on:
+`Chain.compare` is antisymmetric and `Chain.mul` commutative on every pair.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
-from layerlat import ogroup as og
+from layerlat import fixtures, ogroup as og
 from layerlat.bunch import Bunch, validate
 from layerlat.chain import Chain, ChainElement, check_chain_laws
 
@@ -180,3 +186,30 @@ def test_laws_hold_on_far_apart_triples(data):
         # adjointness: x * y <= z exactly when y <= x -> z
         assert (cmp(mul(x, y), z) <= 0) == (cmp(y, chain.residuum(x, z)) <= 0)
         assert neg(neg(x)) == x
+
+
+def assert_antisymmetric_and_commutative(chain: Chain, pool: list[ChainElement]) -> None:
+    cmp, mul = chain.compare, chain.mul
+    for i, x in enumerate(pool):
+        for y in pool[i:]:
+            assert cmp(x, y) == -cmp(y, x), (x, y)
+            assert mul(x, y) == mul(y, x), (x, y)
+
+
+def test_compare_antisymmetric_and_mul_commutative_on_enumerated_pools():
+    rng = random.Random(5)
+    bunches = [f() for _, f in sorted(fixtures.ALL.items())]
+    bunches += [fixtures.finite_bunch(n) for n in range(1, 41)]
+    bunches += [fixtures.random_bunch(rng, max_layers=8) for _ in range(200)]
+    for b in bunches:
+        chain = Chain(b)
+        assert_antisymmetric_and_commutative(chain, list(islice(chain.enumerate_elements(), 64)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_compare_antisymmetric_and_mul_commutative_far_from_the_units(data):
+    chain = Chain(data.draw(bunches()))
+    pool = list(islice(chain.enumerate_elements(), 64))
+    pool += [data.draw(elements(chain)) for _ in range(8)]
+    assert_antisymmetric_and_commutative(chain, pool)
