@@ -3,7 +3,15 @@
 Subcommands: validate, type, bounded, eval, table, decompose, embed-check,
 fill-gap, densify, enumerate, standardize, laws.  Exit codes: 0 ok, 1 domain
 error, 2 usage error.  Randomized sampling is seeded (--seed, default 0);
-the LAYERLAT_SAMPLES environment variable overrides default sample counts.
+LAYERLAT_SAMPLES, read on each call by the rule of --samples, overrides the
+default sample counts.
+
+A call runs one subcommand, so only that subcommand's parser is built:
+argparse's ``parser_class`` hook gives each one a ``_DeferredParser`` that
+records its definition, replayed into a real parser only when argparse
+dispatches to it.  argparse still registers every name and help line, so
+help, usage and choice errors are its own.  Building all twelve parsers was
+most of a short call's set-up (gettext and terminal-size lookups per option).
 """
 
 from __future__ import annotations
@@ -26,13 +34,10 @@ from .standardize import cantor_map, extend_with_products
 
 
 def _samples_default(fallback: int) -> int:
+    """LAYERLAT_SAMPLES by the rule of --samples, else fallback; a bad
+    value raises argparse.ArgumentTypeError."""
     raw = os.environ.get("LAYERLAT_SAMPLES")
-    if raw is None:
-        return fallback
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return fallback
+    return fallback if raw is None else _int_at_least(0)(raw)
 
 
 def _int_at_least(low: int):
@@ -46,6 +51,25 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+class _DeferredParser:
+    """A subparser built only if dispatched to (see the module docstring)."""
+
+    def __init__(self, **kwargs):
+        self._kwargs, self._calls = kwargs, []
+
+    def add_argument(self, *args, **kwargs) -> None:
+        self._calls.append((argparse.ArgumentParser.add_argument, args, kwargs))
+
+    def set_defaults(self, **kwargs) -> None:
+        self._calls.append((argparse.ArgumentParser.set_defaults, (), kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        for method, a, kw in self._calls:
+            method(parser, *a, **kw)
+        return parser.parse_known_args(args, namespace)
 
 
 def _require_valid(path: str, samples: int) -> Chain:
@@ -83,14 +107,14 @@ def _cmd_bounded(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.op != "neg" and args.rhs is None:
+        print(f"--rhs is required for op {args.op}", file=sys.stderr)
+        return 2
     chain = _require_valid(args.bunch, args.samples)
     lhs = parse_element(chain, args.lhs)
     if args.op == "neg":
         print(format_element(chain, chain.negate(lhs)))
         return 0
-    if args.rhs is None:
-        print(f"--rhs is required for op {args.op}", file=sys.stderr)
-        return 2
     rhs = parse_element(chain, args.rhs)
     if args.op == "mul":
         print(format_element(chain, chain.mul(lhs, rhs)))
@@ -218,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
     parser.add_argument("--samples", type=_int_at_least(0), default=_samples_default(100),
                         help="sample count for validation and sampled checks")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
 
     p = sub.add_parser("validate", help="validate a bunch file")
     p.add_argument("bunch")
@@ -289,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except argparse.ArgumentTypeError as e:
+        print(f"layerlat: error: LAYERLAT_SAMPLES: {e}", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import ogroup as og
 from .bunch import Bunch, BunchType
-from .chain import Chain, ChainElement
+from .chain import Chain, ChainElement, format_element
 from .embed import EmbeddingSpec, identity_embedding
 from .errors import (EvenTypeUnsupported, InternalInvariant, LayerClassError,
                      LeastLayerError, NotLess, SubgroupObstruction, UnknownLayer)
@@ -128,7 +128,8 @@ def fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
     if chain.type() != BunchType.ODD:
         raise EvenTypeUnsupported("gap filling needs an odd chain")
     if chain.compare(x, y) != og.LT:
-        raise NotLess(f"{x} is not strictly below {y}")
+        raise NotLess(f"{format_element(chain, x)} is not strictly below "
+                      f"{format_element(chain, y)}")
     b = chain.bunch
     u, v = x.layer, y.layer
     iu, iv = b.index(u), b.index(v)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import argparse
 import io
 import json
 import sys
@@ -57,11 +58,11 @@ def test_fill_gap_witness_lies_in_the_extended_bunch(tmp_path, capsys):
     assert extended.compare(w, parse_element(extended, "u:e")) == og.LT
 
 
-def cli_exit(argv) -> tuple[int, str]:
-    """Exit code and stderr of ``layerlat argv`` as the interpreter would
-    report them: an uncaught exception prints its traceback and exits 1."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+def cli_run(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``layerlat argv`` as the interpreter
+    would report them: an uncaught exception prints its traceback and exits 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as e:
@@ -69,7 +70,12 @@ def cli_exit(argv) -> tuple[int, str]:
         except Exception:
             traceback.print_exc()
             code = 1
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_exit(argv) -> tuple[int, str]:
+    code, _, err = cli_run(argv)
+    return code, err
 
 
 @pytest.fixture(scope="module")
@@ -517,3 +523,84 @@ FAIL adjointness    300 samples -- x=ChainElement(layer='u', g=2, dotted=False),
 v=ChainElement(layer='u', g=19, dotted=False), z=ChainElement(layer='t', g=e, dotted=False)
 ok   involution     48 samples
 ok   falsum-shape   48 samples"""
+
+
+# -- parser deferral, argument checks and LAYERLAT_SAMPLES ----------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], [], ["bogus"], ["--samples", "3", "bogus", "laws"],
+    ["--seed", "x", "laws", "f.json"], ["--seed", "laws"], ["laws", "--help"],
+    ["eval", "--help"], ["enumerate", "--size", "0"], ["validate", "a", "b"],
+    ["laws", "f.json", "--extra"],
+])
+def test_deferred_subparsers_match_an_eager_parser(monkeypatch, argv):
+    # the same definitions built at once are the reference; no golden text,
+    # since argparse wraps usage lines differently across Python versions
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("LAYERLAT_SAMPLES", raising=False)
+    deferred = cli_run(argv)
+    monkeypatch.setattr(cli, "_DeferredParser", argparse.ArgumentParser)
+    assert deferred == cli_run(argv)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["--help"], 1),
+    (["laws", "--help"], 2),
+    (["validate", "{s3}"], 2),
+    (["enumerate", "--size", "2"], 2),
+    (["--samples", "3", "eval", "{zb}", "--op", "neg", "--lhs", "t:1"], 2),
+])
+def test_a_call_builds_only_its_subcommands_parser(monkeypatch, fixture_files, argv, built):
+    count = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _, _ = cli_run([a.format(**fixture_files) for a in argv])
+    assert code == 0 and count == built
+
+
+@pytest.mark.parametrize("op", ["mul", "res", "cmp"])
+def test_eval_missing_rhs_is_a_usage_error_before_reading_the_bunch(tmp_path, op):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{}")
+    for path in (broken, tmp_path / "missing.json"):
+        assert cli_exit(["eval", str(path), "--op", op, "--lhs", "t:1"]) \
+            == (2, f"--rhs is required for op {op}\n")
+
+
+def test_fill_gap_names_an_unordered_pair_by_its_literals(fixture_files):
+    assert cli_exit(["fill-gap", fixture_files["zb"], "--x", "t:2", "--y", "t:1"]) \
+        == (1, "error: t:2 is not strictly below t:1\n")
+    assert cli_exit(["fill-gap", fixture_files["s3"], "--x", "u:e", "--y", "u:e"]) \
+        == (1, "error: u:e is not strictly below u:e\n")
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "", "2.5"])
+def test_bad_layerlat_samples_is_a_usage_error(monkeypatch, fixture_files, raw):
+    monkeypatch.setenv("LAYERLAT_SAMPLES", raw)
+    code, out, err = cli_run(["validate", fixture_files["s3"]])
+    assert (code, out) == (2, "")
+    assert err.startswith("layerlat: error: LAYERLAT_SAMPLES: ") and "Traceback" not in err
+
+
+def test_layerlat_samples_is_read_on_every_call(monkeypatch, fixture_files):
+    zb = fixture_files["zb"]
+    monkeypatch.delenv("LAYERLAT_SAMPLES", raising=False)
+    unset = cli_run(["laws", zb])
+    assert unset == cli_run(["--samples", "100", "laws", zb, "--law-samples", "10000"])
+    explicit = cli_run(["--samples", "7", "validate", zb])
+    for raw in ("0", "5", "12"):
+        monkeypatch.setenv("LAYERLAT_SAMPLES", raw)
+        assert cli_run(["laws", zb]) \
+            == cli_run(["--samples", raw, "laws", zb, "--law-samples", raw])
+        assert cli_run(["validate", zb]) == cli_run(["--samples", raw, "validate", zb])
+        assert cli_run(["validate", zb]) != explicit
+        assert cli_run(["--samples", "7", "validate", zb]) == explicit
+    monkeypatch.delenv("LAYERLAT_SAMPLES")
+    assert cli_run(["laws", zb]) == unset
