@@ -22,7 +22,10 @@ complement, and residuum are all decided from the bunch data:
 `check_embedding` and `standardize._extended_tables` scan one triangle for it.
 
 `check_chain_laws` samples the chain axioms and returns a `report.Report`,
-one `Check` per law.
+one `Check` per law.  It interns every element it meets to an int id and
+decides each value once: compare and the pool products in ordered tables,
+since the laws test that swapping the arguments gives the opposite order and
+the same product, and the other products in a symmetric memo.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class Chain:
         self._op = {u: og.op_fn(g) for u, g in bunch.groups.items()}
         self._inv = {u: og.inv_fn(g) for u, g in bunch.groups.items()}
         self._member = {u: og.member_fn(s) for u, s in bunch.subgroups.items()}
-        self._tr = _CompiledTransitions(bunch)
+        self._tr = _Memo(lambda uv: og.hom_fn(transition(bunch, *uv)))
 
     # -- structure ---------------------------------------------------------
 
@@ -196,16 +199,25 @@ class Chain:
             streams = alive
 
 
-class _CompiledTransitions(dict):
-    """(u, v) -> compiled `transition`; later lookups are plain dict hits."""
+class _Memo(dict):
+    """key -> fn(key), computed on the first lookup; later ones are plain
+    dict hits that run no Python code."""
 
-    def __init__(self, bunch: Bunch):
+    def __init__(self, fn):
         super().__init__()
-        self.bunch = bunch
+        self.fn = fn
 
-    def __missing__(self, key: tuple[str, str]):
-        fn = self[key] = og.hom_fn(transition(self.bunch, *key))
-        return fn
+    def __missing__(self, key):
+        r = self[key] = self.fn(key)
+        return r
+
+
+class _SymmetricMemo(_Memo):
+    """A `_Memo` over pairs that fills (a, b) and (b, a) with one call."""
+
+    def __missing__(self, key):
+        r = self[key] = self[key[::-1]] = self.fn(key)
+        return r
 
 
 # ---------------------------------------------------------------------------
@@ -249,64 +261,41 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     its first failure.  A finite chain gets its whole carrier as the pool only
     when it has at most ``pool_size`` points.
 
-    Each value over a pool pair is decided once.  A pool point is named by
-    its index in ``pool``, and the pair (i, j) by ``i * n + j``: ``order``
-    holds compare(pool[i], pool[j]), ``prod`` the product pool[i] * pool[j]
-    and ``resid`` the residual not(pool[i] * not(pool[j])), each filled on
-    first use, so a lookup hashes no element.  The tables are ordered, entry
-    (i, j) never standing in for (j, i), so commutativity still compares two
-    independently computed products.  Products leave the pool, so the
-    products and complements taken at them go through memos keyed by element.
+    Each value is decided once, over element ids.  Every element the check
+    meets is interned once to an int: pool point i is id i, and products,
+    complements and residua get the next free ids, so a table lookup hashes
+    ids, never an element.  ``order`` holds compare(a, b) at key (a, b) for
+    every id pair the laws ask about, pool pairs and products alike.  It is
+    ordered, (a, b) never standing in for (b, a), because totality tests
+    that the two are opposite.  ``prod`` holds pool[i] * pool[j] at key
+    i * n + j, ordered too, because commutativity compares two independently
+    computed products; ``resid`` holds the residual not(pool[i] * not(pool[j]))
+    there, which is not symmetric in (i, j).  The other products
+    (associativity's, the residua's) go through ``products``, a symmetric
+    memo that fills (a, b) and (b, a) with one call, and complements through
+    ``complements``.  No table refers back to itself, so all are freed on
+    return, not left to the cycle collector.
     """
+    if pool_size < 1:
+        raise ValueError("pool_size must be at least 1")
     pool = list(islice(chain.enumerate_elements(), pool_size))
     n = len(pool)
-    rng = random.Random(seed)
-    triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-               for _ in range(samples)]
+    triples = _sample_triples(n, samples, seed)
     t, f = chain.constants()
-    cmp = chain.compare
-    raw_mul = chain.mul
-    order: list = [None] * (n * n)
-    prod: list = [None] * (n * n)
-    resid: list = [None] * (n * n)
+    raw_cmp, raw_mul, raw_neg = chain.compare, chain.mul, chain.negate
+    elems = list(pool)
 
-    def pool_cmp(i, j):
-        r = order[i * n + j]
-        if r is None:
-            r = order[i * n + j] = cmp(pool[i], pool[j])
-        return r
+    def new_id(x):
+        elems.append(x)
+        return len(elems) - 1
 
-    def pool_mul(i, j):
-        r = prod[i * n + j]
-        if r is None:
-            r = prod[i * n + j] = raw_mul(pool[i], pool[j])
-        return r
-
-    mul_memo: dict = {}
-
-    def mul(a, b):
-        key = (a, b)
-        r = mul_memo.get(key)
-        if r is None:
-            r = raw_mul(a, b)
-            mul_memo[key] = r
-            mul_memo[(b, a)] = r
-        return r
-
-    neg_memo: dict = {}
-
-    def neg(a):
-        r = neg_memo.get(a)
-        if r is None:
-            r = chain.negate(a)
-            neg_memo[a] = r
-        return r
-
-    def pool_resid(i, j):
-        r = resid[i * n + j]
-        if r is None:
-            r = resid[i * n + j] = neg(mul(pool[i], neg(pool[j])))
-        return r
+    ids = _Memo(new_id)
+    ids.update(zip(pool, range(n)))
+    order = _Memo(lambda key: raw_cmp(elems[key[0]], elems[key[1]]))
+    prod = _Memo(lambda key: ids[raw_mul(pool[key // n], pool[key % n])])
+    products = _SymmetricMemo(lambda key: ids[raw_mul(elems[key[0]], elems[key[1]])])
+    complements = _Memo(lambda a: ids[raw_neg(elems[a])])
+    resid = _Memo(lambda key: complements[products[key // n, complements[key % n]]])
 
     results = []
 
@@ -316,25 +305,24 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
 
     failure = None
     for i, j, k in triples:
-        x, y, z = pool[i], pool[j], pool[k]
-        c = pool_cmp(i, j)
-        if c != -pool_cmp(j, i):
-            failure = f"asymmetry broken at {x}, {y}"
-        elif (x == y) != (c == EQ):
-            failure = f"equality vs EQ mismatch at {x}, {y}"
-        elif c <= 0 and pool_cmp(j, k) <= 0 and pool_cmp(i, k) > 0:
-            failure = f"transitivity broken at {x}, {y}, {z}"
+        c = order[i, j]
+        if c != -order[j, i]:
+            failure = f"asymmetry broken at {pool[i]}, {pool[j]}"
+        elif (i == j) != (c == EQ):
+            failure = f"equality vs EQ mismatch at {pool[i]}, {pool[j]}"
+        elif c <= 0 and order[j, k] <= 0 and order[i, k] > 0:
+            failure = f"transitivity broken at {pool[i]}, {pool[j]}, {pool[k]}"
         if failure:
             break
     law("totality", len(triples), failure)
 
     law("commutativity", len(triples), next(
         (f"{pool[i]} * {pool[j]}" for i, j, _ in triples
-         if pool_mul(i, j) != pool_mul(j, i)), None))
+         if prod[i * n + j] != prod[j * n + i]), None))
 
     law("associativity", len(triples), next(
         (f"{pool[i]}, {pool[j]}, {pool[k]}" for i, j, k in triples
-         if mul(pool_mul(i, j), pool[k]) != mul(pool[i], pool_mul(j, k))), None))
+         if products[prod[i * n + j], k] != products[i, prod[j * n + k]]), None))
 
     law("unit", n, next(
         (f"{x}" for x in pool if raw_mul(t, x) != x or raw_mul(x, t) != x), None))
@@ -342,22 +330,40 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     law("monotonicity", len(triples), next(
         (f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}"
          for i, j, k in triples
-         if pool_cmp(i, j) <= 0 and cmp(pool_mul(i, k), pool_mul(j, k)) > 0), None))
+         if order[i, j] <= 0 and order[prod[i * n + k], prod[j * n + k]] > 0), None))
 
     law("adjointness", len(triples), next(
         (f"x={pool[i]}, v={pool[j]}, z={pool[k]}" for i, j, k in triples
-         if (cmp(pool_mul(i, j), pool[k]) <= 0) != (cmp(pool[j], pool_resid(i, k)) <= 0)),
+         if (order[prod[i * n + j], k] <= 0) != (order[j, resid[i * n + k]] <= 0)),
         None))
 
-    law("involution", n, next((f"{x}" for x in pool if neg(neg(x)) != x), None))
+    law("involution", n, next(
+        (f"{pool[i]}" for i in range(n) if complements[complements[i]] != i), None))
 
+    ti, fi = ids[t], ids[f]
     if chain.type() == BunchType.ODD:
-        failure = None if f == t else "odd chain must fix the unit under complement"
-    elif cmp(f, t) != LT:
+        failure = None if fi == ti else "odd chain must fix the unit under complement"
+    elif order[fi, ti] != LT:
         failure = "even chain needs falsum strictly below unit"
     else:
-        failure = next((f"{x} lies strictly between falsum and unit" for x in pool
-                        if cmp(f, x) == LT and cmp(x, t) == LT), None)
+        failure = next((f"{pool[i]} lies strictly between falsum and unit" for i in range(n)
+                        if order[fi, i] == LT and order[i, ti] == LT), None)
     law("falsum-shape", n, failure)
 
     return Report(results, samples, LAWS)
+
+
+def _sample_triples(n: int, samples: int, seed: int) -> list[tuple[int, int, int]]:
+    """``samples`` triples of `random.Random(seed).randrange(n)` draws, drawn
+    as `randrange` draws them, from ``getrandbits`` with the same rejection
+    loop, without its per-call argument checks.  ``n`` must be positive:
+    ``getrandbits(0)`` is 0, so at n = 0 the loop never ends."""
+    bits = random.Random(seed).getrandbits
+    k = n.bit_length()
+    draws = []
+    for _ in range(3 * samples):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        draws.append(r)
+    return list(zip(draws[0::3], draws[1::3], draws[2::3]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -186,20 +187,9 @@ def sup_extend(chain: Chain, placement: RationalPlacement, a: Fraction,
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     qs, best = _extended_tables(chain, placement, depth)
-    count_a = _count_below(qs, a)
-    count_b = _count_below(qs, b)
+    count_a = bisect_left(qs, a)
+    count_b = bisect_left(qs, b)
     if count_a == 0 or count_b == 0:
         return Fraction(0)
     r = best[count_a - 1][count_b - 1]
     return qs[r] if r >= 0 else Fraction(0)
-
-
-def _count_below(qs: list[Fraction], a: Fraction) -> int:
-    lo, hi = 0, len(qs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if qs[mid] < a:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

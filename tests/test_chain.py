@@ -238,6 +238,13 @@ def test_chain_laws_on_seeded_random_bunches():
         assert report.ok, report.render()
 
 
+@pytest.mark.parametrize("pool_size", [0, -1])
+def test_chain_laws_need_a_pool_point(s3_chain, pool_size):
+    for samples in (0, 10):
+        with pytest.raises(ValueError, match="pool_size must be at least 1"):
+            check_chain_laws(s3_chain, samples=samples, pool_size=pool_size)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_finite_carriers_pass_the_axiom_checker_exactly(n):
     tbl, _ = table_of_chain(Chain(fixtures.finite_bunch(n)))

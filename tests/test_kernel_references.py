@@ -5,19 +5,21 @@ Each ``reference_*`` function below is the earlier implementation, kept
 literally but for the `report.Check`s it builds: the law checker with
 element-keyed memos, the embedding checker that maps every element through
 ``element_map``, the ``Fraction``-valued prefix-maximum table behind
-``sup_extend`` (minus its per-placement cache, which now holds rank tables),
-and `validate`'s D2 triple loop, which compiles three transitions and draws
-the sample pool afresh for every triple.  The current kernels decide each
-pool pair once, compare ranks instead of values, and compile each
-transition pair once and stream each layer's samples once; these tests pin
-that their reports and values are unchanged, on passing and on
-deliberately broken inputs.
+``sup_extend`` (minus its per-placement cache, which now holds rank tables)
+with its own binary search, and `validate`'s D2 triple loop, which compiles
+three transitions and draws the sample pool afresh for every triple.  The
+current kernels decide each law value once over interned element ids,
+compare ranks instead of values, and compile each transition pair once and
+stream each layer's samples once; these tests pin that their reports and
+values are unchanged, on passing and on deliberately broken inputs.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 from typing import Callable
@@ -26,14 +28,14 @@ import pytest
 
 from layerlat import bunch as bunch_module, fixtures, ogroup as og
 from layerlat.bunch import Bunch, BunchType, transition, validate
-from layerlat.chain import Chain, check_chain_laws
+from layerlat.chain import Chain, _sample_triples, check_chain_laws
 from layerlat.densify import insert_above
 from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
                             identity_embedding)
 from layerlat.errors import TypeMismatch
 from layerlat.report import EMBED, LAWS, Check, Report
-from layerlat.standardize import (RationalPlacement, _count_below, cantor_map,
-                                  extend_with_products, sup_extend)
+from layerlat.standardize import (RationalPlacement, cantor_map, extend_with_products,
+                                  sup_extend)
 
 EQ, LT = og.EQ, og.LT
 
@@ -328,10 +330,21 @@ def reference_extended_tables(chain: Chain, placement: RationalPlacement,
     return qs, best
 
 
+def count_below(qs: list[Fraction], a: Fraction) -> int:
+    lo, hi = 0, len(qs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if qs[mid] < a:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def reference_sup_extend(tables, a: Fraction, b: Fraction) -> Fraction:
     qs, best = tables
-    count_a = _count_below(qs, a)
-    count_b = _count_below(qs, b)
+    count_a = count_below(qs, a)
+    count_b = count_below(qs, b)
     if count_a == 0 or count_b == 0:
         return Fraction(0)
     return best[count_a - 1][count_b - 1]
@@ -539,6 +552,81 @@ def test_commutativity_failure_matches_the_reference_on_a_non_commutative_mul():
     assert failed
 
 
+def test_law_reports_match_the_reference_on_the_fixtures_at_benchmark_samples():
+    for seed, (name, make) in enumerate(sorted(fixtures.ALL.items())):
+        assert same_laws(Chain(make()), samples=3000, seed=seed).ok, name
+
+
+def negate_off_the_pool(chain):
+    """Reverse every comparison that leaves the first 48 enumerated points,
+    so the failures come from products and residua, not pool pairs."""
+    compare = chain.compare
+    pool = set(islice(chain.enumerate_elements(), 48))
+    return "compare", lambda x, y: (compare(x, y) if x in pool and y in pool
+                                    else -compare(x, y))
+
+
+def test_law_reports_match_the_reference_when_compare_breaks_off_the_pool():
+    reports = [same_laws(chain, samples=400, seed=i)
+               for i, chain in enumerate(broken_chains(negate_off_the_pool))]
+    failed = [{c.clause for c in r.checks if not c.ok} for r in reports]
+    assert sum({"monotonicity", "adjointness"} <= f for f in failed) == 16
+    assert all("totality" not in f for f in failed)
+
+
+def test_the_triple_draw_is_the_randrange_draw():
+    for n in range(1, 65):
+        for seed in range(21):
+            rng = random.Random(seed)
+            expected = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                        for _ in range(40)]
+            assert _sample_triples(n, 40, seed) == expected, (n, seed)
+
+
+# raw `mul` calls made on these chains by the pool-table law checker, which
+# decided each pool pair once but compared products afresh for every triple
+EARLIER_MUL_CALLS = {"finite_bunch(9)": 144, "zb": 4503, "lz2": 5061}
+
+
+@pytest.mark.parametrize("name, make, samples", [
+    ("finite_bunch(9)", lambda: fixtures.finite_bunch(9), 2000),
+    ("zb", fixtures.zb, 3000),
+    ("lz2", fixtures.lz2, 3000),
+])
+def test_each_comparison_is_decided_once(name, make, samples):
+    chain = Chain(make())
+    compare, mul = chain.compare, chain.mul
+    pairs, muls = [], []
+
+    def counted_compare(x, y):
+        pairs.append((x, y))
+        return compare(x, y)
+
+    def counted_mul(x, y):
+        muls.append((x, y))
+        return mul(x, y)
+
+    chain.compare, chain.mul = counted_compare, counted_mul
+    assert check_chain_laws(chain, samples=samples, seed=1).ok
+    assert len(pairs) == len(set(pairs))
+    if name == "finite_bunch(9)":
+        assert len(pairs) <= 81
+    assert len(muls) <= EARLIER_MUL_CALLS[name]
+
+
+def test_the_law_tables_are_freed_on_return():
+    # a table whose fill function refers back to it would keep every
+    # interned element alive until the cycle collector runs
+    chain = Chain(fixtures.lz2())
+    gc.collect()
+    gc.disable()
+    try:
+        check_chain_laws(chain, samples=3000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -616,6 +704,15 @@ def bounded_rationals() -> Bunch:
     the placement order, so the table needs its maximum over both axes."""
     return Bunch(("t", "u"), {"t": "O", "u": "I"}, {"t": og.RAT, "u": og.TRIVIAL},
                  {"u": og.whole(og.TRIVIAL)}, {("t", "u"): og.unit_map(og.RAT, og.TRIVIAL)})
+
+
+def test_bisect_counts_the_points_below_as_the_earlier_loop():
+    rng = random.Random(11)
+    for _ in range(2000):
+        qs = sorted(Fraction(rng.randint(0, 40), rng.randint(1, 12))
+                    for _ in range(rng.randint(0, 30)))
+        a = Fraction(rng.randint(-2, 42), rng.randint(1, 12))
+        assert bisect_left(qs, a) == count_below(qs, a), (qs, a)
 
 
 @pytest.mark.parametrize("make, prefix", [(fixtures.zb, 80),
