@@ -135,7 +135,7 @@ def structural_problems(b: Bunch) -> list[str]:
 
 
 def validate(b: Bunch, samples: int = 100) -> Report:
-    """Check every bunch law; returns a `report.Report` and never raises.
+    """Check every bunch law into a `report.Report`; raises only if samples < 0.
 
     Structural shortcuts are used where a clause holds by construction (a
     constant-unit transition lands in any subgroup; a whole subgroup absorbs
@@ -144,6 +144,8 @@ def validate(b: Bunch, samples: int = 100) -> Report:
     once per layer pair.  D2 is sampled per triple u <= v <= w, streaming
     each layer's samples once, so memory does not grow with ``samples``.
     """
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     report = Report([], samples, VALIDATE)
     problems = structural_problems(b)
     for p in problems:

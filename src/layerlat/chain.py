@@ -21,11 +21,11 @@ complement, and residuum are all decided from the bunch data:
 `mul` commutative (abelian groups, a symmetric dotting rule) by construction;
 `check_embedding` and `standardize._extended_tables` scan one triangle for it.
 
-`check_chain_laws` samples the chain axioms and returns a `report.Report`,
-one `Check` per law.  It interns every element it meets to an int id and
-decides each value once: compare and the pool products in ordered tables,
-since the laws test that swapping the arguments gives the opposite order and
-the same product, and the other products in a symmetric memo.
+`check_chain_laws` samples the chain axioms into a `report.Report`, one
+`Check` per law, deciding each value once over interned int ids; compare
+and the products of pool pairs sit in ordered tables that no law reads
+mirrored.  Points are built with `tuple.__new__` (`_new`), which skips the
+Python frame of NamedTuple's generated `__new__`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import CoverMissing, ParseError, TypeMismatch, UnknownLayer
 from .report import LAWS, Check, Report
 
 LT, EQ, GT = og.LT, og.EQ, og.GT
+_new = tuple.__new__  # _new(ChainElement, (layer, g, dotted)), as ChainElement._make
 
 
 class ChainElement(NamedTuple):
@@ -123,15 +124,15 @@ class Chain:
                 mem = self._member[u]
                 if mem(p) and not (not x.dotted and not y.dotted
                                    and mem(x.g) and mem(y.g)):
-                    return ChainElement(u, p, True)
-            return ChainElement(u, p, False)
+                    return _new(ChainElement, (u, p, True))
+            return _new(ChainElement, (u, p, False))
         if self._idx[u] < self._idx[v]:
             lo, hi = x, y
         else:
             lo, hi = y, x
         w = hi.layer
         p = self._op[w](self._tr[(lo.layer, w)](lo.g), hi.g)
-        return ChainElement(w, p, hi.dotted)
+        return _new(ChainElement, (w, p, hi.dotted))
 
     def negate(self, x: ChainElement) -> ChainElement:
         u = x.layer
@@ -139,14 +140,14 @@ class Chain:
         cls = self._cls[u]
         if cls == "I":
             if not x.dotted and self._member[u](x.g):
-                return ChainElement(u, inv, True)
-            return ChainElement(u, inv, False)
+                return _new(ChainElement, (u, inv, True))
+            return _new(ChainElement, (u, inv, False))
         if cls == "J":
             down = og.g_cover_down(self._group[u], inv)
             if down is None:
                 raise CoverMissing(f"class-J layer {u!r} has no covers")
-            return ChainElement(u, down, False)
-        return ChainElement(u, inv, False)
+            return _new(ChainElement, (u, down, False))
+        return _new(ChainElement, (u, inv, False))
 
     def residuum(self, x: ChainElement, y: ChainElement) -> ChainElement:
         return self.negate(self.mul(x, self.negate(y)))
@@ -179,9 +180,9 @@ class Chain:
         dotted_too = self._cls[u] == "I"
         member = self._member.get(u)
         for g in og.g_enumerate(self._group[u]):
-            block = [ChainElement(u, g, False)]
+            block = [_new(ChainElement, (u, g, False))]
             if dotted_too and member(g):
-                block.append(ChainElement(u, g, True))
+                block.append(_new(ChainElement, (u, g, True)))
             yield block
 
     def enumerate_elements(self) -> Iterator[ChainElement]:
@@ -203,20 +204,14 @@ class _Memo(dict):
     """key -> fn(key), computed on the first lookup; later ones are plain
     dict hits that run no Python code."""
 
+    __slots__ = ("fn",)
+
     def __init__(self, fn):
         super().__init__()
         self.fn = fn
 
     def __missing__(self, key):
         r = self[key] = self.fn(key)
-        return r
-
-
-class _SymmetricMemo(_Memo):
-    """A `_Memo` over pairs that fills (a, b) and (b, a) with one call."""
-
-    def __missing__(self, key):
-        r = self[key] = self[key[::-1]] = self.fn(key)
         return r
 
 
@@ -261,23 +256,23 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     its first failure.  A finite chain gets its whole carrier as the pool only
     when it has at most ``pool_size`` points.
 
-    Each value is decided once, over element ids.  Every element the check
-    meets is interned once to an int: pool point i is id i, and products,
-    complements and residua get the next free ids, so a table lookup hashes
-    ids, never an element.  ``order`` holds compare(a, b) at key (a, b) for
-    every id pair the laws ask about, pool pairs and products alike.  It is
-    ordered, (a, b) never standing in for (b, a), because totality tests
-    that the two are opposite.  ``prod`` holds pool[i] * pool[j] at key
-    i * n + j, ordered too, because commutativity compares two independently
-    computed products; ``resid`` holds the residual not(pool[i] * not(pool[j]))
-    there, which is not symmetric in (i, j).  The other products
-    (associativity's, the residua's) go through ``products``, a symmetric
-    memo that fills (a, b) and (b, a) with one call, and complements through
-    ``complements``.  No table refers back to itself, so all are freed on
-    return, not left to the cycle collector.
+    Each value is decided once, over element ids: pool point i is id i, and
+    every other element met gets the next free id, so lookups hash ints.
+    ``order`` holds compare(a, b) at (a, b), ordered, as totality tests that
+    (a, b) and (b, a) are opposite.  ``prod`` holds every product the laws
+    ask for, each with a pool factor: pool[i] * pool[j] at i * n + j,
+    ordered, as commutativity compares two independently computed products,
+    and non-pool id a times pool point p at a * n + p for both orientations
+    (`times` picks the key).  ``resid`` holds not(pool[i] * not(pool[j])) at
+    i * n + j.  So no ordered pair reaches `Chain.compare` or `Chain.mul`
+    twice.  The tables fill lazily, but the unit law, run first, stores
+    t * x and x * t in row and column 0 of ``prod`` (t is pool point 0).  No
+    table refers back to itself, so all are freed on return.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be at least 1")
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     pool = list(islice(chain.enumerate_elements(), pool_size))
     n = len(pool)
     triples = _sample_triples(n, samples, seed)
@@ -292,10 +287,20 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     ids = _Memo(new_id)
     ids.update(zip(pool, range(n)))
     order = _Memo(lambda key: raw_cmp(elems[key[0]], elems[key[1]]))
-    prod = _Memo(lambda key: ids[raw_mul(pool[key // n], pool[key % n])])
-    products = _SymmetricMemo(lambda key: ids[raw_mul(elems[key[0]], elems[key[1]])])
+    prod = _Memo(lambda key: ids[raw_mul(elems[key // n], pool[key % n])])
     complements = _Memo(lambda a: ids[raw_neg(elems[a])])
-    resid = _Memo(lambda key: complements[products[key // n, complements[key % n]]])
+
+    def times(i, a):  # pool[i] * elems[a], pool pairs in their own orientation
+        return prod[i * n + a if a < n else a * n + i]
+
+    resid = _Memo(lambda key: complements[times(key // n, complements[key % n])])
+
+    unit_failure = None
+    for i, x in enumerate(pool):
+        prod[i] = ids[raw_mul(t, x)]
+        if prod[i] != i or i and prod.setdefault(i * n, ids[raw_mul(x, t)]) != i:
+            unit_failure = f"{x}"
+            break
 
     results = []
 
@@ -322,10 +327,9 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
 
     law("associativity", len(triples), next(
         (f"{pool[i]}, {pool[j]}, {pool[k]}" for i, j, k in triples
-         if products[prod[i * n + j], k] != products[i, prod[j * n + k]]), None))
+         if prod[prod[i * n + j] * n + k] != times(i, prod[j * n + k])), None))
 
-    law("unit", n, next(
-        (f"{x}" for x in pool if raw_mul(t, x) != x or raw_mul(x, t) != x), None))
+    law("unit", n, unit_failure)
 
     law("monotonicity", len(triples), next(
         (f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}"

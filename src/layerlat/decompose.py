@@ -215,6 +215,8 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
     elements (for c, element-layer pairs) it was tried on and its first
     failure; the report's ``samples`` is the number of elements plus pairs.
     """
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     b = chain.bunch
     per_layer = max(1, samples // max(1, len(b.skeleton)))
     pools: dict[str, list[ChainElement]] = {}

@@ -62,6 +62,8 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                     samples: int = 64) -> Report:
     """Run every embedding clause; the element checks are exhaustive
     ("proved") when the source carrier has at most ``samples`` points."""
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     sb, db = src.bunch, dst.bunch
     _typecheck(sb, db, spec)
     report = Report([], samples, EMBED)

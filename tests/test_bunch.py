@@ -20,6 +20,12 @@ def test_s3_validates_every_clause():
     assert {"structure", "G1", "D1", "G3", "D2"} <= clauses
 
 
+def test_validate_needs_a_sample_count_of_at_least_zero():
+    with pytest.raises(ValueError, match="samples must be at least 0"):
+        validate(fixtures.zb(), samples=-1)
+    assert validate(fixtures.zb(), samples=0).ok
+
+
 def test_trivial_group_cannot_be_class_j():
     bad = Bunch(("t", "u"), {"t": "O", "u": "J"},
                 {"t": og.TRIVIAL, "u": og.TRIVIAL}, {},

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 from functools import cmp_to_key
 from itertools import islice
@@ -211,6 +212,22 @@ def test_element_text_round_trip(lz2_chain):
         assert parse_element(lz2_chain, format_element(lz2_chain, x)) == x
 
 
+@pytest.mark.parametrize("name", sorted(fixtures.ALL))
+def test_built_points_are_plain_chain_elements(name):
+    # mul, negate and the enumeration build points with tuple.__new__
+    chain = Chain(fixtures.ALL[name]())
+    pool = list(islice(chain.enumerate_elements(), 48))
+    points = pool + [chain.negate(x) for x in pool]
+    points += [op(x, y) for op in (chain.mul, chain.residuum) for x in pool for y in pool]
+    for z in points:
+        assert type(z) is ChainElement
+        assert z == ChainElement(*z) and hash(z) == hash(ChainElement(*z))
+    for z in set(points):
+        for back in (z._replace(), z._replace(dotted=z.dotted), pickle.loads(pickle.dumps(z)),
+                     parse_element(chain, format_element(chain, z))):
+            assert type(back) is ChainElement and back == z
+
+
 def test_element_text_errors(lz2_chain, s3_chain):
     with pytest.raises(UnknownLayer):
         parse_element(s3_chain, "w:e")
@@ -243,6 +260,12 @@ def test_chain_laws_need_a_pool_point(s3_chain, pool_size):
     for samples in (0, 10):
         with pytest.raises(ValueError, match="pool_size must be at least 1"):
             check_chain_laws(s3_chain, samples=samples, pool_size=pool_size)
+
+
+def test_chain_laws_need_a_sample_count_of_at_least_zero(zb_chain):
+    with pytest.raises(ValueError, match="samples must be at least 0"):
+        check_chain_laws(zb_chain, samples=-1)
+    assert check_chain_laws(zb_chain, samples=0).samples == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

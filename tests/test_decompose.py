@@ -117,6 +117,12 @@ def test_recover_identities_exhaustive_on_s3(s3_chain):
     assert report.ok, report.render()
 
 
+def test_recover_identities_need_a_sample_count_of_at_least_zero(zb_chain):
+    with pytest.raises(ValueError, match="samples must be at least 0"):
+        recover_bunch_samples(zb_chain, samples=-1)
+    assert recover_bunch_samples(zb_chain, samples=0).ok
+
+
 @pytest.mark.parametrize("name", ["zb", "lz", "lz2", "jz"])
 def test_recover_identities_sampled(name):
     chain = Chain(fixtures.ALL[name]())

@@ -30,6 +30,13 @@ def test_element_checks_are_proved_only_on_the_whole_carrier():
             assert report.first(clause).method == method, (samples, clause)
 
 
+def test_embedding_check_needs_a_sample_count_of_at_least_zero(zb_chain):
+    spec = identity_embedding(zb_chain.bunch)
+    with pytest.raises(ValueError, match="samples must be at least 0"):
+        check_embedding(zb_chain, zb_chain, spec, samples=-1)
+    assert check_embedding(zb_chain, zb_chain, spec, samples=0).ok
+
+
 def test_exhaustive_pass_implies_monomorphism(s3_chain):
     receipt = insert_above(s3_chain.bunch, "u")
     target = Chain(receipt.new_bunch)

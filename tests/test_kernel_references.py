@@ -627,6 +627,175 @@ def test_the_law_tables_are_freed_on_return():
         gc.enable()
 
 
+def literal_laws(chain: Chain, samples: int, seed: int,
+                 pool_size: int = 48) -> list[tuple[str, bool, str]]:
+    """(clause, ok, detail) of each law `check_chain_laws` checks, with every
+    value computed afresh by the chain's own calls, in the orientation the
+    law writes it.  `reference_check_chain_laws` memoizes products
+    symmetrically, so on a `mul` that is not commutative it may answer
+    y * x with the x * y it computed first; no product here stands in for
+    its mirror."""
+    pool = list(islice(chain.enumerate_elements(), pool_size))
+    triples = [(pool[i], pool[j], pool[k])
+               for i, j, k in _sample_triples(len(pool), samples, seed)]
+    t, f = chain.constants()
+    cmp, mul, neg = chain.compare, chain.mul, chain.negate
+
+    def first(details) -> str:
+        return next((d for d in details if d), "")
+
+    def totality(x, y, z) -> str:
+        if cmp(x, y) != -cmp(y, x):
+            return f"asymmetry broken at {x}, {y}"
+        if (x == y) != (cmp(x, y) == EQ):
+            return f"equality vs EQ mismatch at {x}, {y}"
+        if cmp(x, y) <= 0 and cmp(y, z) <= 0 and cmp(x, z) > 0:
+            return f"transitivity broken at {x}, {y}, {z}"
+        return ""
+
+    if chain.type() == BunchType.ODD:
+        falsum = "" if f == t else "odd chain must fix the unit under complement"
+    elif cmp(f, t) != LT:
+        falsum = "even chain needs falsum strictly below unit"
+    else:
+        falsum = first(f"{x} lies strictly between falsum and unit" for x in pool
+                       if cmp(f, x) == LT and cmp(x, t) == LT)
+    details = [
+        ("totality", first(totality(x, y, z) for x, y, z in triples)),
+        ("commutativity", first(f"{x} * {y}" for x, y, _ in triples
+                                if mul(x, y) != mul(y, x))),
+        ("associativity", first(f"{x}, {y}, {z}" for x, y, z in triples
+                                if mul(mul(x, y), z) != mul(x, mul(y, z)))),
+        ("unit", first(f"{x}" for x in pool if mul(t, x) != x or mul(x, t) != x)),
+        ("monotonicity", first(f"{x} <= {y} but products reversed with {z}"
+                               for x, y, z in triples
+                               if cmp(x, y) <= 0 and cmp(mul(x, z), mul(y, z)) > 0)),
+        ("adjointness", first(f"x={x}, v={v}, z={z}" for x, v, z in triples
+                              if (cmp(mul(x, v), z) <= 0) != (cmp(v, neg(mul(x, neg(z)))) <= 0))),
+        ("involution", first(f"{x}" for x in pool if neg(neg(x)) != x)),
+        ("falsum-shape", falsum),
+    ]
+    return [(clause, not detail, detail) for clause, detail in details]
+
+
+def verdicts(report: Report) -> list[tuple[str, bool, str]]:
+    return [(c.clause, c.ok, c.detail) for c in report.checks]
+
+
+def test_the_literal_laws_match_the_reference_on_fixtures_and_random_bunches():
+    # where `mul` commutes, the reference's symmetric memo changes nothing
+    for seed, (name, b) in enumerate(law_bunches()[:40]):
+        chain = Chain(b)
+        expected = verdicts(reference_check_chain_laws(chain, samples=200, seed=seed))
+        assert literal_laws(chain, 200, seed) == expected, name
+
+
+def test_the_unit_is_pool_point_zero():
+    # check_chain_laws reads t * x and x * t from row and column 0
+    for name, b in law_bunches():
+        chain = Chain(b)
+        assert next(chain.enumerate_elements()) == chain.constants()[0], name
+
+
+def right_unit_lost(chain):
+    """x * t gives t, not x, for every x other than t; t * x stays right."""
+    mul = chain.mul
+    t, _ = chain.constants()
+    return "mul", lambda x, y: y if y == t and x != t else mul(x, y)
+
+
+def test_unit_failure_matches_the_reference_when_only_x_times_t_breaks():
+    for i, chain in enumerate(broken_chains(right_unit_lost)):
+        new = check_chain_laws(chain, samples=400, seed=i).first("unit")
+        ref = reference_check_chain_laws(chain, samples=400, seed=i).first("unit")
+        assert (new.ok, new.detail, new.samples) == (ref.ok, ref.detail, ref.samples)
+        assert (new.clause, new.ok, new.detail) == literal_laws(chain, 400, i)[3]
+        assert new.ok == (new.samples == 1)  # only a one-point pool passes
+
+
+def mul_broken_below_the_diagonal(chain):
+    """pool[i] * pool[j] is the complement of the product when i > j, among
+    the first 48 enumerated points; every other product is right."""
+    mul, negate = chain.mul, chain.negate
+    index = {x: i for i, x in enumerate(islice(chain.enumerate_elements(), 48))}
+
+    def broken(x, y):
+        i, j = index.get(x), index.get(y)
+        if i is not None and j is not None and i > j:
+            return negate(mul(x, y))
+        return mul(x, y)
+    return "mul", broken
+
+
+# the laws `reference_check_chain_laws` decides from raw calls alone, so in
+# the orientation the law writes, on a `mul` that is not commutative too
+RAW_IN_THE_REFERENCE = {"totality", "commutativity", "unit", "involution", "falsum-shape"}
+
+
+def test_law_reports_read_each_pool_pair_in_its_own_orientation():
+    failed = set()
+    for i, chain in enumerate(broken_chains(mul_broken_below_the_diagonal)):
+        new = verdicts(check_chain_laws(chain, samples=400, seed=i))
+        assert new == literal_laws(chain, 400, i)
+        ref = verdicts(reference_check_chain_laws(chain, samples=400, seed=i))
+        assert [v for v in new if v[0] in RAW_IN_THE_REFERENCE] == \
+            [v for v in ref if v[0] in RAW_IN_THE_REFERENCE]
+        failed |= {clause for clause, ok, _ in new if not ok}
+    assert failed == {"commutativity", "associativity", "unit", "monotonicity",
+                      "adjointness"}
+
+
+def count_calls(chain: Chain) -> dict[str, list[tuple]]:
+    """Wrap the chain's compare, mul and negate to record every call."""
+    calls: dict[str, list[tuple]] = {}
+    for name in ("compare", "mul", "negate"):
+        raw, seen = getattr(chain, name), calls.setdefault(name, [])
+
+        def counted(*args, raw=raw, seen=seen):
+            seen.append(args)
+            return raw(*args)
+        setattr(chain, name, counted)
+    return calls
+
+
+# raw `mul` calls of the ordered pool table on these chains, and `compare`
+# calls of the interned-id checker before it, which multiplied 144, 4,503
+# and 5,061 times, repeating 63, 1,253 and 1,255 ordered pairs
+ORDERED_POOL_MUL_CALLS = {"finite_bunch(9)": 81, "zb": 3255, "lz2": 3813}
+EARLIER_COMPARE_CALLS = {"finite_bunch(9)": 81, "zb": 3794, "lz2": 4637}
+
+
+@pytest.mark.parametrize("name, make, samples", [
+    ("finite_bunch(9)", lambda: fixtures.finite_bunch(9), 2000),
+    ("zb", fixtures.zb, 3000),
+    ("lz2", fixtures.lz2, 3000),
+])
+def test_each_ordered_pair_reaches_mul_at_most_once(name, make, samples):
+    chain = Chain(make())
+    calls = count_calls(chain)
+    assert check_chain_laws(chain, samples=samples, seed=1).ok
+    assert len(calls["mul"]) == len(set(calls["mul"]))
+    assert len(calls["mul"]) <= ORDERED_POOL_MUL_CALLS[name]
+    assert len(calls["compare"]) <= EARLIER_COMPARE_CALLS[name]
+
+
+# (compare, negate) calls of the earlier checker at samples=0; filling both
+# pool tables eagerly would make 48 * 48 compare and mul calls instead
+EARLIER_CALLS_AT_NO_SAMPLES = {"jz": (0, 50), "lz": (0, 52), "lz2": (0, 50),
+                               "s3": (0, 4), "zb": (0, 50), "ze": (73, 51)}
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL))
+def test_no_samples_cost_only_the_unit_law_products(name):
+    chain = Chain(fixtures.ALL[name]())
+    n = len(list(islice(chain.enumerate_elements(), 48)))
+    calls = count_calls(chain)
+    assert check_chain_laws(chain, samples=0).ok
+    assert len(calls["mul"]) <= 2 * n
+    compares, negates = EARLIER_CALLS_AT_NO_SAMPLES[name]
+    assert len(calls["compare"]) <= compares and len(calls["negate"]) <= negates
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
