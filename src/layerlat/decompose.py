@@ -218,7 +218,7 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
     if samples < 0:
         raise ValueError("samples must be at least 0")
     b = chain.bunch
-    per_layer = max(1, samples // max(1, len(b.skeleton)))
+    per_layer = max(1, samples // len(b.skeleton)) if samples else 0
     pools: dict[str, list[ChainElement]] = {}
     for u in b.skeleton:
         pool = []

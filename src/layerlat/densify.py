@@ -6,14 +6,18 @@ rewires the covering steps, and gives the new layer the whole subgroup.  The
 source bunch embeds coordinatewise-identically, and the copy of an element
 is its upper (insert_above) or lower (insert_below) cover in the new chain.
 
-fill_gap picks an insertion and a witness strictly between an ordered pair:
-when the lifted group parts compare strictly, the pair is separated by a
-copy of the right endpoint (dotted above its layer when the endpoint is
-dotted or below-insertion is unavailable, undotted below it otherwise, with
-the left endpoint's copy above the unit layer for unit-layer pairs); when
-the lifted parts tie, the dispatch follows which tie-breaking clause ordered
-the pair (2a/2b: undotted copy below the right layer; 2c: dotted copy below
-the left layer).
+fill_gap picks an insertion and a witness strictly between an ordered pair
+(`_plan`): when the lifted group parts compare strictly, the pair is
+separated by a copy of the right endpoint (dotted above its layer when the
+endpoint is dotted or below-insertion is unavailable, undotted below it
+otherwise, with the left endpoint's copy above the unit layer for unit-layer
+pairs); when the lifted parts tie, the dispatch follows which tie-breaking
+clause ordered the pair (2a/2b: undotted copy below the right layer; 2c:
+dotted copy below the left layer).
+
+densify_driver makes one splice and one Chain per pass, planned against the
+chain at the start of the round: the pairs of a pass are old points, whose
+order and transitions no insertion changes (new steps are identities).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import ogroup as og
 from .bunch import Bunch, BunchType
@@ -57,74 +61,80 @@ class TraceRecord:
     witness: ChainElement
 
 
-def fresh_label(b: Bunch, v: str, above: bool) -> str:
+def fresh_label(labels, v: str, above: bool) -> str:
+    """The first of ``v+1, v+2, ...`` (``v-1, ...`` below) not in ``labels``."""
     sign = "+" if above else "-"
     k = 1
-    while f"{v}{sign}{k}" in b.partition:
+    while f"{v}{sign}{k}" in labels:
         k += 1
     return f"{v}{sign}{k}"
 
 
-def _insert(b: Bunch, v: str, above: bool, label: str | None) -> InsertionReceipt:
-    pos = b.index(v)
-    new = label if label is not None else fresh_label(b, v, above)
-    if new in b.partition:
-        raise UnknownLayer(f"label {new!r} already in the skeleton")
-    group = b.groups[v]
-    at = pos + 1 if above else pos
-    skeleton = b.skeleton[:at] + (new,) + b.skeleton[at:]
-    partition = dict(b.partition) | {new: "I"}
-    groups = dict(b.groups) | {new: group}
-    subgroups = dict(b.subgroups) | {new: og.whole(group)}
-    steps = dict(b.steps)
+def _obstruction(b: Bunch, v: str, above: bool) -> Exception | None:
+    """What inserting next to ``v`` would raise, if anything."""
+    if b.partition.get(v) is None:
+        return UnknownLayer(f"layer {v!r} not in skeleton")
     if above:
-        nxt = b.skeleton[pos + 1] if pos + 1 < len(b.skeleton) else None
-        if nxt is not None:
-            steps[(new, nxt)] = steps.pop((v, nxt))
-        steps[(v, new)] = og.identity(group)
-    else:
-        prev = b.skeleton[pos - 1]
-        steps[(prev, new)] = steps.pop((prev, v))
-        steps[(new, v)] = og.identity(group)
-    new_bunch = Bunch(skeleton, partition, groups, subgroups, steps)
-    iota = identity_embedding(b)
-    maker = lambda g: ChainElement(new, g, False)
-    return InsertionReceipt(new_bunch, new, iota, maker)
+        if b.partition[v] == "J":
+            return LayerClassError(
+                f"cannot insert above class-J layer {v!r}: the copy step would "
+                "have to identify the unit with its lower cover")
+    elif v == b.least():
+        return LeastLayerError("cannot insert below the least layer")
+    elif b.partition[v] == "I" and not og.subgroup_is_whole(b.subgroups[v]):
+        return SubgroupObstruction(
+            f"cannot insert below {v!r}: the copy-to-original step is onto "
+            "the whole group and cannot land in the proper subgroup")
+    return None
+
+
+def _splice(b: Bunch, insertions: list[tuple[str, bool, str]]) -> Bunch:
+    """Every ``(v, above, label)`` inserted as if one at a time, the latest
+    nearest ``v``: each old layer and its copies form a block joined by
+    identity steps, and an old step joins two blocks."""
+    partition, groups, subgroups = dict(b.partition), dict(b.groups), dict(b.subgroups)
+    below, above = {}, {}
+    for v, up, label in insertions:
+        if label in partition:
+            raise UnknownLayer(f"label {label!r} already in the skeleton")
+        (above if up else below).setdefault(v, []).append(label)
+        partition[label] = "I"
+        groups[label] = b.groups[v]
+        subgroups[label] = og.whole(b.groups[v])
+    skeleton, steps = [], {}
+    for w in b.skeleton:
+        block = [*below.get(w, ()), w, *reversed(above.get(w, ()))]
+        if skeleton:
+            steps[(skeleton[-1], block[0])] = b.steps[(last, w)]
+        ident = og.identity(b.groups[w])
+        steps.update((pair, ident) for pair in zip(block, block[1:]))
+        skeleton += block
+        last = w
+    return Bunch(tuple(skeleton), partition, groups, subgroups, steps)
+
+
+def _insert_one(b: Bunch, v: str, above: bool, label: str | None) -> InsertionReceipt:
+    if error := _obstruction(b, v, above):
+        raise error
+    new = label if label is not None else fresh_label(b.partition, v, above)
+    return InsertionReceipt(_splice(b, [(v, above, new)]), new, identity_embedding(b),
+                            lambda g: ChainElement(new, g, False))
 
 
 def insert_above(b: Bunch, v: str, label: str | None = None) -> InsertionReceipt:
     """Extend the bunch with a copy layer covering ``v`` in the skeleton."""
-    if b.partition.get(v) is None:
-        raise UnknownLayer(f"layer {v!r} not in skeleton")
-    if b.partition[v] == "J":
-        raise LayerClassError(
-            f"cannot insert above class-J layer {v!r}: the copy step would "
-            "have to identify the unit with its lower cover")
-    return _insert(b, v, True, label)
+    return _insert_one(b, v, True, label)
 
 
 def insert_below(b: Bunch, v: str, label: str | None = None) -> InsertionReceipt:
     """Extend the bunch with a copy layer covered by ``v`` in the skeleton."""
-    if b.partition.get(v) is None:
-        raise UnknownLayer(f"layer {v!r} not in skeleton")
-    if v == b.least():
-        raise LeastLayerError("cannot insert below the least layer")
-    if b.partition[v] == "I" and not og.subgroup_is_whole(b.subgroups[v]):
-        raise SubgroupObstruction(
-            f"cannot insert below {v!r}: the copy-to-original step is onto "
-            "the whole group and cannot land in the proper subgroup")
-    return _insert(b, v, False, label)
+    return _insert_one(b, v, False, label)
 
 
-def fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
-             label: str | None = None) -> GapFillResult:
-    """Extend an odd chain so that something sits strictly between x and y.
-
-    Works for any strictly ordered pair, gap or not.  Raises
-    EvenTypeUnsupported on even chains (their falsum/unit gap cannot be
-    filled without collapsing the constants) and SubgroupObstruction when a
-    required below-insertion targets a proper-subgroup class-I layer.
-    """
+def _plan(chain: Chain, x: ChainElement, y: ChainElement) -> tuple[str, str, bool, og.GElem, bool]:
+    """The case tag, the layer to copy, whether the copy goes above it, and
+    the witness's group part and dot, for separating ``x < y``; builds
+    nothing, but raises whatever the insertion would."""
     if chain.type() != BunchType.ODD:
         raise EvenTypeUnsupported("gap filling needs an odd chain")
     if chain.compare(x, y) != og.LT:
@@ -139,68 +149,87 @@ def fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
     least = b.least()
 
     if strict:
-        below_ok = (v != least
-                    and not (b.partition[v] == "I"
-                             and not og.subgroup_is_whole(b.subgroups[v])))
-        if y.dotted:
-            tag, receipt = "1c", insert_above(b, v, label)
-            witness = ChainElement(receipt.new_layer, y.g, True)
-        elif v == least and u == least:
-            tag, receipt = "1a", insert_above(b, least, label)
-            witness = receipt.witness_maker(x.g)
-        elif below_ok:
-            tag, receipt = "1b", insert_below(b, v, label)
-            witness = receipt.witness_maker(y.g)
+        if not y.dotted and v == least and u == least:
+            plan = "1a", least, True, x.g, False
+        elif not y.dotted and _obstruction(b, v, False) is None:
+            plan = "1b", v, False, y.g, False
         else:
-            # same construction as 1c: the dotted copy of y's group part in a
-            # fresh layer just above y's layer is strictly between the pair
-            tag, receipt = "1c", insert_above(b, v, label)
-            witness = ChainElement(receipt.new_layer, y.g, True)
+            # the dotted copy of y's group part in a fresh layer just above
+            # y's layer, when y is dotted or below-insertion is unavailable
+            plan = "1c", v, True, y.g, True
+    elif iu < iv:
+        plan = "2a", v, False, y.g, False
+    elif iu == iv:
+        if not (x.dotted and not y.dotted):
+            raise InternalInvariant("tied pair in one layer is not dotted below undotted")
+        plan = "2b", v, False, y.g, False
     else:
-        if iu < iv:
-            tag, receipt = "2a", insert_below(b, v, label)
-            witness = receipt.witness_maker(y.g)
-        elif iu == iv:
-            if not (x.dotted and not y.dotted):
-                raise InternalInvariant("tied pair in one layer is not dotted below undotted")
-            tag, receipt = "2b", insert_below(b, v, label)
-            witness = receipt.witness_maker(y.g)
-        else:
-            if not x.dotted:
-                raise InternalInvariant("tied pair across layers has an undotted left end")
-            tag, receipt = "2c", insert_below(b, u, label)
-            witness = ChainElement(receipt.new_layer, x.g, True)
+        if not x.dotted:
+            raise InternalInvariant("tied pair across layers has an undotted left end")
+        plan = "2c", u, False, x.g, True
+    if error := _obstruction(b, plan[1], plan[2]):
+        raise error
+    return plan
 
-    extended = Chain(receipt.new_bunch)
-    if extended.compare(x, witness) != og.LT:
-        raise InternalInvariant("witness not above x")
-    if extended.compare(witness, y) != og.LT:
-        raise InternalInvariant("witness not below y")
-    return GapFillResult(tag, receipt, witness, extended)
+
+def _pass(chain: Chain, pairs: Iterable[tuple[ChainElement, ChainElement]],
+          label: str | None = None) -> tuple[Chain, list[TraceRecord]]:
+    """Separate every ``x < y`` of ``pairs`` in one splice planned against
+    ``chain``, labels counted against those taken so far, and check each
+    witness in the chain of the spliced bunch."""
+    taken = set(chain.bunch.partition)
+    plans, insertions = [], []
+    for x, y in pairs:
+        tag, v, above, g, dotted = _plan(chain, x, y)
+        new = label if label is not None else fresh_label(taken, v, above)
+        taken.add(new)
+        insertions.append((v, above, new))
+        plans.append((tag, x, y, ChainElement(new, g, dotted)))
+    extended = Chain(_splice(chain.bunch, insertions))
+    for _, x, y, witness in plans:
+        if extended.compare(x, witness) != og.LT:
+            raise InternalInvariant("witness not above x")
+        if extended.compare(witness, y) != og.LT:
+            raise InternalInvariant("witness not below y")
+    partition = extended.bunch.partition
+    return extended, [TraceRecord(tag, w.layer, partition[w.layer], x, y, w)
+                      for tag, x, y, w in plans]
+
+
+def fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
+             label: str | None = None) -> GapFillResult:
+    """Extend an odd chain so that something sits strictly between x and y.
+
+    Works for any strictly ordered pair, gap or not.  Raises
+    EvenTypeUnsupported on even chains (their falsum/unit gap cannot be
+    filled without collapsing the constants) and SubgroupObstruction when a
+    required below-insertion targets a proper-subgroup class-I layer.
+    """
+    extended, [record] = _pass(chain, [(x, y)], label)
+    new = record.inserted_layer
+    receipt = InsertionReceipt(extended.bunch, new, identity_embedding(chain.bunch),
+                               lambda g: ChainElement(new, g, False))
+    return GapFillResult(record.case_tag, receipt, record.witness, extended)
 
 
 def densify_driver(chain: Chain, prefix: int, rounds: int) -> tuple[Bunch, list[TraceRecord]]:
     """Materialize the first ``prefix`` elements, then run ``rounds`` passes
     that separate every ordered pair lacking a strictly-between element
     among the materialized set: the adjacent pairs of the sorted set, as a
-    witness never separates a later pair of its pass.  Elements keep their
-    coordinates across insertions because each embedding is the
-    coordinatewise identity."""
+    witness never separates a later pair of its pass.  Each pass is one
+    splice and one Chain (`_pass`; the module docstring says why)."""
     if prefix < 0 or rounds < 0:
         raise ValueError("prefix and rounds must be nonnegative")
     current = chain
     points = list(islice(chain.enumerate_elements(), prefix))
     trace: list[TraceRecord] = []
     for _ in range(rounds):
+        if len(points) < 2:
+            break
         order = sorted(points, key=cmp_to_key(current.compare))
-        for a, c in zip(order, order[1:]):
-            result = fill_gap(current, a, c)
-            current = result.chain
-            points.append(result.witness)
-            trace.append(TraceRecord(
-                result.case_tag, result.receipt.new_layer,
-                result.receipt.new_bunch.partition[result.receipt.new_layer],
-                a, c, result.witness))
+        current, records = _pass(current, zip(order, order[1:]))
+        points += [r.witness for r in records]
+        trace += records
     return current.bunch, trace
 
 

@@ -120,7 +120,15 @@ def test_recover_identities_exhaustive_on_s3(s3_chain):
 def test_recover_identities_need_a_sample_count_of_at_least_zero(zb_chain):
     with pytest.raises(ValueError, match="samples must be at least 0"):
         recover_bunch_samples(zb_chain, samples=-1)
-    assert recover_bunch_samples(zb_chain, samples=0).ok
+    report = recover_bunch_samples(zb_chain, samples=0)
+    assert report.ok and report.samples == 0  # 0 means 0, as in validate
+    assert all(c.samples == 0 for c in report.checks)
+
+
+def test_recover_identities_try_each_layer_once_below_one_per_layer(zb_chain):
+    # a positive request smaller than the layer count still tries every layer
+    report = recover_bunch_samples(zb_chain, samples=1)
+    assert report.first("(a)").samples == 3  # t:0, u:0 and its dotted copy
 
 
 @pytest.mark.parametrize("name", ["zb", "lz", "lz2", "jz"])

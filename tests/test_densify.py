@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from layerlat import fixtures, ogroup as og
+from layerlat import densify, fixtures, ogroup as og
 from layerlat.bunch import bunch_type, validate
 from layerlat.chain import Chain, ChainElement
 from layerlat.decompose import table_of_chain
@@ -243,6 +243,23 @@ def test_driver_skips_already_separated_pairs(s3_chain):
     unseparated = [(a, b) for a in pts for b in pts
                    if ext1.compare(a, b) == LT and not separated(a, b)]
     assert len(second_pass) == len(unseparated)
+
+
+@pytest.mark.parametrize("rounds", range(1, 8))
+def test_driver_builds_one_chain_per_pass(monkeypatch, rounds):
+    # inserting one at a time built 2^(rounds+1) - 2 chains on s3, 62 at rounds 5
+    built = []
+
+    def counted(bunch):
+        built.append(bunch)
+        return Chain(bunch)
+
+    source = Chain(fixtures.s3())
+    monkeypatch.setattr(densify, "Chain", counted)
+    bunch, trace = densify_driver(source, prefix=3, rounds=rounds)
+    assert len(trace) == 2 ** (rounds + 1) - 2
+    assert len(built) <= rounds
+    assert built[-1] is bunch
 
 
 def test_driver_trace_class_audit(s3_chain, zb_chain, lz_chain):

@@ -3,14 +3,17 @@ earlier loops.
 
 Each ``reference_*`` function below is the earlier implementation, kept
 literally but for the `report.Check`s it builds: the law checker with
-element-keyed memos, the embedding checker that maps every element through
+element-keyed memos (ordered, so that a product never stands in for its
+mirror), the embedding checker that maps every element through
 ``element_map``, the ``Fraction``-valued prefix-maximum table behind
 ``sup_extend`` (minus its per-placement cache, which now holds rank tables)
-with its own binary search, and `validate`'s D2 triple loop, which compiles
-three transitions and draws the sample pool afresh for every triple.  The
+with its own binary search, `validate`'s D2 triple loop, which compiles
+three transitions and draws the sample pool afresh for every triple, and the
+densify driver that builds a bunch and its Chain for every insertion.  The
 current kernels decide each law value once over interned element ids,
-compare ranks instead of values, and compile each transition pair once and
-stream each layer's samples once; these tests pin that their reports and
+compare ranks instead of values, compile each transition pair once and
+stream each layer's samples once, and splice each densify pass into one
+bunch; these tests pin that their reports and
 values are unchanged, on passing and on deliberately broken inputs.
 """
 
@@ -21,18 +24,22 @@ import random
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice
 from typing import Callable
 
 import pytest
 
 from layerlat import bunch as bunch_module, fixtures, ogroup as og
-from layerlat.bunch import Bunch, BunchType, transition, validate
-from layerlat.chain import Chain, _sample_triples, check_chain_laws
-from layerlat.densify import insert_above
+from layerlat.bunch import Bunch, BunchType, bunch_type, serialize_bunch, transition, validate
+from layerlat.chain import Chain, ChainElement, _sample_triples, check_chain_laws, format_element
+from layerlat.densify import (GapFillResult, InsertionReceipt, TraceRecord, densify_driver,
+                              fill_gap, insert_above)
 from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
                             identity_embedding)
-from layerlat.errors import TypeMismatch
+from layerlat.errors import (EvenTypeUnsupported, InternalInvariant, LayerClassError,
+                             LeastLayerError, NotLess, SubgroupObstruction, TypeMismatch,
+                             UnknownLayer)
 from layerlat.report import EMBED, LAWS, Check, Report
 from layerlat.standardize import (RationalPlacement, cantor_map, extend_with_products,
                                   sup_extend)
@@ -73,7 +80,6 @@ def reference_check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: i
         if r is None:
             r = raw_mul(a, b)
             mul_memo[key] = r
-            mul_memo[(b, a)] = r
         return r
 
     neg_memo: dict = {}
@@ -631,10 +637,7 @@ def literal_laws(chain: Chain, samples: int, seed: int,
                  pool_size: int = 48) -> list[tuple[str, bool, str]]:
     """(clause, ok, detail) of each law `check_chain_laws` checks, with every
     value computed afresh by the chain's own calls, in the orientation the
-    law writes it.  `reference_check_chain_laws` memoizes products
-    symmetrically, so on a `mul` that is not commutative it may answer
-    y * x with the x * y it computed first; no product here stands in for
-    its mirror."""
+    law writes it, with no memo at all."""
     pool = list(islice(chain.enumerate_elements(), pool_size))
     triples = [(pool[i], pool[j], pool[k])
                for i, j, k in _sample_triples(len(pool), samples, seed)]
@@ -683,7 +686,6 @@ def verdicts(report: Report) -> list[tuple[str, bool, str]]:
 
 
 def test_the_literal_laws_match_the_reference_on_fixtures_and_random_bunches():
-    # where `mul` commutes, the reference's symmetric memo changes nothing
     for seed, (name, b) in enumerate(law_bunches()[:40]):
         chain = Chain(b)
         expected = verdicts(reference_check_chain_laws(chain, samples=200, seed=seed))
@@ -713,36 +715,50 @@ def test_unit_failure_matches_the_reference_when_only_x_times_t_breaks():
         assert new.ok == (new.samples == 1)  # only a one-point pool passes
 
 
-def mul_broken_below_the_diagonal(chain):
-    """pool[i] * pool[j] is the complement of the product when i > j, among
-    the first 48 enumerated points; every other product is right."""
-    mul, negate = chain.mul, chain.negate
-    index = {x: i for i, x in enumerate(islice(chain.enumerate_elements(), 48))}
+def broken_below_the_diagonal(wrong):
+    """A patch whose pool[i] * pool[j] is wrong(x, y, x * y, negate) when
+    i > j, among the first 48 enumerated points; every other product is
+    right."""
+    def patch(chain):
+        mul, negate = chain.mul, chain.negate
+        index = {x: i for i, x in enumerate(islice(chain.enumerate_elements(), 48))}
 
-    def broken(x, y):
-        i, j = index.get(x), index.get(y)
-        if i is not None and j is not None and i > j:
-            return negate(mul(x, y))
-        return mul(x, y)
-    return "mul", broken
+        def broken(x, y):
+            i, j = index.get(x), index.get(y)
+            if i is not None and j is not None and i > j:
+                return wrong(x, y, mul(x, y), negate)
+            return mul(x, y)
+        return "mul", broken
+    return patch
 
 
-# the laws `reference_check_chain_laws` decides from raw calls alone, so in
-# the orientation the law writes, on a `mul` that is not commutative too
-RAW_IN_THE_REFERENCE = {"totality", "commutativity", "unit", "involution", "falsum-shape"}
+BELOW_THE_DIAGONAL = {
+    "left-factor": lambda x, y, p, negate: x,
+    "right-factor": lambda x, y, p, negate: y,
+    "complement": lambda x, y, p, negate: negate(p),
+    "dot-dropped": lambda x, y, p, negate: p._replace(dotted=False),
+}
 
 
 def test_law_reports_read_each_pool_pair_in_its_own_orientation():
     failed = set()
-    for i, chain in enumerate(broken_chains(mul_broken_below_the_diagonal)):
+    patch = broken_below_the_diagonal(BELOW_THE_DIAGONAL["complement"])
+    for i, chain in enumerate(broken_chains(patch)):
         new = verdicts(check_chain_laws(chain, samples=400, seed=i))
         assert new == literal_laws(chain, 400, i)
-        ref = verdicts(reference_check_chain_laws(chain, samples=400, seed=i))
-        assert [v for v in new if v[0] in RAW_IN_THE_REFERENCE] == \
-            [v for v in ref if v[0] in RAW_IN_THE_REFERENCE]
         failed |= {clause for clause, ok, _ in new if not ok}
     assert failed == {"commutativity", "associativity", "unit", "monotonicity",
                       "adjointness"}
+
+
+@pytest.mark.parametrize("name", sorted(BELOW_THE_DIAGONAL))
+def test_law_reports_match_the_reference_on_a_non_commutative_mul(name):
+    # the reference memoizes each product in its own orientation, so every
+    # law, not only those it decides from raw calls, pins the checker here
+    patch = broken_below_the_diagonal(BELOW_THE_DIAGONAL[name])
+    reports = [same_laws(chain, samples=400, seed=i)
+               for i, chain in enumerate(broken_chains(patch))]
+    assert not all(r.ok for r in reports)
 
 
 def count_calls(chain: Chain) -> dict[str, list[tuple]]:
@@ -896,3 +912,216 @@ def test_sup_extend_matches_the_reference_on_a_grid(make, prefix):
         expected = [reference_sup_extend(tables, a, b) for a in grid for b in grid]
         got = [sup_extend(chain, placement, a, b, depth) for a in grid for b in grid]
         assert got == expected, depth
+
+
+# ---------------------------------------------------------------------------
+# densification
+
+
+def reference_fresh_label(b: Bunch, v: str, above: bool) -> str:
+    sign = "+" if above else "-"
+    k = 1
+    while f"{v}{sign}{k}" in b.partition:
+        k += 1
+    return f"{v}{sign}{k}"
+
+
+def reference_insert(b: Bunch, v: str, above: bool, label: str | None) -> InsertionReceipt:
+    pos = b.index(v)
+    new = label if label is not None else reference_fresh_label(b, v, above)
+    if new in b.partition:
+        raise UnknownLayer(f"label {new!r} already in the skeleton")
+    group = b.groups[v]
+    at = pos + 1 if above else pos
+    skeleton = b.skeleton[:at] + (new,) + b.skeleton[at:]
+    partition = dict(b.partition) | {new: "I"}
+    groups = dict(b.groups) | {new: group}
+    subgroups = dict(b.subgroups) | {new: og.whole(group)}
+    steps = dict(b.steps)
+    if above:
+        nxt = b.skeleton[pos + 1] if pos + 1 < len(b.skeleton) else None
+        if nxt is not None:
+            steps[(new, nxt)] = steps.pop((v, nxt))
+        steps[(v, new)] = og.identity(group)
+    else:
+        prev = b.skeleton[pos - 1]
+        steps[(prev, new)] = steps.pop((prev, v))
+        steps[(new, v)] = og.identity(group)
+    new_bunch = Bunch(skeleton, partition, groups, subgroups, steps)
+    iota = identity_embedding(b)
+    maker = lambda g: ChainElement(new, g, False)
+    return InsertionReceipt(new_bunch, new, iota, maker)
+
+
+def reference_insert_above(b: Bunch, v: str, label: str | None = None) -> InsertionReceipt:
+    """Extend the bunch with a copy layer covering ``v`` in the skeleton."""
+    if b.partition.get(v) is None:
+        raise UnknownLayer(f"layer {v!r} not in skeleton")
+    if b.partition[v] == "J":
+        raise LayerClassError(
+            f"cannot insert above class-J layer {v!r}: the copy step would "
+            "have to identify the unit with its lower cover")
+    return reference_insert(b, v, True, label)
+
+
+def reference_insert_below(b: Bunch, v: str, label: str | None = None) -> InsertionReceipt:
+    """Extend the bunch with a copy layer covered by ``v`` in the skeleton."""
+    if b.partition.get(v) is None:
+        raise UnknownLayer(f"layer {v!r} not in skeleton")
+    if v == b.least():
+        raise LeastLayerError("cannot insert below the least layer")
+    if b.partition[v] == "I" and not og.subgroup_is_whole(b.subgroups[v]):
+        raise SubgroupObstruction(
+            f"cannot insert below {v!r}: the copy-to-original step is onto "
+            "the whole group and cannot land in the proper subgroup")
+    return reference_insert(b, v, False, label)
+
+
+def reference_fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
+                       label: str | None = None) -> GapFillResult:
+    """Extend an odd chain so that something sits strictly between x and y."""
+    if chain.type() != BunchType.ODD:
+        raise EvenTypeUnsupported("gap filling needs an odd chain")
+    if chain.compare(x, y) != og.LT:
+        raise NotLess(f"{format_element(chain, x)} is not strictly below "
+                      f"{format_element(chain, y)}")
+    b = chain.bunch
+    u, v = x.layer, y.layer
+    iu, iv = b.index(u), b.index(v)
+    top = b.skeleton[max(iu, iv)]
+    strict = og.cmp_fn(b.groups[top])(
+        chain.zeta(u, top, x), chain.zeta(v, top, y)) != 0
+    least = b.least()
+
+    if strict:
+        below_ok = (v != least
+                    and not (b.partition[v] == "I"
+                             and not og.subgroup_is_whole(b.subgroups[v])))
+        if y.dotted:
+            tag, receipt = "1c", reference_insert_above(b, v, label)
+            witness = ChainElement(receipt.new_layer, y.g, True)
+        elif v == least and u == least:
+            tag, receipt = "1a", reference_insert_above(b, least, label)
+            witness = receipt.witness_maker(x.g)
+        elif below_ok:
+            tag, receipt = "1b", reference_insert_below(b, v, label)
+            witness = receipt.witness_maker(y.g)
+        else:
+            tag, receipt = "1c", reference_insert_above(b, v, label)
+            witness = ChainElement(receipt.new_layer, y.g, True)
+    else:
+        if iu < iv:
+            tag, receipt = "2a", reference_insert_below(b, v, label)
+            witness = receipt.witness_maker(y.g)
+        elif iu == iv:
+            if not (x.dotted and not y.dotted):
+                raise InternalInvariant("tied pair in one layer is not dotted below undotted")
+            tag, receipt = "2b", reference_insert_below(b, v, label)
+            witness = receipt.witness_maker(y.g)
+        else:
+            if not x.dotted:
+                raise InternalInvariant("tied pair across layers has an undotted left end")
+            tag, receipt = "2c", reference_insert_below(b, u, label)
+            witness = ChainElement(receipt.new_layer, x.g, True)
+
+    extended = Chain(receipt.new_bunch)
+    if extended.compare(x, witness) != og.LT:
+        raise InternalInvariant("witness not above x")
+    if extended.compare(witness, y) != og.LT:
+        raise InternalInvariant("witness not below y")
+    return GapFillResult(tag, receipt, witness, extended)
+
+
+def reference_densify_driver(chain: Chain, prefix: int,
+                             rounds: int) -> tuple[Bunch, list[TraceRecord]]:
+    """Materialize the first ``prefix`` elements, then run ``rounds`` passes
+    that separate every adjacent pair of the sorted set, one `fill_gap`, and
+    so one bunch and one Chain, per pair."""
+    if prefix < 0 or rounds < 0:
+        raise ValueError("prefix and rounds must be nonnegative")
+    current = chain
+    points = list(islice(chain.enumerate_elements(), prefix))
+    trace: list[TraceRecord] = []
+    for _ in range(rounds):
+        order = sorted(points, key=cmp_to_key(current.compare))
+        for a, c in zip(order, order[1:]):
+            result = reference_fill_gap(current, a, c)
+            current = result.chain
+            points.append(result.witness)
+            trace.append(TraceRecord(
+                result.case_tag, result.receipt.new_layer,
+                result.receipt.new_bunch.partition[result.receipt.new_layer],
+                a, c, result.witness))
+    return current.bunch, trace
+
+
+def densify_outcome(driver, b: Bunch, prefix: int, rounds: int) -> tuple:
+    """The serialized bunch and the trace, or the class and message raised."""
+    try:
+        bunch, trace = driver(Chain(b), prefix, rounds)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return type(e), str(e)
+    return serialize_bunch(bunch), trace
+
+
+def odd_fixtures() -> list[str]:
+    return [k for k, f in sorted(fixtures.ALL.items()) if bunch_type(f()) == BunchType.ODD]
+
+
+@pytest.mark.parametrize("name", odd_fixtures())
+def test_densify_matches_the_per_insertion_reference_on_odd_fixtures(name):
+    b = fixtures.ALL[name]()
+    for prefix in range(9):
+        for rounds in range(6):
+            assert densify_outcome(densify_driver, b, prefix, rounds) == \
+                densify_outcome(reference_densify_driver, b, prefix, rounds), (prefix, rounds)
+
+
+def test_densify_matches_the_per_insertion_reference_on_random_odd_bunches():
+    rng = random.Random(11)
+    bunches: list[Bunch] = []
+    while len(bunches) < 50:
+        b = fixtures.random_bunch(rng, max_layers=5)
+        if bunch_type(b) == BunchType.ODD:
+            bunches.append(b)
+    raised = 0
+    for i, b in enumerate(bunches):
+        for prefix, rounds in ((4, 2), (6, 2), (3, 3)):
+            got = densify_outcome(densify_driver, b, prefix, rounds)
+            assert got == densify_outcome(reference_densify_driver, b, prefix, rounds), \
+                (i, prefix, rounds)
+            raised += isinstance(got[0], type)
+    assert 0 < raised < 150  # both outcomes are exercised
+
+
+def test_densify_on_even_fixtures_raises_only_once_a_pass_has_a_pair():
+    even = [k for k in sorted(fixtures.ALL) if k not in odd_fixtures()]
+    assert even
+    for name in even:
+        b = fixtures.ALL[name]()
+        for prefix in range(4):
+            for rounds in range(6):
+                got = densify_outcome(densify_driver, b, prefix, rounds)
+                assert got == densify_outcome(reference_densify_driver, b, prefix, rounds)
+                assert (got[0] is EvenTypeUnsupported) == (prefix >= 2 and rounds >= 1)
+
+
+@pytest.mark.parametrize("name", odd_fixtures())
+def test_the_chain_fill_gap_returns_is_the_chain_of_its_bunch(name):
+    chain = Chain(fixtures.ALL[name]())
+    order = sorted(islice(chain.enumerate_elements(), 8), key=cmp_to_key(chain.compare))
+    for x, y in zip(order, order[1:]):
+        try:
+            result = fill_gap(chain, x, y)
+        except SubgroupObstruction:
+            continue
+        rebuilt = Chain(result.receipt.new_bunch)
+        points = list(islice(rebuilt.enumerate_elements(), 200))
+        assert list(islice(result.chain.enumerate_elements(), 200)) == points
+        for a in points:
+            assert result.chain.negate(a) == rebuilt.negate(a)
+            for b in points:
+                assert result.chain.compare(a, b) == rebuilt.compare(a, b)
+                assert result.chain.mul(a, b) == rebuilt.mul(a, b)
+        return
+    raise AssertionError(f"no gap of {name} could be filled")
