@@ -47,6 +47,11 @@ class Bunch:
     # u -> [transition(u, u), transition(u, next layer), ...] as far as asked
     _transitions: dict[str, list[og.Hom]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _positions: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:  # the first position wins, as with tuple.index
+        positions = {u: i for i, u in reversed(tuple(enumerate(self.skeleton)))}
+        object.__setattr__(self, "_positions", positions)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bunch):
@@ -60,8 +65,8 @@ class Bunch:
 
     def index(self, layer: str) -> int:
         try:
-            return self.skeleton.index(layer)
-        except ValueError:
+            return self._positions[layer]
+        except KeyError:
             raise UnknownLayer(f"layer {layer!r} not in skeleton {list(self.skeleton)}") from None
 
     def consecutive_pairs(self) -> list[tuple[str, str]]:

@@ -7,6 +7,14 @@ layers, an undotted/dotted pair.  On symbolic chains the decomposition is
 verified as a family of identities instead of re-derived, since the chain
 already carries its bunch: `recover_bunch_samples` returns a `report.Report`,
 one `Check` per identity.
+
+`roundtrip_table` certifies a table without `check_flea_axioms`: it
+decomposes the table, validates the bunch, and matches order, every product
+cell and both constants with the chain of that bunch.  By the representation
+theorem the chain of a valid bunch is an odd or even involutive FL_e-chain, so
+a table isomorphic to it satisfies every clause of the oracle, associativity
+included, with no n^3 scan.  The full oracle runs, once, only when the
+reconstruction raises, and names the first violation.
 """
 
 from __future__ import annotations
@@ -96,10 +104,16 @@ def decompose_table(tbl: CayleyTable) -> DecompositionResult:
     checked, not assumed: a violation raises InternalInvariant, since it
     would mean the axiom checker is wrong.
     """
-    report = check_flea_axioms(tbl)
-    if not report.ok:
-        bad = report.violations()[0]
-        raise _AXIOM_ERRORS.get(bad.clause, AxiomFailure)(bad.detail, bad.witness)
+    _raise_first_violation(tbl)
+    return _decompose(tbl)
+
+
+def _raise_first_violation(tbl: CayleyTable) -> None:
+    for bad in check_flea_axioms(tbl).violations()[:1]:
+        raise _AXIOM_ERRORS.get(bad.clause, AxiomFailure)(bad.detail, bad.witness) from None
+
+
+def _decompose(tbl: CayleyTable) -> DecompositionResult:
     n, p, t, f = tbl.size, tbl.product, tbl.unit, tbl.falsum
     neg = [brute_residuum(tbl, x, f) for x in range(n)]
     local_unit = [brute_residuum(tbl, x, x) for x in range(n)]
@@ -175,8 +189,18 @@ class RoundTripWitness:
 
 def roundtrip_table(tbl: CayleyTable) -> RoundTripWitness:
     """Explicit order- and product-preserving bijection between ``tbl`` and
-    the chain rebuilt from its decomposition."""
-    result = decompose_table(tbl)
+    the chain rebuilt from its decomposition.  The bijection is the
+    certificate that ``tbl`` satisfies every axiom (see the module
+    docstring).  When the reconstruction raises, `check_flea_axioms` runs
+    once and its first violation is raised, else the original error."""
+    try:
+        return _certify(tbl, _decompose(tbl))
+    except Exception:
+        _raise_first_violation(tbl)
+        raise
+
+
+def _certify(tbl: CayleyTable, result: DecompositionResult) -> RoundTripWitness:
     chain = Chain(result.bunch)
     mapping = result.layer_assignment
     carrier = set(chain.enumerate_elements())

@@ -4,14 +4,15 @@ import types
 
 import pytest
 
-from layerlat import fixtures, ogroup as og
+from layerlat import cli, fixtures, ogroup as og
 from layerlat.bunch import validate
 from layerlat.chain import Chain, ChainElement
 from layerlat.decompose import (decompose_table, recover_bunch_samples,
                                 roundtrip_table, table_of_chain, window_table)
 from layerlat.errors import (AxiomFailure, InfiniteChain, InternalInvariant,
                              NotInvolutive, NotOddOrEven, WindowTooSmall)
-from layerlat.oracle import CayleyTable, brute_residuum, enumerate_finite_chains
+from layerlat.oracle import (CayleyTable, brute_residuum, enumerate_finite_chains,
+                             format_table_csv)
 
 S3_TABLE = CayleyTable(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)), 1, 1)
 EVEN2 = CayleyTable(2, ((0, 0), (0, 1)), 1, 0)
@@ -83,6 +84,23 @@ def test_invalid_decomposition_raises_under_optimisation(monkeypatch):
     monkeypatch.setattr("layerlat.decompose.validate", lambda bunch: failing)
     with pytest.raises(InternalInvariant, match="invalid bunch"):
         roundtrip_table(S3_TABLE)
+
+
+def test_a_table_failing_only_associativity_is_rejected(tmp_path, capsys):
+    # 1 * 1 = 0 keeps every O(n^2) clause of the four-element chain, so
+    # only the full oracle, run after the reconstruction fails, can name it
+    base = table_of_chain(Chain(fixtures.finite_bunch(4)))[0]
+    rows = [list(row) for row in base.product]
+    rows[1][1] = 0
+    tbl = CayleyTable(4, tuple(map(tuple, rows)), base.unit, base.falsum)
+    with pytest.raises(AxiomFailure) as e:
+        roundtrip_table(tbl)
+    assert str(e.value) == "table fails associativity at (1, 1, 3)"
+    assert e.value.witness == (1, 1, 3)
+    path = tmp_path / "t4.csv"
+    path.write_text(format_table_csv(tbl))
+    assert cli.main(["decompose", str(path)]) == 1
+    assert capsys.readouterr().err == "error: table fails associativity at (1, 1, 3)\n"
 
 
 def test_roundtrip_five_element_chain_has_two_dotted_layers():

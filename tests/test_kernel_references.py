@@ -8,13 +8,15 @@ mirror), the embedding checker that maps every element through
 ``element_map``, the ``Fraction``-valued prefix-maximum table behind
 ``sup_extend`` (minus its per-placement cache, which now holds rank tables)
 with its own binary search, `validate`'s D2 triple loop, which compiles
-three transitions and draws the sample pool afresh for every triple, and the
-densify driver that builds a bunch and its Chain for every insertion.  The
-current kernels decide each law value once over interned element ids,
+three transitions and draws the sample pool afresh for every triple, the
+densify driver that builds a bunch and its Chain for every insertion, and
+the table round trip that runs the full axiom oracle before decomposing.
+The current kernels decide each law value once over interned element ids,
 compare ranks instead of values, compile each transition pair once and
-stream each layer's samples once, and splice each densify pass into one
-bunch; these tests pin that their reports and
-values are unchanged, on passing and on deliberately broken inputs.
+stream each layer's samples once, splice each densify pass into one bunch,
+and certify a table by its reconstruction; these tests pin that their
+reports, values and errors are unchanged, on passing and on deliberately
+broken inputs.
 """
 
 from __future__ import annotations
@@ -25,21 +27,27 @@ import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import islice
+from itertools import islice, product
 from typing import Callable
 
 import pytest
 
-from layerlat import bunch as bunch_module, fixtures, ogroup as og
+from layerlat import (bunch as bunch_module, cli, decompose as decompose_module, fixtures,
+                      ogroup as og)
 from layerlat.bunch import Bunch, BunchType, bunch_type, serialize_bunch, transition, validate
 from layerlat.chain import Chain, ChainElement, _sample_triples, check_chain_laws, format_element
+from layerlat.decompose import (DecompositionResult, RoundTripWitness, roundtrip_table,
+                                table_of_chain)
 from layerlat.densify import (GapFillResult, InsertionReceipt, TraceRecord, densify_driver,
                               fill_gap, insert_above)
 from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
                             identity_embedding)
-from layerlat.errors import (EvenTypeUnsupported, InternalInvariant, LayerClassError,
-                             LeastLayerError, NotLess, SubgroupObstruction, TypeMismatch,
-                             UnknownLayer)
+from layerlat.errors import (AxiomFailure, EvenTypeUnsupported, InternalInvariant,
+                             LayerClassError, LeastLayerError, NotInvolutive, NotLess,
+                             NotOddOrEven, RoundTripMismatch, SubgroupObstruction,
+                             TypeMismatch, UnknownLayer)
+from layerlat.oracle import (CayleyTable, brute_residuum, check_flea_axioms,
+                             enumerate_finite_chains, format_table_csv)
 from layerlat.report import EMBED, LAWS, Check, Report
 from layerlat.standardize import (RationalPlacement, cantor_map, extend_with_products,
                                   sup_extend)
@@ -1125,3 +1133,239 @@ def test_the_chain_fill_gap_returns_is_the_chain_of_its_bunch(name):
                 assert result.chain.mul(a, b) == rebuilt.mul(a, b)
         return
     raise AssertionError(f"no gap of {name} could be filled")
+
+
+# ---------------------------------------------------------------------------
+# the table round trip: the full oracle first, then the reconstruction
+
+
+_REFERENCE_AXIOM_ERRORS = {"involution": NotInvolutive, "odd-or-even": NotOddOrEven}
+
+
+def reference_decompose_table(tbl: CayleyTable) -> DecompositionResult:
+    """Split a checked table into its skeleton, partition, and layer data.
+
+    Layers are the positive idempotents; each element lands in the layer of
+    its local unit; an element of a class-I layer is dotted exactly when it
+    is the shifted copy of an invertible one.  Trivial layer groups are
+    checked, not assumed: a violation raises InternalInvariant, since it
+    would mean the axiom checker is wrong.
+    """
+    report = check_flea_axioms(tbl)
+    if not report.ok:
+        bad = report.violations()[0]
+        raise _REFERENCE_AXIOM_ERRORS.get(bad.clause, AxiomFailure)(bad.detail, bad.witness)
+    n, p, t, f = tbl.size, tbl.product, tbl.unit, tbl.falsum
+    neg = [brute_residuum(tbl, x, f) for x in range(n)]
+    local_unit = [brute_residuum(tbl, x, x) for x in range(n)]
+
+    kappa = [u for u in range(n) if u >= t and p[u][u] == u]
+    if kappa != sorted(set(local_unit)):
+        raise InternalInvariant("skeleton characterizations disagree")
+
+    classes: dict[int, str] = {}
+    for u in kappa:
+        if u == t:
+            classes[u] = "O" if f == t else ("I" if p[f][f] == f else "J")
+        else:
+            nu = neg[u]
+            classes[u] = "I" if p[nu][nu] == nu else "J"
+
+    layers: dict[int, list[int]] = {u: [] for u in kappa}
+    for x in range(n):
+        layers[local_unit[x]].append(x)
+
+    names = {u: ("t" if i == 0 else f"u{i}") for i, u in enumerate(kappa)}
+    assignment: dict[int, ChainElement] = {}
+    for u in kappa:
+        name = names[u]
+        if classes[u] == "I":
+            invertible = [x for x in layers[u] if p[x][neg[u]] < x]
+            exists_inverse = [x for x in layers[u]
+                              if any(p[x][y] == u for y in layers[u])]
+            if invertible != exists_inverse:
+                raise InternalInvariant("invertibility characterizations disagree")
+            dotted = {p[x][neg[u]]: x for x in invertible}
+            group_part = [x for x in layers[u] if x not in dotted]
+            # the class-I layer operation, written with double residuation,
+            # must collapse to the plain product on the trivial layer group
+            twisted = brute_residuum(tbl, brute_residuum(tbl, p[u][u], u), u)
+            if twisted != u:
+                raise InternalInvariant("twisted layer product did not collapse")
+            for shifted in dotted:
+                assignment[shifted] = ChainElement(name, og.UNIT, True)
+        else:
+            group_part = list(layers[u])
+        if group_part != [u]:
+            raise InternalInvariant(f"layer group of idempotent {u} is not trivial")
+        if brute_residuum(tbl, u, u) != u:
+            raise InternalInvariant(f"idempotent {u} is not its own local unit")
+        assignment[u] = ChainElement(name, og.UNIT, False)
+    for u in kappa:
+        for v in kappa:
+            if u <= v and p[v][u] != v:
+                raise InternalInvariant("idempotent multiplication is not the transition")
+
+    skeleton = tuple(names[u] for u in kappa)
+    partition = {names[u]: classes[u] for u in kappa}
+    groups = {names[u]: og.TRIVIAL for u in kappa}
+    subgroups = {names[u]: og.whole(og.TRIVIAL) for u in kappa if classes[u] == "I"}
+    steps = {(skeleton[i], skeleton[i + 1]): og.unit_map(og.TRIVIAL, og.TRIVIAL)
+             for i in range(len(skeleton) - 1)}
+    bunch = Bunch(skeleton, partition, groups, subgroups, steps)
+    if not validate(bunch).ok:
+        raise InternalInvariant("decomposition produced an invalid bunch")
+    if len(assignment) != n:
+        raise InternalInvariant("layer assignment is not a bijection")
+    layer_of = {x: assignment[x].layer for x in range(n)}
+    return DecompositionResult(bunch, assignment, layer_of)
+
+
+def reference_roundtrip_table(tbl: CayleyTable) -> RoundTripWitness:
+    """Explicit order- and product-preserving bijection between ``tbl`` and
+    the chain rebuilt from its decomposition."""
+    result = reference_decompose_table(tbl)
+    chain = Chain(result.bunch)
+    mapping = result.layer_assignment
+    carrier = set(chain.enumerate_elements())
+    if set(mapping.values()) != carrier:
+        raise RoundTripMismatch("reconstructed carrier differs from the assignment")
+    for i in range(tbl.size - 1):
+        if chain.compare(mapping[i], mapping[i + 1]) >= 0:
+            raise RoundTripMismatch(f"order mismatch between {i} and {i + 1}")
+    for i in range(tbl.size):
+        for j in range(tbl.size):
+            if chain.mul(mapping[i], mapping[j]) != mapping[tbl.product[i][j]]:
+                raise RoundTripMismatch(f"product mismatch at cell ({i}, {j})")
+    t, f = chain.constants()
+    if mapping[tbl.unit] != t or mapping[tbl.falsum] != f:
+        raise RoundTripMismatch("constants not preserved")
+    return RoundTripWitness(result, mapping, tbl.size)
+
+
+def roundtrip_outcome(roundtrip, tbl: CayleyTable) -> tuple:
+    """The bunch, the mapping and the layers, or the class, message and
+    witness raised."""
+    try:
+        w = roundtrip(tbl)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return type(e), str(e), getattr(e, "witness", None)
+    return w.result.bunch, w.mapping, w.result.layer_of, w.size
+
+
+def finite_table(n: int) -> CayleyTable:
+    return table_of_chain(Chain(fixtures.finite_bunch(n)))[0]
+
+
+def with_cells(tbl: CayleyTable, value: int, *cells: tuple[int, int]) -> CayleyTable:
+    rows = [list(row) for row in tbl.product]
+    for i, j in cells:
+        rows[i][j] = value
+    return CayleyTable(tbl.size, tuple(map(tuple, rows)), tbl.unit, tbl.falsum)
+
+
+def symmetric_mutations(tbl: CayleyTable) -> list[CayleyTable]:
+    """Every table that differs from ``tbl`` in one cell and its mirror."""
+    n, p = tbl.size, tbl.product
+    return [with_cells(tbl, v, (i, j), (j, i))
+            for i in range(n) for j in range(i, n) for v in range(n) if v != p[i][j]]
+
+
+def one_sided_mutations(tbl: CayleyTable) -> list[CayleyTable]:
+    """Every table that differs from ``tbl`` in one off-diagonal cell only
+    (a diagonal cell is its own mirror, so those are symmetric mutations)."""
+    n, p = tbl.size, tbl.product
+    return [with_cells(tbl, v, (i, j))
+            for i in range(n) for j in range(n) if i != j for v in range(n) if v != p[i][j]]
+
+
+def roundtrip_corpus() -> tuple[list[CayleyTable], list[CayleyTable]]:
+    """The lawful tables (every enumerated chain up to 10 elements and the
+    finite chains up to 40) and the altered ones (every single-cell mutation
+    of a finite chain's table up to 9 elements, and the swapped constants)."""
+    lawful = [tbl for n in range(1, 11) for tbl in enumerate_finite_chains(n)]
+    lawful += [finite_table(n) for n in range(1, 41)]
+    altered = [CayleyTable(tbl.size, tbl.product, tbl.falsum, tbl.unit)
+               for tbl in lawful if tbl.unit != tbl.falsum]
+    for n in range(1, 10):
+        altered += symmetric_mutations(finite_table(n)) + one_sided_mutations(finite_table(n))
+    return lawful, altered
+
+
+def test_roundtrip_matches_the_oracle_first_reference(monkeypatch):
+    lawful, altered = roundtrip_corpus()
+    calls = [0]
+
+    def counted(tbl):
+        calls[0] += 1
+        return check_flea_axioms(tbl)
+
+    monkeypatch.setattr(decompose_module, "check_flea_axioms", counted)
+    for tbl in lawful:
+        got = roundtrip_outcome(roundtrip_table, tbl)
+        assert got == roundtrip_outcome(reference_roundtrip_table, tbl), tbl
+        assert isinstance(got[0], Bunch) and calls == [0], tbl
+    for tbl in altered:
+        calls[0] = 0
+        got = roundtrip_outcome(roundtrip_table, tbl)
+        assert got == roundtrip_outcome(reference_roundtrip_table, tbl), tbl
+        # no single-cell change leaves a lawful chain; the full oracle decides
+        # each failure, once
+        assert not isinstance(got[0], Bunch) and calls == [1], tbl
+
+
+def trivial_bunches(layers: int) -> list[Bunch]:
+    """Every bunch of ``layers`` trivial layer groups: O, I or J on the least
+    layer, I or J above it (the only subgroup and step are the whole group
+    and the unit map)."""
+    labels = ("t",) + tuple(f"u{i}" for i in range(1, layers))
+    bunches = []
+    for classes in product("OIJ", *["IJ"] * (layers - 1)):
+        partition = dict(zip(labels, classes))
+        bunches.append(Bunch(
+            labels, partition, {u: og.TRIVIAL for u in labels},
+            {u: og.whole(og.TRIVIAL) for u in labels if partition[u] == "I"},
+            {(labels[i], labels[i + 1]): og.unit_map(og.TRIVIAL, og.TRIVIAL)
+             for i in range(layers - 1)}))
+    return bunches
+
+
+def test_every_valid_trivial_bunch_has_a_lawful_chain():
+    # the premise of `roundtrip_table`'s certificate: the chain of any bunch
+    # `validate` accepts, which `_decompose` may build from an outside table,
+    # passes the full oracle, associativity included
+    accepted = []
+    for layers in range(1, 9):
+        for bunch in trivial_bunches(layers):
+            if validate(bunch).ok:
+                tbl = table_of_chain(Chain(bunch))[0]
+                assert check_flea_axioms(tbl).ok, serialize_bunch(bunch)
+                accepted.append((tbl.size, bunch))
+    assert [(n, fixtures.finite_bunch(n)) for n in range(1, 17)] == accepted
+
+
+@pytest.mark.parametrize("n", range(1, 101))
+def test_roundtrip_recovers_the_finite_bunch(n):
+    assert roundtrip_table(finite_table(n)).result.bunch == fixtures.finite_bunch(n)
+
+
+def associativity_only_tables() -> list[CayleyTable]:
+    """The symmetric mutations of the finite chains' tables up to 9 elements
+    that break associativity and no other clause of the oracle."""
+    return [tbl for n in range(1, 10) for tbl in symmetric_mutations(finite_table(n))
+            if [c.clause for c in check_flea_axioms(tbl).violations()] == ["associativity"]]
+
+
+def test_associativity_only_tables_raise_the_oracle_violation(tmp_path, capsys):
+    tables = associativity_only_tables()
+    assert len(tables) == 55
+    path = tmp_path / "t.csv"
+    for tbl in tables:
+        with pytest.raises(AxiomFailure) as e:
+            roundtrip_table(tbl)
+        expected = roundtrip_outcome(reference_roundtrip_table, tbl)
+        assert (type(e.value), str(e.value), e.value.witness) == expected
+        assert str(e.value) == f"table fails associativity at {e.value.witness}"
+        path.write_text(format_table_csv(tbl))
+        assert cli.main(["decompose", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {e.value}\n"
