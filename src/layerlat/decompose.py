@@ -9,22 +9,27 @@ already carries its bunch: `recover_bunch_samples` returns a `report.Report`,
 one `Check` per identity.
 
 `roundtrip_table` certifies a table without `check_flea_axioms`: it
-decomposes the table, validates the bunch, and matches order, every product
-cell and both constants with the chain of that bunch.  By the representation
+decomposes the table and matches order, every product cell and both
+constants with the chain of the decomposed bunch.  By the representation
 theorem the chain of a valid bunch is an odd or even involutive FL_e-chain, so
 a table isomorphic to it satisfies every clause of the oracle, associativity
-included, with no n^3 scan.  The full oracle runs, once, only when the
-reconstruction raises, and names the first violation.
+included, with no n^3 scan.  The bunch is valid by construction but for G2:
+its groups are trivial, its steps unit maps, its class-I subgroups whole and
+its class O least, so structure, G1, G3, D1 and D2 hold (every hom fixes the
+only element), and G2 fails exactly on a class-J layer (the trivial group is
+not discrete).  The full oracle runs, once, only when the reconstruction
+raises, and names the first violation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import islice
 
 from . import ogroup as og
-from .bunch import Bunch, transition, validate
+from .bunch import Bunch, transition
 from .chain import Chain, ChainElement
 from .errors import (AxiomFailure, InfiniteChain, InternalInvariant, NotInvolutive,
                      NotOddOrEven, RoundTripMismatch, WindowTooSmall)
@@ -57,6 +62,7 @@ def window_table(chain: Chain, limit: int) -> tuple[CayleyTable, list[ChainEleme
 def _table_for(chain: Chain, elems: list[ChainElement], clip: bool) -> CayleyTable:
     index = {x: i for i, x in enumerate(elems)}
     n = len(elems)
+    key = cmp_to_key(chain.compare)
 
     def locate(z: ChainElement) -> int:
         i = index.get(z)
@@ -65,11 +71,7 @@ def _table_for(chain: Chain, elems: list[ChainElement], clip: bool) -> CayleyTab
         if not clip:
             raise InfiniteChain(f"product {z} left the carrier")
         # greatest window element <= z, floored to the window bottom
-        lo = 0
-        for k, e in enumerate(elems):
-            if chain.compare(e, z) <= 0:
-                lo = k
-        return lo
+        return max(bisect_right(elems, key(z), key=key) - 1, 0)
 
     product = tuple(tuple(locate(chain.mul(x, y)) for y in elems) for x in elems)
     t, f = chain.constants()
@@ -96,21 +98,13 @@ _AXIOM_ERRORS = {"involution": NotInvolutive, "odd-or-even": NotOddOrEven}
 
 
 def decompose_table(tbl: CayleyTable) -> DecompositionResult:
-    """Split a checked table into its skeleton, partition, and layer data.
+    """Split a lawful table into its skeleton, partition, and layer data.
 
     Layers are the positive idempotents; each element lands in the layer of
     its local unit; an element of a class-I layer is dotted exactly when it
-    is the shifted copy of an invertible one.  Trivial layer groups are
-    checked, not assumed: a violation raises InternalInvariant, since it
-    would mean the axiom checker is wrong.
+    is the shifted copy of an invertible one.  Certified by `roundtrip_table`.
     """
-    _raise_first_violation(tbl)
-    return _decompose(tbl)
-
-
-def _raise_first_violation(tbl: CayleyTable) -> None:
-    for bad in check_flea_axioms(tbl).violations()[:1]:
-        raise _AXIOM_ERRORS.get(bad.clause, AxiomFailure)(bad.detail, bad.witness) from None
+    return roundtrip_table(tbl).result
 
 
 def _decompose(tbl: CayleyTable) -> DecompositionResult:
@@ -172,7 +166,7 @@ def _decompose(tbl: CayleyTable) -> DecompositionResult:
     steps = {(skeleton[i], skeleton[i + 1]): og.unit_map(og.TRIVIAL, og.TRIVIAL)
              for i in range(len(skeleton) - 1)}
     bunch = Bunch(skeleton, partition, groups, subgroups, steps)
-    if not validate(bunch).ok:
+    if not bunch.kappa_j_free():  # exactly `validate(bunch).ok` here
         raise InternalInvariant("decomposition produced an invalid bunch")
     if len(assignment) != n:
         raise InternalInvariant("layer assignment is not a bijection")
@@ -190,13 +184,15 @@ class RoundTripWitness:
 def roundtrip_table(tbl: CayleyTable) -> RoundTripWitness:
     """Explicit order- and product-preserving bijection between ``tbl`` and
     the chain rebuilt from its decomposition.  The bijection is the
-    certificate that ``tbl`` satisfies every axiom (see the module
+    certificate that ``tbl`` satisfies every axiom, since the decomposed
+    bunch is valid exactly when it is class-J free (see the module
     docstring).  When the reconstruction raises, `check_flea_axioms` runs
     once and its first violation is raised, else the original error."""
     try:
         return _certify(tbl, _decompose(tbl))
     except Exception:
-        _raise_first_violation(tbl)
+        for bad in check_flea_axioms(tbl).violations()[:1]:
+            raise _AXIOM_ERRORS.get(bad.clause, AxiomFailure)(bad.detail, bad.witness) from None
         raise
 
 

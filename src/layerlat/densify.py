@@ -91,12 +91,11 @@ def _obstruction(b: Bunch, v: str, above: bool) -> Exception | None:
 def _splice(b: Bunch, insertions: list[tuple[str, bool, str]]) -> Bunch:
     """Every ``(v, above, label)`` inserted as if one at a time, the latest
     nearest ``v``: each old layer and its copies form a block joined by
-    identity steps, and an old step joins two blocks."""
+    identity steps, and an old step joins two blocks.  Every ``label`` is a
+    `fresh_label`, so none is in the skeleton already."""
     partition, groups, subgroups = dict(b.partition), dict(b.groups), dict(b.subgroups)
     below, above = {}, {}
     for v, up, label in insertions:
-        if label in partition:
-            raise UnknownLayer(f"label {label!r} already in the skeleton")
         (above if up else below).setdefault(v, []).append(label)
         partition[label] = "I"
         groups[label] = b.groups[v]
@@ -113,22 +112,22 @@ def _splice(b: Bunch, insertions: list[tuple[str, bool, str]]) -> Bunch:
     return Bunch(tuple(skeleton), partition, groups, subgroups, steps)
 
 
-def _insert_one(b: Bunch, v: str, above: bool, label: str | None) -> InsertionReceipt:
+def _insert_one(b: Bunch, v: str, above: bool) -> InsertionReceipt:
     if error := _obstruction(b, v, above):
         raise error
-    new = label if label is not None else fresh_label(b.partition, v, above)
+    new = fresh_label(b.partition, v, above)
     return InsertionReceipt(_splice(b, [(v, above, new)]), new, identity_embedding(b),
                             lambda g: ChainElement(new, g, False))
 
 
-def insert_above(b: Bunch, v: str, label: str | None = None) -> InsertionReceipt:
+def insert_above(b: Bunch, v: str) -> InsertionReceipt:
     """Extend the bunch with a copy layer covering ``v`` in the skeleton."""
-    return _insert_one(b, v, True, label)
+    return _insert_one(b, v, True)
 
 
-def insert_below(b: Bunch, v: str, label: str | None = None) -> InsertionReceipt:
+def insert_below(b: Bunch, v: str) -> InsertionReceipt:
     """Extend the bunch with a copy layer covered by ``v`` in the skeleton."""
-    return _insert_one(b, v, False, label)
+    return _insert_one(b, v, False)
 
 
 def _plan(chain: Chain, x: ChainElement, y: ChainElement) -> tuple[str, str, bool, og.GElem, bool]:
@@ -172,8 +171,8 @@ def _plan(chain: Chain, x: ChainElement, y: ChainElement) -> tuple[str, str, boo
     return plan
 
 
-def _pass(chain: Chain, pairs: Iterable[tuple[ChainElement, ChainElement]],
-          label: str | None = None) -> tuple[Chain, list[TraceRecord]]:
+def _pass(chain: Chain,
+          pairs: Iterable[tuple[ChainElement, ChainElement]]) -> tuple[Chain, list[TraceRecord]]:
     """Separate every ``x < y`` of ``pairs`` in one splice planned against
     ``chain``, labels counted against those taken so far, and check each
     witness in the chain of the spliced bunch."""
@@ -181,7 +180,7 @@ def _pass(chain: Chain, pairs: Iterable[tuple[ChainElement, ChainElement]],
     plans, insertions = [], []
     for x, y in pairs:
         tag, v, above, g, dotted = _plan(chain, x, y)
-        new = label if label is not None else fresh_label(taken, v, above)
+        new = fresh_label(taken, v, above)
         taken.add(new)
         insertions.append((v, above, new))
         plans.append((tag, x, y, ChainElement(new, g, dotted)))
@@ -196,8 +195,7 @@ def _pass(chain: Chain, pairs: Iterable[tuple[ChainElement, ChainElement]],
                       for tag, x, y, w in plans]
 
 
-def fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
-             label: str | None = None) -> GapFillResult:
+def fill_gap(chain: Chain, x: ChainElement, y: ChainElement) -> GapFillResult:
     """Extend an odd chain so that something sits strictly between x and y.
 
     Works for any strictly ordered pair, gap or not.  Raises
@@ -205,7 +203,7 @@ def fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
     filled without collapsing the constants) and SubgroupObstruction when a
     required below-insertion targets a proper-subgroup class-I layer.
     """
-    extended, [record] = _pass(chain, [(x, y)], label)
+    extended, [record] = _pass(chain, [(x, y)])
     new = record.inserted_layer
     receipt = InsertionReceipt(extended.bunch, new, identity_embedding(chain.bunch),
                                lambda g: ChainElement(new, g, False))

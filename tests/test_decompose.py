@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import types
-
 import pytest
 
 from layerlat import cli, fixtures, ogroup as og
-from layerlat.bunch import validate
+from layerlat.bunch import Bunch, validate
 from layerlat.chain import Chain, ChainElement
 from layerlat.decompose import (decompose_table, recover_bunch_samples,
                                 roundtrip_table, table_of_chain, window_table)
@@ -80,8 +78,7 @@ def test_roundtrip_on_enumerated_chains(n):
 
 def test_invalid_decomposition_raises_under_optimisation(monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
-    failing = types.SimpleNamespace(ok=False)
-    monkeypatch.setattr("layerlat.decompose.validate", lambda bunch: failing)
+    monkeypatch.setattr(Bunch, "kappa_j_free", lambda self: False)
     with pytest.raises(InternalInvariant, match="invalid bunch"):
         roundtrip_table(S3_TABLE)
 

@@ -9,14 +9,15 @@ mirror), the embedding checker that maps every element through
 ``sup_extend`` (minus its per-placement cache, which now holds rank tables)
 with its own binary search, `validate`'s D2 triple loop, which compiles
 three transitions and draws the sample pool afresh for every triple, the
-densify driver that builds a bunch and its Chain for every insertion, and
-the table round trip that runs the full axiom oracle before decomposing.
+densify driver that builds a bunch and its Chain for every insertion, the
+table decomposition and round trip that run the full axiom oracle before
+decomposing, and the window export that floors a product by a linear scan.
 The current kernels decide each law value once over interned element ids,
 compare ranks instead of values, compile each transition pair once and
 stream each layer's samples once, splice each densify pass into one bunch,
-and certify a table by its reconstruction; these tests pin that their
-reports, values and errors are unchanged, on passing and on deliberately
-broken inputs.
+certify a table by its reconstruction and floor by bisection; these tests
+pin that their reports, values and errors are unchanged, on passing and on
+deliberately broken inputs.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from layerlat import (bunch as bunch_module, cli, decompose as decompose_module,
                       ogroup as og)
 from layerlat.bunch import Bunch, BunchType, bunch_type, serialize_bunch, transition, validate
 from layerlat.chain import Chain, ChainElement, _sample_triples, check_chain_laws, format_element
-from layerlat.decompose import (DecompositionResult, RoundTripWitness, roundtrip_table,
-                                table_of_chain)
+from layerlat.decompose import (DecompositionResult, RoundTripWitness, decompose_table,
+                                roundtrip_table, table_of_chain, window_table)
 from layerlat.densify import (GapFillResult, InsertionReceipt, TraceRecord, densify_driver,
                               fill_gap, insert_above)
 from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
@@ -45,7 +46,7 @@ from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_
 from layerlat.errors import (AxiomFailure, EvenTypeUnsupported, InternalInvariant,
                              LayerClassError, LeastLayerError, NotInvolutive, NotLess,
                              NotOddOrEven, RoundTripMismatch, SubgroupObstruction,
-                             TypeMismatch, UnknownLayer)
+                             TypeMismatch, UnknownLayer, WindowTooSmall)
 from layerlat.oracle import (CayleyTable, brute_residuum, check_flea_axioms,
                              enumerate_finite_chains, format_table_csv)
 from layerlat.report import EMBED, LAWS, Check, Report
@@ -1253,6 +1254,16 @@ def roundtrip_outcome(roundtrip, tbl: CayleyTable) -> tuple:
     return w.result.bunch, w.mapping, w.result.layer_of, w.size
 
 
+def decompose_outcome(decompose, tbl: CayleyTable) -> tuple:
+    """The bunch, the assignment and the layers, or the class, message and
+    witness raised."""
+    try:
+        r = decompose(tbl)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return type(e), str(e), getattr(e, "witness", None)
+    return r.bunch, r.layer_assignment, r.layer_of
+
+
 def finite_table(n: int) -> CayleyTable:
     return table_of_chain(Chain(fixtures.finite_bunch(n)))[0]
 
@@ -1292,7 +1303,9 @@ def roundtrip_corpus() -> tuple[list[CayleyTable], list[CayleyTable]]:
     return lawful, altered
 
 
-def test_roundtrip_matches_the_oracle_first_reference(monkeypatch):
+def assert_one_oracle_call_per_failure(monkeypatch, run, reference, outcome) -> None:
+    """``run`` gives ``reference``'s outcome on the whole corpus, calling
+    the oracle never on a lawful table and once on an altered one."""
     lawful, altered = roundtrip_corpus()
     calls = [0]
 
@@ -1302,16 +1315,28 @@ def test_roundtrip_matches_the_oracle_first_reference(monkeypatch):
 
     monkeypatch.setattr(decompose_module, "check_flea_axioms", counted)
     for tbl in lawful:
-        got = roundtrip_outcome(roundtrip_table, tbl)
-        assert got == roundtrip_outcome(reference_roundtrip_table, tbl), tbl
+        got = outcome(run, tbl)
+        assert got == outcome(reference, tbl), tbl
         assert isinstance(got[0], Bunch) and calls == [0], tbl
     for tbl in altered:
         calls[0] = 0
-        got = roundtrip_outcome(roundtrip_table, tbl)
-        assert got == roundtrip_outcome(reference_roundtrip_table, tbl), tbl
+        got = outcome(run, tbl)
+        assert got == outcome(reference, tbl), tbl
         # no single-cell change leaves a lawful chain; the full oracle decides
         # each failure, once
         assert not isinstance(got[0], Bunch) and calls == [1], tbl
+
+
+def test_roundtrip_matches_the_oracle_first_reference(monkeypatch):
+    assert_one_oracle_call_per_failure(monkeypatch, roundtrip_table,
+                                       reference_roundtrip_table, roundtrip_outcome)
+
+
+def test_decompose_matches_the_oracle_first_reference(monkeypatch):
+    # one path: `decompose_table` is the certified round trip, so the oracle
+    # runs only after a failed reconstruction, never before decomposing
+    assert_one_oracle_call_per_failure(monkeypatch, decompose_table,
+                                       reference_decompose_table, decompose_outcome)
 
 
 def trivial_bunches(layers: int) -> list[Bunch]:
@@ -1344,7 +1369,15 @@ def test_every_valid_trivial_bunch_has_a_lawful_chain():
     assert [(n, fixtures.finite_bunch(n)) for n in range(1, 17)] == accepted
 
 
-@pytest.mark.parametrize("n", range(1, 101))
+def test_a_trivial_bunch_is_valid_exactly_when_class_j_free():
+    # why `_decompose` may ask `kappa_j_free` in place of `validate`: on the
+    # trivial bunches it builds, G2 is the only clause that can fail
+    for layers in range(1, 9):
+        for bunch in trivial_bunches(layers):
+            assert validate(bunch).ok == bunch.kappa_j_free(), serialize_bunch(bunch)
+
+
+@pytest.mark.parametrize("n", range(1, 201))
 def test_roundtrip_recovers_the_finite_bunch(n):
     assert roundtrip_table(finite_table(n)).result.bunch == fixtures.finite_bunch(n)
 
@@ -1369,3 +1402,42 @@ def test_associativity_only_tables_raise_the_oracle_violation(tmp_path, capsys):
         path.write_text(format_table_csv(tbl))
         assert cli.main(["decompose", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {e.value}\n"
+
+
+# ---------------------------------------------------------------------------
+# window export
+
+
+def reference_window_table(chain: Chain, limit: int) -> tuple[CayleyTable, list[ChainElement]]:
+    """`window_table` flooring each product that leaves the window by a
+    linear `compare` scan over the whole window."""
+    if limit < 1:
+        raise ValueError("window must contain at least one element")
+    elems = sorted(islice(chain.enumerate_elements(), limit),
+                   key=cmp_to_key(chain.compare))
+    index = {x: i for i, x in enumerate(elems)}
+
+    def locate(z: ChainElement) -> int:
+        i = index.get(z)
+        if i is not None:
+            return i
+        lo = 0
+        for k, e in enumerate(elems):
+            if chain.compare(e, z) <= 0:
+                lo = k
+        return lo
+
+    product = tuple(tuple(locate(chain.mul(x, y)) for y in elems) for x in elems)
+    t, f = chain.constants()
+    if t not in index:
+        raise WindowTooSmall("unit element outside the window")
+    if f not in index:
+        raise WindowTooSmall("falsum element outside the window")
+    return CayleyTable(len(elems), product, index[t], index[f]), elems
+
+
+@pytest.mark.parametrize("name", ["zb", "ze", "lz", "lz2", "jz"])
+def test_window_tables_match_the_scanning_reference(name):
+    chain = Chain(fixtures.ALL[name]())
+    for limit in (8, 12, 50, 100, 200):
+        assert window_table(chain, limit) == reference_window_table(chain, limit), limit
