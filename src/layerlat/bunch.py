@@ -31,7 +31,7 @@ class BunchType(enum.Enum):
     EVEN_IDEM_F = "EvenIdemF"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Bunch:
     """Immutable bunch; maps are plain dicts treated as frozen after build.
 
@@ -52,13 +52,6 @@ class Bunch:
     def __post_init__(self) -> None:  # the first position wins, as with tuple.index
         positions = {u: i for i, u in reversed(tuple(enumerate(self.skeleton)))}
         object.__setattr__(self, "_positions", positions)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Bunch):
-            return NotImplemented
-        return (self.skeleton == other.skeleton and self.partition == other.partition
-                and self.groups == other.groups and self.subgroups == other.subgroups
-                and self.steps == other.steps)
 
     def least(self) -> str:
         return self.skeleton[0]

@@ -184,12 +184,12 @@ def _cmd_fill_gap(args) -> int:
     chain = _require_valid(args.bunch, args.samples)
     x = parse_element(chain, args.x)
     y = parse_element(chain, args.y)
-    result = fill_gap(chain, x, y)
+    extended, record = fill_gap(chain, x, y)
     print(json.dumps({
-        "case": result.case_tag,
-        "inserted_layer": result.receipt.new_layer,
-        "witness": format_element(result.chain, result.witness),
-        "bunch": bunch_to_json(result.receipt.new_bunch),
+        "case": record.case_tag,
+        "inserted_layer": record.inserted_layer,
+        "witness": format_element(extended, record.witness),
+        "bunch": bunch_to_json(extended.bunch),
     }, indent=2))
     return 0
 

@@ -13,11 +13,16 @@ endpoint is dotted or below-insertion is unavailable, undotted below it
 otherwise, with the left endpoint's copy above the unit layer for unit-layer
 pairs); when the lifted parts tie, the dispatch follows which tie-breaking
 clause ordered the pair (2a/2b: undotted copy below the right layer; 2c:
-dotted copy below the left layer).
+dotted copy below the left layer).  It returns the extended chain and the
+`TraceRecord` of its one-pair pass.
 
-densify_driver makes one splice and one Chain per pass, planned against the
-chain at the start of the round: the pairs of a pass are old points, whose
-order and transitions no insertion changes (new steps are identities).
+densify_driver sorts the materialized prefix once and carries the order.
+Each pass is one splice and one Chain, planned against the chain at the start
+of the round: the pairs of a pass are old points, whose order and transitions
+no insertion changes (new steps are identities).  `_pass` raises unless
+x < w < y holds in the extended chain for every pair, so the old order with
+each witness placed between its pair is strictly increasing there: it is the
+next round's sorted order, with no re-sort.
 """
 
 from __future__ import annotations
@@ -41,14 +46,6 @@ class InsertionReceipt:
     new_layer: str
     iota: EmbeddingSpec
     witness_maker: Callable[[og.GElem], ChainElement]
-
-
-@dataclass
-class GapFillResult:
-    case_tag: str
-    receipt: InsertionReceipt
-    witness: ChainElement
-    chain: Chain  # the chain of receipt.new_bunch
 
 
 @dataclass(frozen=True)
@@ -195,8 +192,9 @@ def _pass(chain: Chain,
                       for tag, x, y, w in plans]
 
 
-def fill_gap(chain: Chain, x: ChainElement, y: ChainElement) -> GapFillResult:
-    """Extend an odd chain so that something sits strictly between x and y.
+def fill_gap(chain: Chain, x: ChainElement, y: ChainElement) -> tuple[Chain, TraceRecord]:
+    """Extend an odd chain so that something sits strictly between x and y;
+    the extended chain and the record of the insertion.
 
     Works for any strictly ordered pair, gap or not.  Raises
     EvenTypeUnsupported on even chains (their falsum/unit gap cannot be
@@ -204,29 +202,26 @@ def fill_gap(chain: Chain, x: ChainElement, y: ChainElement) -> GapFillResult:
     required below-insertion targets a proper-subgroup class-I layer.
     """
     extended, [record] = _pass(chain, [(x, y)])
-    new = record.inserted_layer
-    receipt = InsertionReceipt(extended.bunch, new, identity_embedding(chain.bunch),
-                               lambda g: ChainElement(new, g, False))
-    return GapFillResult(record.case_tag, receipt, record.witness, extended)
+    return extended, record
 
 
 def densify_driver(chain: Chain, prefix: int, rounds: int) -> tuple[Bunch, list[TraceRecord]]:
     """Materialize the first ``prefix`` elements, then run ``rounds`` passes
     that separate every ordered pair lacking a strictly-between element
     among the materialized set: the adjacent pairs of the sorted set, as a
-    witness never separates a later pair of its pass.  Each pass is one
-    splice and one Chain (`_pass`; the module docstring says why)."""
+    witness never separates a later pair of its pass.  The set is sorted
+    once; each pass is one splice and one Chain (`_pass`) and places its
+    witnesses in the order (the module docstring says why)."""
     if prefix < 0 or rounds < 0:
         raise ValueError("prefix and rounds must be nonnegative")
     current = chain
-    points = list(islice(chain.enumerate_elements(), prefix))
+    order = sorted(islice(chain.enumerate_elements(), prefix), key=cmp_to_key(chain.compare))
     trace: list[TraceRecord] = []
     for _ in range(rounds):
-        if len(points) < 2:
+        if len(order) < 2:
             break
-        order = sorted(points, key=cmp_to_key(current.compare))
         current, records = _pass(current, zip(order, order[1:]))
-        points += [r.witness for r in records]
+        order = [p for x, r in zip(order, records) for p in (x, r.witness)] + order[-1:]
         trace += records
     return current.bunch, trace
 

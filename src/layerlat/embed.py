@@ -9,8 +9,10 @@ membership both ways on class-I layers, unit covers on class-J layers, and a
 direct order/product/constants check on sampled elements.
 
 Each unordered pair of sampled elements is checked once, since `Chain.compare`
-is antisymmetric and `Chain.mul` commutative; a layer map's strictness is
-checked on neighbours of its sorted pool, since the group orders are linear.
+is antisymmetric and `Chain.mul` commutative.  Every DSL hom is an
+order-preserving group hom by construction, so of a layer map only its
+strictness is checked, on neighbours of its sorted pool, since the group
+orders are linear.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
         return ChainElement(smap[x.layer], maps[x.layer](x.g), x.dotted)
 
     for u in sb.skeleton:
-        hr = og.hom_check(spec.layer_maps[u], samples)
         cmp_s = og.cmp_fn(sb.groups[u])
         cmp_d = og.cmp_fn(db.groups[smap[u]])
         pairs = sorted(zip(pools[u], mapped[u]),
@@ -103,9 +104,8 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                         for (a, fa), (c, fc) in zip(pairs, pairs[1:]))
         lm = "proved" if og.group_is_trivial(sb.groups[u]) else "tested"
         report.checks.append(Check(
-            "layer-group-hom", u, hr.ok and strict_ok, lm,
-            "" if hr.ok and strict_ok else next(
-                (c.detail for c in hr.violations()), "not strictly order-preserving")))
+            "layer-group-hom", u, strict_ok, lm,
+            "" if strict_ok else "not strictly order-preserving"))
 
     for i, u in enumerate(sb.skeleton):
         for v in sb.skeleton[i:]:

@@ -18,11 +18,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate
 
 from .chain import Chain, ChainElement, format_element
 from .errors import TrivialChain, Unbounded
-from .ogroup import LT
 
 
 @dataclass
@@ -65,14 +65,8 @@ class RationalPlacement:
         if existing is not None:
             return existing
         self._ext_cache.clear()
-        lo, hi = 0, len(self._sorted)
-        cmp = self.chain.compare
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cmp(self._sorted[mid], x) == LT:
-                lo = mid + 1
-            else:
-                hi = mid
+        key = cmp_to_key(self.chain.compare)
+        lo = bisect_left(self._sorted, key(x), key=key)
         if lo == 0 or lo == len(self._sorted):
             raise Unbounded(f"{x} falls outside the pinned endpoints")
         value = (self._q[self._sorted[lo - 1]] + self._q[self._sorted[lo]]) / 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import islice
 
@@ -187,6 +188,18 @@ def test_bunch_type_examples():
 def test_serialize_parse_round_trip(name):
     b = fixtures.ALL[name]()
     assert parse_bunch(serialize_bunch(b)) == b
+
+
+def test_bunch_equality_skips_the_transition_cache_and_sees_every_step():
+    b = fixtures.lz()
+    fresh = parse_bunch(serialize_bunch(b))
+    transition(b, "t", "u")
+    assert b._transitions and not fresh._transitions
+    assert b == fresh
+    altered = dataclasses.replace(b, steps={("t", "u"): og.unit_map(og.INT, og.INT)})
+    assert altered != b
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(b)
 
 
 def test_parse_missing_subgroup_is_an_error():

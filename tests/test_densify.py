@@ -107,13 +107,14 @@ def test_iota_passes_embedding_clauses(s3_chain, zb_chain):
 # -- fill_gap --------------------------------------------------------------------
 
 def fill_and_verify(chain, x, y):
-    result = fill_gap(chain, x, y)
-    extended = Chain(result.receipt.new_bunch)
-    assert validate(result.receipt.new_bunch).ok
-    assert extended.compare(x, result.witness) == LT
-    assert extended.compare(result.witness, y) == LT
-    assert bunch_type(result.receipt.new_bunch) == bunch_type(chain.bunch)
-    return result
+    extended, record = fill_gap(chain, x, y)
+    rebuilt = Chain(extended.bunch)
+    assert validate(extended.bunch).ok
+    assert (record.x, record.y) == (x, y)
+    assert rebuilt.compare(x, record.witness) == LT
+    assert rebuilt.compare(record.witness, y) == LT
+    assert bunch_type(extended.bunch) == bunch_type(chain.bunch)
+    return record
 
 
 def test_fill_gap_s3_cases(s3_chain):
@@ -260,6 +261,26 @@ def test_driver_builds_one_chain_per_pass(monkeypatch, rounds):
     assert len(trace) == 2 ** (rounds + 1) - 2
     assert len(built) <= rounds
     assert built[-1] is bunch
+
+
+@pytest.mark.parametrize("rounds", range(1, 8))
+def test_driver_sorts_once_and_carries_the_order(monkeypatch, rounds):
+    # re-sorting every round added O(P log P) compares per round on P points
+    calls = []
+    raw = Chain.compare
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return raw(self, x, y)
+
+    source = Chain(fixtures.s3())
+    monkeypatch.setattr(Chain, "compare", counted)
+    ordered_prefix(source, 3)
+    initial_sort = len(calls)
+    calls.clear()
+    _, trace = densify_driver(source, prefix=3, rounds=rounds)
+    # _plan's NotLess check and _pass's two witness checks per pair
+    assert len(calls) <= initial_sort + 3 * len(trace)
 
 
 def test_driver_trace_class_audit(s3_chain, zb_chain, lz_chain):

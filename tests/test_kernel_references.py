@@ -39,8 +39,8 @@ from layerlat.bunch import Bunch, BunchType, bunch_type, serialize_bunch, transi
 from layerlat.chain import Chain, ChainElement, _sample_triples, check_chain_laws, format_element
 from layerlat.decompose import (DecompositionResult, RoundTripWitness, decompose_table,
                                 roundtrip_table, table_of_chain, window_table)
-from layerlat.densify import (GapFillResult, InsertionReceipt, TraceRecord, densify_driver,
-                              fill_gap, insert_above)
+from layerlat.densify import (InsertionReceipt, TraceRecord, densify_driver, fill_gap,
+                              insert_above)
 from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
                             identity_embedding)
 from layerlat.errors import (AxiomFailure, EvenTypeUnsupported, InternalInvariant,
@@ -987,7 +987,7 @@ def reference_insert_below(b: Bunch, v: str, label: str | None = None) -> Insert
 
 
 def reference_fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
-                       label: str | None = None) -> GapFillResult:
+                       label: str | None = None) -> tuple[Chain, TraceRecord]:
     """Extend an odd chain so that something sits strictly between x and y."""
     if chain.type() != BunchType.ODD:
         raise EvenTypeUnsupported("gap filling needs an odd chain")
@@ -1038,7 +1038,8 @@ def reference_fill_gap(chain: Chain, x: ChainElement, y: ChainElement,
         raise InternalInvariant("witness not above x")
     if extended.compare(witness, y) != og.LT:
         raise InternalInvariant("witness not below y")
-    return GapFillResult(tag, receipt, witness, extended)
+    new = receipt.new_layer
+    return extended, TraceRecord(tag, new, receipt.new_bunch.partition[new], x, y, witness)
 
 
 def reference_densify_driver(chain: Chain, prefix: int,
@@ -1054,13 +1055,9 @@ def reference_densify_driver(chain: Chain, prefix: int,
     for _ in range(rounds):
         order = sorted(points, key=cmp_to_key(current.compare))
         for a, c in zip(order, order[1:]):
-            result = reference_fill_gap(current, a, c)
-            current = result.chain
-            points.append(result.witness)
-            trace.append(TraceRecord(
-                result.case_tag, result.receipt.new_layer,
-                result.receipt.new_bunch.partition[result.receipt.new_layer],
-                a, c, result.witness))
+            current, record = reference_fill_gap(current, a, c)
+            points.append(record.witness)
+            trace.append(record)
     return current.bunch, trace
 
 
@@ -1121,19 +1118,38 @@ def test_the_chain_fill_gap_returns_is_the_chain_of_its_bunch(name):
     order = sorted(islice(chain.enumerate_elements(), 8), key=cmp_to_key(chain.compare))
     for x, y in zip(order, order[1:]):
         try:
-            result = fill_gap(chain, x, y)
+            extended, _ = fill_gap(chain, x, y)
         except SubgroupObstruction:
             continue
-        rebuilt = Chain(result.receipt.new_bunch)
+        rebuilt = Chain(extended.bunch)
         points = list(islice(rebuilt.enumerate_elements(), 200))
-        assert list(islice(result.chain.enumerate_elements(), 200)) == points
+        assert list(islice(extended.enumerate_elements(), 200)) == points
         for a in points:
-            assert result.chain.negate(a) == rebuilt.negate(a)
+            assert extended.negate(a) == rebuilt.negate(a)
             for b in points:
-                assert result.chain.compare(a, b) == rebuilt.compare(a, b)
-                assert result.chain.mul(a, b) == rebuilt.mul(a, b)
+                assert extended.compare(a, b) == rebuilt.compare(a, b)
+                assert extended.mul(a, b) == rebuilt.mul(a, b)
         return
     raise AssertionError(f"no gap of {name} could be filled")
+
+
+def fill_gap_outcome(fill, chain: Chain, x: ChainElement, y: ChainElement) -> tuple:
+    """The serialized bunch and the record, or the class and message raised."""
+    try:
+        extended, record = fill(chain, x, y)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return type(e), str(e)
+    return serialize_bunch(extended.bunch), record
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL))
+def test_fill_gap_matches_the_reference_on_every_prefix_pair(name):
+    chain = Chain(fixtures.ALL[name]())
+    points = list(islice(chain.enumerate_elements(), 6))
+    for x in points:
+        for y in points:
+            assert fill_gap_outcome(fill_gap, chain, x, y) == \
+                fill_gap_outcome(reference_fill_gap, chain, x, y), (x, y)
 
 
 # ---------------------------------------------------------------------------
