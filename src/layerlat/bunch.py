@@ -1,7 +1,8 @@
 """Bunches of layer groups: a finite totally ordered skeleton of layers, one
 abelian o-group per layer, designated subgroups on class-I layers, and
 order-hom transitions stored on covering pairs.  `transition` composes them
-once per bunch, in `hom_compose`'s normal form, for every reader.
+once per bunch, in `hom_compose`'s normal form, for its two compilers:
+`Chain`, which every chain reader goes through, and `validate`.
 
 Layer classes are "O" (only ever the least layer), "J" (discrete layers whose
 transitions collapse the unit's lower cover), and "I" (layers carrying a

@@ -1,12 +1,18 @@
 """The involutive FL_e-chain built over a validated bunch.
 
+A `Chain` is its bunch's compiled form: one transition map per layer pair
+(``_tr``, compiled on first use from `bunch.transition`) and one point stream
+per layer (``_layer_blocks``), over the bunch's own maps, which it does not
+copy.
+`embed.check_embedding` and `decompose.recover_bunch_samples` read that table
+and those blocks, so a bunch is compiled here and in `bunch.validate` only.
+
 Carrier points are triples (layer, group element, dotted flag); dotted points
 exist only on class-I layers for elements of the designated subgroup and sit
 immediately below their undotted originals.  Order, product, residual
 complement, and residuum are all decided from the bunch data:
 
-* order: push both points up to the higher layer along `bunch.transition`
-  (composed once per bunch in normal form, compiled here on first use); a
+* order: push both points up to the higher layer along the transition; a
   strict group comparison decides, and ties are broken by layer position
   and dottedness;
 * product: multiply the lifted group parts in the higher layer's group; the
@@ -57,9 +63,10 @@ class Chain:
         if problems:
             raise TypeMismatch(f"bunch is structurally broken: {problems[0]}")
         self.bunch = bunch
-        self._idx = {u: i for i, u in enumerate(bunch.skeleton)}
-        self._cls = dict(bunch.partition)
-        self._group = dict(bunch.groups)
+        # the bunch's own maps, frozen by convention; labels are distinct here
+        self._idx = bunch._positions
+        self._cls = bunch.partition
+        self._group = bunch.groups
         self._unit = {u: og.g_unit(g) for u, g in bunch.groups.items()}
         self._cmp = {u: og.cmp_fn(g) for u, g in bunch.groups.items()}
         self._op = {u: og.op_fn(g) for u, g in bunch.groups.items()}
@@ -245,8 +252,10 @@ def parse_element(chain: Chain, text: str) -> ChainElement:
 # law checking
 
 
-def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
-                     seed: int = 0) -> Report:
+POOL_SIZE = 48  # enumerated points that `check_chain_laws` samples from
+
+
+def check_chain_laws(chain: Chain, samples: int = 10_000, *, seed: int = 0) -> Report:
     """Sample-check the chain axioms on random triples from an enumerated pool.
 
     Covers order totality/transitivity, commutativity, associativity, the
@@ -254,7 +263,7 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     of the falsum, one sampled `Check` per law whose ``samples`` is the
     number of triples, or of pool points, it looked at and whose detail is
     its first failure.  A finite chain gets its whole carrier as the pool only
-    when it has at most ``pool_size`` points.
+    when it has at most `POOL_SIZE` points; the pool always holds the unit.
 
     Each value is decided once, over element ids: pool point i is id i, and
     every other element met gets the next free id, so lookups hash ints.
@@ -269,11 +278,9 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
     t * x and x * t in row and column 0 of ``prod`` (t is pool point 0).  No
     table refers back to itself, so all are freed on return.
     """
-    if pool_size < 1:
-        raise ValueError("pool_size must be at least 1")
     if samples < 0:
         raise ValueError("samples must be at least 0")
-    pool = list(islice(chain.enumerate_elements(), pool_size))
+    pool = list(islice(chain.enumerate_elements(), POOL_SIZE))
     n = len(pool)
     triples = _sample_triples(n, samples, seed)
     t, f = chain.constants()

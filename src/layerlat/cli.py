@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .bunch import bunch_to_json, parse_bunch, validate
+from .bunch import bunch_to_json, parse_bunch, serialize_bunch, validate
 from .chain import Chain, check_chain_laws, format_element, parse_element
 from .decompose import roundtrip_table, table_of_chain, window_table
 from .densify import densify_driver, fill_gap
@@ -160,8 +160,7 @@ def _cmd_table(args) -> int:
 def _cmd_decompose(args) -> int:
     tbl = oracle.parse_table_csv(Path(args.table).read_text())
     witness = roundtrip_table(tbl)
-    doc = bunch_to_json(witness.result.bunch)
-    text = json.dumps(doc, indent=2)
+    text = serialize_bunch(witness.result.bunch)
     if args.out:
         Path(args.out).write_text(text + "\n")
         print(f"roundtrip ok on {witness.size} elements; bunch written to {args.out}")

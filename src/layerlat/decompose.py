@@ -29,7 +29,7 @@ from functools import cmp_to_key
 from itertools import islice
 
 from . import ogroup as og
-from .bunch import Bunch, transition
+from .bunch import Bunch
 from .chain import Chain, ChainElement
 from .errors import (AxiomFailure, InfiniteChain, InternalInvariant, NotInvolutive,
                      NotOddOrEven, RoundTripMismatch, WindowTooSmall)
@@ -42,7 +42,7 @@ def table_of_chain(chain: Chain) -> tuple[CayleyTable, list[ChainElement]]:
     if not chain.is_finite:
         raise InfiniteChain("chain has a nontrivial layer group; use window_table")
     elems = sorted(chain.enumerate_elements(), key=cmp_to_key(chain.compare))
-    return _table_for(chain, elems, clip=False), elems
+    return _table_for(chain, elems), elems
 
 
 def window_table(chain: Chain, limit: int) -> tuple[CayleyTable, list[ChainElement]]:
@@ -56,10 +56,11 @@ def window_table(chain: Chain, limit: int) -> tuple[CayleyTable, list[ChainEleme
         raise ValueError("window must contain at least one element")
     elems = sorted(islice(chain.enumerate_elements(), limit),
                    key=cmp_to_key(chain.compare))
-    return _table_for(chain, elems, clip=True), elems
+    return _table_for(chain, elems), elems
 
 
-def _table_for(chain: Chain, elems: list[ChainElement], clip: bool) -> CayleyTable:
+def _table_for(chain: Chain, elems: list[ChainElement]) -> CayleyTable:
+    # a finite chain's carrier is closed under mul, so only windows floor
     index = {x: i for i, x in enumerate(elems)}
     n = len(elems)
     key = cmp_to_key(chain.compare)
@@ -68,8 +69,6 @@ def _table_for(chain: Chain, elems: list[ChainElement], clip: bool) -> CayleyTab
         i = index.get(z)
         if i is not None:
             return i
-        if not clip:
-            raise InfiniteChain(f"product {z} left the carrier")
         # greatest window element <= z, floored to the window bottom
         return max(bisect_right(elems, key(z), key=key) - 1, 0)
 
@@ -234,20 +233,15 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
     The report has one sampled `Check` per identity, with the number of
     elements (for c, element-layer pairs) it was tried on and its first
     failure; the report's ``samples`` is the number of elements plus pairs.
+    A layer's elements are the chain's own first layer blocks, dotted
+    companions included, and (c) applies the chain's compiled transitions.
     """
     if samples < 0:
         raise ValueError("samples must be at least 0")
     b = chain.bunch
     per_layer = max(1, samples // len(b.skeleton)) if samples else 0
-    pools: dict[str, list[ChainElement]] = {}
-    for u in b.skeleton:
-        pool = []
-        member = og.member_fn(b.subgroups[u]) if b.partition[u] == "I" else None
-        for g in islice(og.g_enumerate(b.groups[u]), per_layer):
-            pool.append(ChainElement(u, g, False))
-            if member is not None and member(g):
-                pool.append(ChainElement(u, g, True))
-        pools[u] = pool
+    pools = {u: [x for block in islice(chain._layer_blocks(u), per_layer) for x in block]
+             for u in b.skeleton}
 
     idem = {u: ChainElement(u, og.g_unit(b.groups[u]), False) for u in b.skeleton}
     tried = dict.fromkeys("abcd", 0)
@@ -280,7 +274,7 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
                     fail("d", f"dot projection broken at {x}")
         iu = b.index(u)
         for v in b.skeleton[iu:]:
-            tr = og.hom_fn(transition(b, u, v))
+            tr = chain._tr[u, v]
             for x in pools[u]:
                 if x.dotted:
                     continue

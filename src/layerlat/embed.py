@@ -6,7 +6,8 @@ per source layer; the induced element map carries (u, g, dotted) to
 `report.Report` with one `Check` per clause and subject: skeleton
 order/least/partition preservation, commuting transition squares, subgroup
 membership both ways on class-I layers, unit covers on class-J layers, and a
-direct order/product/constants check on sampled elements.
+direct order/product/constants check on sampled elements.  Both sides of a
+transition square are read from the two chains' compiled transitions.
 
 Each unordered pair of sampled elements is checked once, since `Chain.compare`
 is antisymmetric and `Chain.mul` commutative.  Every DSL hom is an
@@ -23,7 +24,7 @@ from functools import cmp_to_key
 from itertools import islice
 
 from . import ogroup as og
-from .bunch import Bunch, transition
+from .bunch import Bunch
 from .chain import Chain, ChainElement
 from .errors import ParseError, TypeMismatch
 from .report import EMBED, Check, Report
@@ -114,8 +115,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                     "transition-square", f"{u}->{v}", False, "proved",
                     "image layers are not skeleton-ordered"))
                 continue
-            src_tr = og.hom_fn(transition(sb, u, v))
-            dst_tr = og.hom_fn(transition(db, smap[u], smap[v]))
+            src_tr, dst_tr = src._tr[u, v], dst._tr[smap[u], smap[v]]
             fv = maps[v]
             bad = next((a for a, fa in zip(pools[u], mapped[u])
                         if fv(src_tr(a)) != dst_tr(fa)), None)

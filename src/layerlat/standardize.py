@@ -34,13 +34,11 @@ class RationalPlacement:
     top: ChainElement
     _q: dict[ChainElement, Fraction] = field(default_factory=dict)
     _sorted: list[ChainElement] = field(default_factory=list)
-    _seq: list[ChainElement] = field(default_factory=list)
 
     def __post_init__(self):
         if not self._q:
             self._q = {self.bottom: Fraction(0), self.top: Fraction(1)}
             self._sorted = [self.bottom, self.top]
-            self._seq = [self.bottom, self.top]
         self._ext_cache: dict[int, tuple[list[Fraction], list[list[int]]]] = {}
 
     def __len__(self) -> int:
@@ -57,7 +55,7 @@ class RationalPlacement:
 
     def copy(self) -> "RationalPlacement":
         return RationalPlacement(self.chain, self.bottom, self.top,
-                                 dict(self._q), list(self._sorted), list(self._seq))
+                                 dict(self._q), list(self._sorted))
 
     def place(self, x: ChainElement) -> Fraction:
         """Midpoint placement between the current neighbours; idempotent."""
@@ -72,7 +70,6 @@ class RationalPlacement:
         value = (self._q[self._sorted[lo - 1]] + self._q[self._sorted[lo]]) / 2
         self._q[x] = value
         self._sorted.insert(lo, x)
-        self._seq.append(x)
         return value
 
     def to_csv(self) -> str:
@@ -119,7 +116,7 @@ def extend_with_products(chain: Chain, placement: RationalPlacement,
     progressed = True
     while budget > 0 and progressed:
         progressed = False
-        snapshot = list(work._seq)
+        snapshot = list(work._q)  # placement order: dicts keep insertion order
         for i, x in enumerate(snapshot):
             for y in snapshot[:i + 1]:
                 z = chain.mul(x, y)

@@ -255,13 +255,6 @@ def test_chain_laws_on_seeded_random_bunches():
         assert report.ok, report.render()
 
 
-@pytest.mark.parametrize("pool_size", [0, -1])
-def test_chain_laws_need_a_pool_point(s3_chain, pool_size):
-    for samples in (0, 10):
-        with pytest.raises(ValueError, match="pool_size must be at least 1"):
-            check_chain_laws(s3_chain, samples=samples, pool_size=pool_size)
-
-
 def test_chain_laws_need_a_sample_count_of_at_least_zero(zb_chain):
     with pytest.raises(ValueError, match="samples must be at least 0"):
         check_chain_laws(zb_chain, samples=-1)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from layerlat import fixtures, ogroup as og
+from layerlat import (bunch as bunch_module, chain as chain_module, decompose, embed, fixtures,
+                      ogroup as og)
 from layerlat.chain import Chain
+from layerlat.decompose import recover_bunch_samples
 from layerlat.densify import insert_above
 from layerlat.embed import (EmbeddingSpec, check_embedding, element_map,
                             identity_embedding, parse_embedding_spec,
@@ -108,3 +110,26 @@ def test_spec_file_round_trip(s3_chain):
     assert back.skeleton_map == receipt.iota.skeleton_map
     report = check_embedding(s3_chain, Chain(receipt.new_bunch), back)
     assert report.ok
+
+
+@pytest.mark.parametrize("make", [fixtures.lz2, lambda: fixtures.finite_bunch(9)],
+                         ids=["lz2", "finite9"])
+def test_embedding_and_recovery_read_the_chains_compiled_transitions(monkeypatch, make):
+    # once a chain has compiled every pair u <= v, neither checker composes
+    # a transition of its own: both read the chain's table
+    b = make()
+    chain = Chain(b)
+    for i, u in enumerate(b.skeleton):
+        for v in b.skeleton[i:]:
+            chain._tr[u, v]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bunch_module.transition(*args)
+
+    for module in (chain_module, embed, decompose):
+        monkeypatch.setattr(module, "transition", counted, raising=False)
+    assert check_embedding(chain, chain, identity_embedding(b)).ok
+    assert recover_bunch_samples(chain).ok
+    assert calls == []

@@ -11,11 +11,13 @@ with its own binary search, `validate`'s D2 triple loop, which compiles
 three transitions and draws the sample pool afresh for every triple, the
 densify driver that builds a bunch and its Chain for every insertion, the
 table decomposition and round trip that run the full axiom oracle before
-decomposing, and the window export that floors a product by a linear scan.
-The current kernels decide each law value once over interned element ids,
-compare ranks instead of values, compile each transition pair once and
-stream each layer's samples once, splice each densify pass into one bunch,
-certify a table by its reconstruction and floor by bisection; these tests
+decomposing, the window export that floors a product by a linear scan, and
+the recovery identities that list each layer's points and compose each
+transition themselves.  The current kernels decide each law value once over
+interned element ids, compare ranks instead of values, compile each
+transition pair once and stream each layer's samples once, splice each
+densify pass into one bunch, certify a table by its reconstruction, floor by
+bisection and read the chain's own layer blocks and transitions; these tests
 pin that their reports, values and errors are unchanged, on passing and on
 deliberately broken inputs.
 """
@@ -38,7 +40,8 @@ from layerlat import (bunch as bunch_module, cli, decompose as decompose_module,
 from layerlat.bunch import Bunch, BunchType, bunch_type, serialize_bunch, transition, validate
 from layerlat.chain import Chain, ChainElement, _sample_triples, check_chain_laws, format_element
 from layerlat.decompose import (DecompositionResult, RoundTripWitness, decompose_table,
-                                roundtrip_table, table_of_chain, window_table)
+                                recover_bunch_samples, roundtrip_table, table_of_chain,
+                                window_table)
 from layerlat.densify import (InsertionReceipt, TraceRecord, densify_driver, fill_gap,
                               insert_above)
 from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
@@ -49,7 +52,7 @@ from layerlat.errors import (AxiomFailure, EvenTypeUnsupported, InternalInvarian
                              TypeMismatch, UnknownLayer, WindowTooSmall)
 from layerlat.oracle import (CayleyTable, brute_residuum, check_flea_axioms,
                              enumerate_finite_chains, format_table_csv)
-from layerlat.report import EMBED, LAWS, Check, Report
+from layerlat.report import EMBED, LAWS, RECOVER, Check, Report
 from layerlat.standardize import (RationalPlacement, cantor_map, extend_with_products,
                                   sup_extend)
 
@@ -388,6 +391,80 @@ def reference_validate_d2(b: Bunch, samples: int = 100) -> list[Check]:
                     "" if bad is None else f"composition disagrees at {og.format_gelem(b.groups[u], bad)}",
                     witness=bad))
     return checks
+
+
+def reference_recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
+    """Verify, on sampled elements, that the decomposition equations re-read
+    the bunch off the reconstructed chain:
+
+    a) the local unit of x is the idempotent of its layer;
+    b) on class-I layers, being invertible within the layer coincides with
+       being an undotted subgroup member, and with the complement-shift test;
+    c) multiplying by a higher layer's idempotent realizes the transition on
+       undotted elements;
+    d) a dotted element is its original times the layer complement, and the
+       dot projection recovers the original.
+
+    The report has one sampled `Check` per identity, with the number of
+    elements (for c, element-layer pairs) it was tried on and its first
+    failure; the report's ``samples`` is the number of elements plus pairs.
+    """
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
+    b = chain.bunch
+    per_layer = max(1, samples // len(b.skeleton)) if samples else 0
+    pools: dict[str, list[ChainElement]] = {}
+    for u in b.skeleton:
+        pool = []
+        member = og.member_fn(b.subgroups[u]) if b.partition[u] == "I" else None
+        for g in islice(og.g_enumerate(b.groups[u]), per_layer):
+            pool.append(ChainElement(u, g, False))
+            if member is not None and member(g):
+                pool.append(ChainElement(u, g, True))
+        pools[u] = pool
+
+    idem = {u: ChainElement(u, og.g_unit(b.groups[u]), False) for u in b.skeleton}
+    tried = dict.fromkeys("abcd", 0)
+    first: dict[str, str] = {}
+    fail = first.setdefault
+
+    for u in b.skeleton:
+        member = og.member_fn(b.subgroups[u]) if b.partition[u] == "I" else None
+        inv = og.inv_fn(b.groups[u])
+        comp_u = chain.negate(idem[u])
+        tried["a"] += len(pools[u])
+        tried["b"] += len(pools[u]) if member is not None else 0
+        for x in pools[u]:
+            if chain.residuum(x, x) != idem[u]:
+                fail("a", f"local unit of {x} is not the layer idempotent")
+            if member is not None:
+                expected = (not x.dotted) and member(x.g)
+                shifted = chain.mul(x, comp_u)
+                if (chain.compare(shifted, x) < 0) != expected:
+                    fail("b", f"complement-shift test wrong at {x}")
+                candidate = ChainElement(u, inv(x.g), False)
+                if (chain.mul(x, candidate) == idem[u]) != expected:
+                    fail("b", f"invertibility wrong at {x}")
+            if x.dotted:
+                tried["d"] += 1
+                original = ChainElement(u, x.g, False)
+                if chain.mul(original, comp_u) != x:
+                    fail("d", f"{x} is not its original times the complement")
+                if chain.zeta(u, u, x) != x.g:
+                    fail("d", f"dot projection broken at {x}")
+        iu = b.index(u)
+        for v in b.skeleton[iu:]:
+            tr = og.hom_fn(transition(b, u, v))
+            for x in pools[u]:
+                if x.dotted:
+                    continue
+                tried["c"] += 1
+                if chain.mul(idem[v], x) != ChainElement(v, tr(x.g), False):
+                    fail("c", f"idempotent multiplication is not the transition at {x} -> {v}")
+    checks = [Check(f"({k})", subject, k not in first, "sampled", first.get(k, ""), tried[k])
+              for k, subject in (("a", "local units"), ("b", "class-I invertibility"),
+                                 ("c", "idempotent transitions"), ("d", "dotted elements"))]
+    return Report(checks, tried["a"] + tried["c"], RECOVER)
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +964,45 @@ def test_ill_typed_spec_raises_in_both():
     for check in (check_embedding, reference_check_embedding):
         with pytest.raises(TypeMismatch):
             check(s3, zb, spec)
+
+
+# ---------------------------------------------------------------------------
+# symbolic recovery
+
+
+def recovery_chains() -> list[tuple[Chain, tuple[int, ...]]]:
+    """Each chain with the sample counts it is recovered at: 1000 only on the
+    fixtures, which keeps the random and finite bunches cheap."""
+    rng = random.Random(15)
+    cases = [(Chain(f()), (0, 7, 1000)) for _, f in sorted(fixtures.ALL.items())]
+    cases += [(Chain(fixtures.finite_bunch(n)), (0, 7)) for n in range(1, 13)]
+    cases += [(Chain(fixtures.random_bunch(rng, max_layers=6)), (0, 7)) for _ in range(50)]
+    return cases
+
+
+def test_recovery_reports_match_the_reference():
+    for chain, counts in recovery_chains():
+        for samples in counts:
+            new = recover_bunch_samples(chain, samples=samples)
+            assert new == reference_recover_bunch_samples(chain, samples=samples)
+            assert new.ok, new.render()
+
+
+def mul_drops_the_lower_layer(chain):
+    mul = chain.mul
+    return "mul", lambda x, y: mul(x, y) if x.layer == y.layer else max(
+        x, y, key=lambda z: chain.bunch.index(z.layer))
+
+
+@pytest.mark.parametrize("patch", [mul_drops_the_lower_layer, negate_is_identity,
+                                   negate_drops_the_dot])
+def test_recovery_reports_match_the_reference_on_broken_chains(patch):
+    reports = []
+    for chain in broken_chains(patch):
+        new = recover_bunch_samples(chain, samples=7)
+        assert new == reference_recover_bunch_samples(chain, samples=7)
+        reports.append(new)
+    assert not all(r.ok for r in reports)
 
 
 # ---------------------------------------------------------------------------
