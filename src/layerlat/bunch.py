@@ -2,7 +2,10 @@
 abelian o-group per layer, designated subgroups on class-I layers, and
 order-hom transitions stored on covering pairs.  `transition` composes them
 once per bunch, in `hom_compose`'s normal form, for its two compilers:
-`Chain`, which every chain reader goes through, and `validate`.
+`Chain`, which every chain reader goes through, and `validate`.  `Chain`
+asks only for the pairs below its per-layer constant-unit threshold, which
+it reads off the steps themselves, so a bunch whose steps are unit maps has
+no transition composed by its chain.
 
 Layer classes are "O" (only ever the least layer), "J" (discrete layers whose
 transitions collapse the unit's lower cover), and "I" (layers carrying a

@@ -1,11 +1,28 @@
 """The involutive FL_e-chain built over a validated bunch.
 
-A `Chain` is its bunch's compiled form: one transition map per layer pair
-(``_tr``, compiled on first use from `bunch.transition`) and one point stream
-per layer (``_layer_blocks``), over the bunch's own maps, which it does not
-copy.
-`embed.check_embedding` and `decompose.recover_bunch_samples` read that table
-and those blocks, so a bunch is compiled here and in `bunch.validate` only.
+A `Chain` is its bunch's compiled form, over the bunch's own maps, which it
+does not copy:
+
+* ``_unit_from``: per layer position i, the position just above the first
+  step at or above ``sk[i]`` that is `og.hom_is_constant_unit` (``len(sk)``
+  when there is none), read off ``bunch.steps`` on first use, never off
+  `transition`.  Every DSL hom sends unit to unit, so a composite with a
+  constant-unit stage is the constant unit map (`og.hom_compose`'s absorb
+  rule): from that position up, every transition out of ``sk[i]`` is the
+  constant unit map.  There `mul` returns the higher operand itself (op(e,
+  g) = g, and the higher operand's dot is kept), `compare` lifts to the
+  target layer's unit and `zeta` returns that unit, with no transition
+  compiled.  A finite chain's steps are all unit maps, so it compiles none.
+* ``_same``: one product kernel per layer, built on first use.
+* ``_tr``: one transition map per remaining layer pair, compiled on first
+  use from `bunch.transition`.  `embed.check_embedding` and
+  `decompose.recover_bunch_samples` read it, so a bunch is compiled here and
+  in `bunch.validate` only.
+* ``_layer_blocks``: one point stream per layer, which
+  `recover_bunch_samples` reads too.
+
+So the compiled form grows with the number of layers L, not with L^2,
+except for the pairs below a threshold that ``_tr`` is asked for.
 
 Carrier points are triples (layer, group element, dotted flag); dotted points
 exist only on class-I layers for elements of the designated subgroup and sit
@@ -73,6 +90,20 @@ class Chain:
         self._inv = {u: og.inv_fn(g) for u, g in bunch.groups.items()}
         self._member = {u: og.member_fn(s) for u, s in bunch.subgroups.items()}
         self._tr = _Memo(lambda uv: og.hom_fn(transition(bunch, *uv)))
+        self._same = _Memo(lambda u: _same_layer_kernel(bunch, u))
+        self._unit_from: list[int] = []  # filled by _thresholds on first use
+
+    def _thresholds(self) -> list[int]:
+        """Fill ``_unit_from``: position i -> the least position from which
+        every transition out of layer i is the constant unit map (the module
+        docstring says why)."""
+        sk, steps = self.bunch.skeleton, self.bunch.steps
+        unit_from = [len(sk)] * len(sk)
+        for i in range(len(sk) - 2, -1, -1):
+            unit_from[i] = (i + 1 if og.hom_is_constant_unit(steps[sk[i], sk[i + 1]])
+                            else unit_from[i + 1])
+        self._unit_from = unit_from
+        return unit_from
 
     # -- structure ---------------------------------------------------------
 
@@ -99,7 +130,12 @@ class Chain:
         is discarded before the transition is applied)."""
         if x.layer != u:
             raise TypeMismatch(f"element lives on layer {x.layer!r}, not {u!r}")
-        return self._tr[(u, v)](x.g)
+        iu, iv = self.bunch.index(u), self.bunch.index(v)
+        if iu == iv:
+            return x.g
+        if iv >= (self._unit_from or self._thresholds())[iu]:
+            return self._unit[v]
+        return self._tr[(u, v)](x.g)  # raises LayerOrderError when v is below u
 
     # -- order and algebra ---------------------------------------------------
 
@@ -113,12 +149,15 @@ class Chain:
             if c:
                 return c
             return LT if x.dotted else GT
+        unit_from = self._unit_from or self._thresholds()
         if iu < iv:
-            c = self._cmp[v](self._tr[(u, v)](x.g), y.g)
+            lifted = self._unit[v] if iv >= unit_from[iu] else self._tr[(u, v)](x.g)
+            c = self._cmp[v](lifted, y.g)
             if c:
                 return c
             return GT if y.dotted else LT
-        c = self._cmp[u](x.g, self._tr[(v, u)](y.g))
+        lifted = self._unit[u] if iu >= unit_from[iv] else self._tr[(v, u)](y.g)
+        c = self._cmp[u](x.g, lifted)
         if c:
             return c
         return LT if x.dotted else GT
@@ -126,16 +165,17 @@ class Chain:
     def mul(self, x: ChainElement, y: ChainElement) -> ChainElement:
         u, v = x.layer, y.layer
         if u == v:
-            p = self._op[u](x.g, y.g)
-            if self._cls[u] == "I":
-                mem = self._member[u]
-                if mem(p) and not (not x.dotted and not y.dotted
-                                   and mem(x.g) and mem(y.g)):
-                    return _new(ChainElement, (u, p, True))
-            return _new(ChainElement, (u, p, False))
-        if self._idx[u] < self._idx[v]:
+            return self._same[u](x, y)
+        # past the threshold op(e, g) = g, and the higher operand's dot is kept
+        unit_from = self._unit_from or self._thresholds()
+        iu, iv = self._idx[u], self._idx[v]
+        if iu < iv:
+            if iv >= unit_from[iu]:
+                return y
             lo, hi = x, y
         else:
+            if iu >= unit_from[iv]:
+                return x
             lo, hi = y, x
         w = hi.layer
         p = self._op[w](self._tr[(lo.layer, w)](lo.g), hi.g)
@@ -205,6 +245,35 @@ class Chain:
                 alive.append(s)
                 yield from block
             streams = alive
+
+
+def _same_layer_kernel(b: Bunch, u: str):
+    """x * y for two points of layer ``u``: the product of the group parts,
+    dotted within a class-I layer when it lands in the subgroup and the
+    operands are not both undotted subgroup members.  A trivial group gives
+    its unit, and a whole subgroup dots exactly when either operand is
+    dotted, with no membership calls."""
+    group = b.groups[u]
+    dotting = b.partition[u] == "I"
+    if og.group_is_trivial(group):
+        plain = _new(ChainElement, (u, og.g_unit(group), False))
+        if not dotting:
+            return lambda x, y: plain
+        dotted = _new(ChainElement, (u, og.g_unit(group), True))
+        return lambda x, y: dotted if x.dotted or y.dotted else plain
+    op = og.op_fn(group)
+    if not dotting:
+        return lambda x, y: _new(ChainElement, (u, op(x.g, y.g), False))
+    sub = b.subgroups[u]
+    if og.subgroup_is_whole(sub):
+        return lambda x, y: _new(ChainElement, (u, op(x.g, y.g), x.dotted or y.dotted))
+    mem = og.member_fn(sub)
+
+    def kernel(x, y):
+        p = op(x.g, y.g)
+        return _new(ChainElement, (u, p, mem(p) and (x.dotted or y.dotted
+                                                      or not (mem(x.g) and mem(y.g)))))
+    return kernel
 
 
 class _Memo(dict):

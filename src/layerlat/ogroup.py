@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,7 +123,7 @@ def op_fn(group: OGroup) -> Callable[[GElem, GElem], GElem]:
     if isinstance(group, Trivial):
         return lambda a, b: UNIT
     if isinstance(group, (Int, Rat)):
-        return lambda a, b: a + b
+        return operator.add
     left, right = op_fn(group.left), op_fn(group.right)
     return lambda a, b: (left(a[0], b[0]), right(a[1], b[1]))
 
@@ -132,7 +133,7 @@ def inv_fn(group: OGroup) -> Callable[[GElem], GElem]:
     if isinstance(group, Trivial):
         return lambda a: UNIT
     if isinstance(group, (Int, Rat)):
-        return lambda a: -a
+        return operator.neg
     left, right = inv_fn(group.left), inv_fn(group.right)
     return lambda a: (left(a[0]), right(a[1]))
 

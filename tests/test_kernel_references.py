@@ -11,13 +11,16 @@ with its own binary search, `validate`'s D2 triple loop, which compiles
 three transitions and draws the sample pool afresh for every triple, the
 densify driver that builds a bunch and its Chain for every insertion, the
 table decomposition and round trip that run the full axiom oracle before
-decomposing, the window export that floors a product by a linear scan, and
-the recovery identities that list each layer's points and compose each
-transition themselves.  The current kernels decide each law value once over
+decomposing, the window export that floors a product by a linear scan, the
+recovery identities that list each layer's points and compose each
+transition themselves, and the chain's compare, mul and zeta, which lift
+every pair across layers through its compiled transition
+(``ReferenceKernels``).  The current kernels decide each law value once over
 interned element ids, compare ranks instead of values, compile each
 transition pair once and stream each layer's samples once, splice each
 densify pass into one bunch, certify a table by its reconstruction, floor by
-bisection and read the chain's own layer blocks and transitions; these tests
+bisection, read the chain's own layer blocks and transitions, and decide
+constant-unit transitions by one threshold per layer; these tests
 pin that their reports, values and errors are unchanged, on passing and on
 deliberately broken inputs.
 """
@@ -29,14 +32,14 @@ import random
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import islice, product
+from functools import cache, cmp_to_key
+from itertools import islice, product, starmap
 from typing import Callable
 
 import pytest
 
-from layerlat import (bunch as bunch_module, cli, decompose as decompose_module, fixtures,
-                      ogroup as og)
+from layerlat import (bunch as bunch_module, chain as chain_module, cli,
+                      decompose as decompose_module, fixtures, ogroup as og)
 from layerlat.bunch import Bunch, BunchType, bunch_type, serialize_bunch, transition, validate
 from layerlat.chain import Chain, ChainElement, _sample_triples, check_chain_laws, format_element
 from layerlat.decompose import (DecompositionResult, RoundTripWitness, decompose_table,
@@ -56,7 +59,7 @@ from layerlat.report import EMBED, LAWS, RECOVER, Check, Report
 from layerlat.standardize import (RationalPlacement, cantor_map, extend_with_products,
                                   sup_extend)
 
-EQ, LT = og.EQ, og.LT
+EQ, LT, GT = og.EQ, og.LT, og.GT
 
 
 # ---------------------------------------------------------------------------
@@ -1396,6 +1399,7 @@ def decompose_outcome(decompose, tbl: CayleyTable) -> tuple:
     return r.bunch, r.layer_assignment, r.layer_of
 
 
+@cache  # the corpus, the mutations and the round trips share the tables
 def finite_table(n: int) -> CayleyTable:
     return table_of_chain(Chain(fixtures.finite_bunch(n)))[0]
 
@@ -1573,3 +1577,165 @@ def test_window_tables_match_the_scanning_reference(name):
     chain = Chain(fixtures.ALL[name]())
     for limit in (8, 12, 50, 100, 200):
         assert window_table(chain, limit) == reference_window_table(chain, limit), limit
+
+
+# ---------------------------------------------------------------------------
+# chain kernels: every pair across layers lifted through its compiled transition
+
+
+class ReferenceKernels:
+    """`Chain.compare`, `mul` and `zeta` as they were: per-layer function
+    tables, and every pair across layers lifted through its own compiled
+    transition, ``og.hom_fn(transition(...))``, memoised per pair."""
+
+    def __init__(self, b: Bunch):
+        self.b = b
+        self._idx = {u: i for i, u in enumerate(b.skeleton)}
+        self._cls = b.partition
+        self._cmp = {u: og.cmp_fn(g) for u, g in b.groups.items()}
+        self._op = {u: og.op_fn(g) for u, g in b.groups.items()}
+        self._member = {u: og.member_fn(s) for u, s in b.subgroups.items()}
+        self._tr = {}
+
+    def tr(self, u: str, v: str):
+        if (u, v) not in self._tr:
+            self._tr[u, v] = og.hom_fn(transition(self.b, u, v))
+        return self._tr[u, v]
+
+    def zeta(self, u: str, v: str, x: ChainElement) -> og.GElem:
+        if x.layer != u:
+            raise TypeMismatch(f"element lives on layer {x.layer!r}, not {u!r}")
+        return self.tr(u, v)(x.g)
+
+    def compare(self, x: ChainElement, y: ChainElement) -> int:
+        if x == y:
+            return EQ
+        u, v = x.layer, y.layer
+        iu, iv = self._idx[u], self._idx[v]
+        if iu == iv:
+            c = self._cmp[u](x.g, y.g)
+            if c:
+                return c
+            return LT if x.dotted else GT
+        if iu < iv:
+            c = self._cmp[v](self.tr(u, v)(x.g), y.g)
+            if c:
+                return c
+            return GT if y.dotted else LT
+        c = self._cmp[u](x.g, self.tr(v, u)(y.g))
+        if c:
+            return c
+        return LT if x.dotted else GT
+
+    def mul(self, x: ChainElement, y: ChainElement) -> ChainElement:
+        u, v = x.layer, y.layer
+        if u == v:
+            p = self._op[u](x.g, y.g)
+            if self._cls[u] == "I":
+                mem = self._member[u]
+                if mem(p) and not (not x.dotted and not y.dotted
+                                   and mem(x.g) and mem(y.g)):
+                    return ChainElement(u, p, True)
+            return ChainElement(u, p, False)
+        if self._idx[u] < self._idx[v]:
+            lo, hi = x, y
+        else:
+            lo, hi = y, x
+        w = hi.layer
+        p = self._op[w](self.tr(lo.layer, w)(lo.g), hi.g)
+        return ChainElement(w, p, hi.dotted)
+
+
+def call_outcome(fn, *args) -> tuple:
+    try:
+        return "value", fn(*args)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return type(e), str(e)
+
+
+def unit_inside_bunch() -> Bunch:
+    """Int -> unit -> Int -> id -> Int: the least layer's threshold is the
+    next layer, and the identity above it is compiled."""
+    labels = ("t", "u1", "u2")
+    return Bunch(labels, {"t": "O", "u1": "I", "u2": "I"}, dict.fromkeys(labels, og.INT),
+                 {"u1": og.int_multiples(2), "u2": og.whole(og.INT)},
+                 {("t", "u1"): og.unit_map(og.INT, og.INT), ("u1", "u2"): og.identity(og.INT)})
+
+
+def kernel_bunches() -> list[Bunch]:
+    rng = random.Random(16)
+    bunches = [f() for _, f in sorted(fixtures.ALL.items())]
+    bunches += [fixtures.finite_bunch(n) for n in range(1, 41)]
+    bunches += [fixtures.random_bunch(rng, max_layers=8) for _ in range(200)]
+    bunches += [densify_driver(Chain(fixtures.s3()), 3, r)[0] for r in range(7)]
+    bunches.append(unit_inside_bunch())
+    return bunches
+
+
+def test_the_unit_inside_bunch_is_valid_with_its_threshold_inside():
+    b = unit_inside_bunch()
+    assert validate(b).ok
+    chain = Chain(b)
+    chain.compare(ChainElement("t", 0), ChainElement("u2", 0))
+    assert chain._unit_from == [1, 3, 3]
+
+
+def test_a_chain_that_only_enumerates_fills_no_threshold():
+    chain = Chain(fixtures.finite_bunch(255))
+    assert sum(1 for _ in chain.enumerate_elements()) == 255
+    assert chain._unit_from == [] and chain._tr == {} and chain._same == {}
+
+
+def test_chain_kernels_match_the_transition_lifting_reference():
+    # every ordered pair of the first 64 points; zeta(x.layer, v, x) depends
+    # on y only through its layer v, so each (x, v) is lifted once
+    for i, b in enumerate(kernel_bunches()):
+        chain, ref = Chain(b), ReferenceKernels(b)
+        points = list(islice(chain.enumerate_elements(), 64))
+        assert all(type(chain.compare(x, x)) is int and chain.compare(x, x) == EQ
+                   for x in points), i
+        pairs = list(product(points, repeat=2))
+        for name in ("compare", "mul"):
+            assert list(starmap(getattr(chain, name), pairs)) == \
+                list(starmap(getattr(ref, name), pairs)), (i, name)
+        lifts = [(x.layer, v, x) for x in points for v in dict.fromkeys(p.layer for p in points)]
+        assert [call_outcome(chain.zeta, *a) for a in lifts] == \
+            [call_outcome(ref.zeta, *a) for a in lifts], (i, "zeta")
+
+
+def count_transitions(monkeypatch) -> list[tuple]:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transition(*args)
+
+    for module in (chain_module, bunch_module):
+        monkeypatch.setattr(module, "transition", counted)
+    return calls
+
+
+def test_finite_tables_compile_no_transition(monkeypatch):
+    # every step of a finite bunch is the unit map, so every layer pair is
+    # past its threshold
+    calls = count_transitions(monkeypatch)
+    built = []
+
+    def recorded(bunch):
+        built.append(Chain(bunch))
+        return built[-1]
+
+    monkeypatch.setattr(decompose_module, "Chain", recorded)
+    chain = Chain(fixtures.finite_bunch(81))
+    tbl = table_of_chain(chain)[0]
+    assert roundtrip_table(tbl).result.bunch == fixtures.finite_bunch(81)
+    assert len(built) == 1
+    assert chain._tr == {} and built[0]._tr == {}
+    assert calls == []
+
+
+@pytest.mark.parametrize("rounds", range(9))
+def test_densify_compiles_no_transition(monkeypatch, rounds):
+    calls = count_transitions(monkeypatch)
+    densify_driver(Chain(fixtures.s3()), 3, rounds)
+    assert calls == []
