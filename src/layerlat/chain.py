@@ -11,18 +11,20 @@ does not copy:
   rule): from that position up, every transition out of ``sk[i]`` is the
   constant unit map.  There `mul` returns the higher operand itself (op(e,
   g) = g, and the higher operand's dot is kept), `compare` lifts to the
-  target layer's unit and `zeta` returns that unit, with no transition
-  compiled.  A finite chain's steps are all unit maps, so it compiles none.
+  target layer's unit and `lift` returns the constant map to that unit,
+  with no transition compiled.  A finite chain's steps are all unit maps,
+  so it compiles none.
 * ``_same``: one product kernel per layer, built on first use.
 * ``_tr``: one transition map per remaining layer pair, compiled on first
-  use from `bunch.transition`.  `embed.check_embedding` and
-  `decompose.recover_bunch_samples` read it, so a bunch is compiled here and
-  in `bunch.validate` only.
+  use from `bunch.transition`.  Only `Chain` reads it: `lift` decides a
+  layer pair by the threshold first, and `zeta`, `embed.check_embedding`
+  and `decompose.recover_bunch_samples` go through `lift`, so a bunch is
+  compiled here and in `bunch.validate` only.
 * ``_layer_blocks``: one point stream per layer, which
   `recover_bunch_samples` reads too.
 
 So the compiled form grows with the number of layers L, not with L^2,
-except for the pairs below a threshold that ``_tr`` is asked for.
+except for the pairs below a threshold that `lift` is asked for.
 
 Carrier points are triples (layer, group element, dotted flag); dotted points
 exist only on class-I layers for elements of the designated subgroup and sit
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import random
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import ogroup as og
 from .bunch import Bunch, BunchType, bunch_type, structural_problems, transition
@@ -125,17 +127,25 @@ class Chain:
             if not self._member[x.layer](x.g):
                 raise TypeMismatch("dotted element outside the designated subgroup")
 
+    def lift(self, u: str, v: str) -> Callable[[og.GElem], og.GElem]:
+        """The transition from layer ``u`` up to layer ``v`` as a map on group
+        elements: the identity when u == v, the constant unit of ``v`` at or
+        past ``u``'s threshold, and the compiled ``_tr`` entry otherwise
+        (which raises LayerOrderError when ``v`` is below ``u``)."""
+        iu, iv = self.bunch.index(u), self.bunch.index(v)
+        if iu == iv:
+            return _identity
+        if iv >= (self._unit_from or self._thresholds())[iu]:
+            unit = self._unit[v]
+            return lambda g: unit
+        return self._tr[(u, v)]
+
     def zeta(self, u: str, v: str, x: ChainElement) -> og.GElem:
         """Lift ``x`` from layer ``u`` into the group of layer ``v`` (the dot
         is discarded before the transition is applied)."""
         if x.layer != u:
             raise TypeMismatch(f"element lives on layer {x.layer!r}, not {u!r}")
-        iu, iv = self.bunch.index(u), self.bunch.index(v)
-        if iu == iv:
-            return x.g
-        if iv >= (self._unit_from or self._thresholds())[iu]:
-            return self._unit[v]
-        return self._tr[(u, v)](x.g)  # raises LayerOrderError when v is below u
+        return self.lift(u, v)(x.g)
 
     # -- order and algebra ---------------------------------------------------
 
@@ -274,6 +284,10 @@ def _same_layer_kernel(b: Bunch, u: str):
         return _new(ChainElement, (u, p, mem(p) and (x.dotted or y.dotted
                                                       or not (mem(x.g) and mem(y.g)))))
     return kernel
+
+
+def _identity(g: og.GElem) -> og.GElem:
+    return g
 
 
 class _Memo(dict):

@@ -1,24 +1,22 @@
 """Decomposition of finite extensional chains into bunches, and round-trip
 verification in both directions.
 
-Finite decomposition always produces trivial layer groups (a finite abelian
-o-group is trivial), so every layer carries one element or, on class-I
-layers, an undotted/dotted pair.  On symbolic chains the decomposition is
-verified as a family of identities instead of re-derived, since the chain
-already carries its bunch: `recover_bunch_samples` returns a `report.Report`,
-one `Check` per identity.
+`roundtrip_table` decomposes a table by classification, not by reading it.
+By the representation theorem a lawful n-element table is the table of an
+odd or even involutive FL_e-chain whose bunch has finite, so trivial, layer
+groups.  Then every step is the unit map, every class-I subgroup is whole,
+and G2 rules out class J (the trivial group is not discrete).  Class O can
+only be the least layer and a class-I layer carries two points, so the one
+such bunch with n points, up to layer names, is `fixtures.finite_bunch(n)`.
+The round trip builds that candidate's chain, maps index i to the i-th
+point of its sorted carrier, and compares every product cell and both
+constants.  A match certifies every clause of the oracle, associativity
+included, with no n^3 scan; the oracle runs, once, only on a mismatch, and
+names the first violation.
 
-`roundtrip_table` certifies a table without `check_flea_axioms`: it
-decomposes the table and matches order, every product cell and both
-constants with the chain of the decomposed bunch.  By the representation
-theorem the chain of a valid bunch is an odd or even involutive FL_e-chain, so
-a table isomorphic to it satisfies every clause of the oracle, associativity
-included, with no n^3 scan.  The bunch is valid by construction but for G2:
-its groups are trivial, its steps unit maps, its class-I subgroups whole and
-its class O least, so structure, G1, G3, D1 and D2 hold (every hom fixes the
-only element), and G2 fails exactly on a class-J layer (the trivial group is
-not discrete).  The full oracle runs, once, only when the reconstruction
-raises, and names the first violation.
+On symbolic chains the decomposition is verified as a family of identities
+instead of re-derived, since the chain already carries its bunch:
+`recover_bunch_samples` returns a `report.Report`, one `Check` per identity.
 """
 
 from __future__ import annotations
@@ -31,9 +29,10 @@ from itertools import islice
 from . import ogroup as og
 from .bunch import Bunch
 from .chain import Chain, ChainElement
-from .errors import (AxiomFailure, InfiniteChain, InternalInvariant, NotInvolutive,
-                     NotOddOrEven, RoundTripMismatch, WindowTooSmall)
-from .oracle import CayleyTable, brute_residuum, check_flea_axioms
+from .errors import (AxiomFailure, InfiniteChain, NotInvolutive, NotOddOrEven,
+                     RoundTripMismatch, WindowTooSmall)
+from .fixtures import finite_bunch
+from .oracle import CayleyTable, check_flea_axioms
 from .report import RECOVER, Check, Report
 
 
@@ -97,80 +96,11 @@ _AXIOM_ERRORS = {"involution": NotInvolutive, "odd-or-even": NotOddOrEven}
 
 
 def decompose_table(tbl: CayleyTable) -> DecompositionResult:
-    """Split a lawful table into its skeleton, partition, and layer data.
-
-    Layers are the positive idempotents; each element lands in the layer of
-    its local unit; an element of a class-I layer is dotted exactly when it
-    is the shifted copy of an invertible one.  Certified by `roundtrip_table`.
-    """
+    """Split a lawful table into its skeleton, partition, and layer data:
+    those of `finite_bunch(tbl.size)`, the one bunch a lawful table of that
+    size can have (see the module docstring), with index i assigned the
+    i-th point of its sorted carrier.  Certified by `roundtrip_table`."""
     return roundtrip_table(tbl).result
-
-
-def _decompose(tbl: CayleyTable) -> DecompositionResult:
-    n, p, t, f = tbl.size, tbl.product, tbl.unit, tbl.falsum
-    neg = [brute_residuum(tbl, x, f) for x in range(n)]
-    local_unit = [brute_residuum(tbl, x, x) for x in range(n)]
-
-    kappa = [u for u in range(n) if u >= t and p[u][u] == u]
-    if kappa != sorted(set(local_unit)):
-        raise InternalInvariant("skeleton characterizations disagree")
-
-    classes: dict[int, str] = {}
-    for u in kappa:
-        if u == t:
-            classes[u] = "O" if f == t else ("I" if p[f][f] == f else "J")
-        else:
-            nu = neg[u]
-            classes[u] = "I" if p[nu][nu] == nu else "J"
-
-    layers: dict[int, list[int]] = {u: [] for u in kappa}
-    for x in range(n):
-        layers[local_unit[x]].append(x)
-
-    names = {u: ("t" if i == 0 else f"u{i}") for i, u in enumerate(kappa)}
-    assignment: dict[int, ChainElement] = {}
-    for u in kappa:
-        name = names[u]
-        if classes[u] == "I":
-            invertible = [x for x in layers[u] if p[x][neg[u]] < x]
-            exists_inverse = [x for x in layers[u]
-                              if any(p[x][y] == u for y in layers[u])]
-            if invertible != exists_inverse:
-                raise InternalInvariant("invertibility characterizations disagree")
-            dotted = {p[x][neg[u]]: x for x in invertible}
-            group_part = [x for x in layers[u] if x not in dotted]
-            # the class-I layer operation, written with double residuation,
-            # must collapse to the plain product on the trivial layer group
-            twisted = brute_residuum(tbl, brute_residuum(tbl, p[u][u], u), u)
-            if twisted != u:
-                raise InternalInvariant("twisted layer product did not collapse")
-            for shifted in dotted:
-                assignment[shifted] = ChainElement(name, og.UNIT, True)
-        else:
-            group_part = list(layers[u])
-        if group_part != [u]:
-            raise InternalInvariant(f"layer group of idempotent {u} is not trivial")
-        if brute_residuum(tbl, u, u) != u:
-            raise InternalInvariant(f"idempotent {u} is not its own local unit")
-        assignment[u] = ChainElement(name, og.UNIT, False)
-    for u in kappa:
-        for v in kappa:
-            if u <= v and p[v][u] != v:
-                raise InternalInvariant("idempotent multiplication is not the transition")
-
-    skeleton = tuple(names[u] for u in kappa)
-    partition = {names[u]: classes[u] for u in kappa}
-    groups = {names[u]: og.TRIVIAL for u in kappa}
-    subgroups = {names[u]: og.whole(og.TRIVIAL) for u in kappa if classes[u] == "I"}
-    steps = {(skeleton[i], skeleton[i + 1]): og.unit_map(og.TRIVIAL, og.TRIVIAL)
-             for i in range(len(skeleton) - 1)}
-    bunch = Bunch(skeleton, partition, groups, subgroups, steps)
-    if not bunch.kappa_j_free():  # exactly `validate(bunch).ok` here
-        raise InternalInvariant("decomposition produced an invalid bunch")
-    if len(assignment) != n:
-        raise InternalInvariant("layer assignment is not a bijection")
-    layer_of = {x: assignment[x].layer for x in range(n)}
-    return DecompositionResult(bunch, assignment, layer_of)
 
 
 @dataclass
@@ -182,36 +112,38 @@ class RoundTripWitness:
 
 def roundtrip_table(tbl: CayleyTable) -> RoundTripWitness:
     """Explicit order- and product-preserving bijection between ``tbl`` and
-    the chain rebuilt from its decomposition.  The bijection is the
-    certificate that ``tbl`` satisfies every axiom, since the decomposed
-    bunch is valid exactly when it is class-J free (see the module
-    docstring).  When the reconstruction raises, `check_flea_axioms` runs
-    once and its first violation is raised, else the original error."""
+    the chain of `finite_bunch(tbl.size)`, the only lawful chain of that
+    size (see the module docstring).  The bijection is the certificate that
+    ``tbl`` satisfies every axiom.  When the comparison fails,
+    `check_flea_axioms` runs once and its first violation is raised, else
+    the original error."""
     try:
-        return _certify(tbl, _decompose(tbl))
+        return _certify(tbl)
     except Exception:
         for bad in check_flea_axioms(tbl).violations()[:1]:
             raise _AXIOM_ERRORS.get(bad.clause, AxiomFailure)(bad.detail, bad.witness) from None
         raise
 
 
-def _certify(tbl: CayleyTable, result: DecompositionResult) -> RoundTripWitness:
-    chain = Chain(result.bunch)
-    mapping = result.layer_assignment
-    carrier = set(chain.enumerate_elements())
-    if set(mapping.values()) != carrier:
-        raise RoundTripMismatch("reconstructed carrier differs from the assignment")
-    for i in range(tbl.size - 1):
-        if chain.compare(mapping[i], mapping[i + 1]) >= 0:
-            raise RoundTripMismatch(f"order mismatch between {i} and {i + 1}")
-    for i in range(tbl.size):
-        for j in range(tbl.size):
-            if chain.mul(mapping[i], mapping[j]) != mapping[tbl.product[i][j]]:
+def _certify(tbl: CayleyTable) -> RoundTripWitness:
+    chain = Chain(finite_bunch(tbl.size))
+    # distinct points in ascending order: a bijection onto the carrier that
+    # preserves order by construction
+    elems = sorted(chain.enumerate_elements(), key=cmp_to_key(chain.compare))
+    if len(elems) != tbl.size:
+        raise RoundTripMismatch(f"candidate chain has {len(elems)} points, not {tbl.size}")
+    mapping = dict(enumerate(elems))
+    mul, p = chain.mul, tbl.product
+    for i, x in enumerate(elems):
+        row = p[i]
+        for j, y in enumerate(elems):
+            if mul(x, y) != mapping[row[j]]:
                 raise RoundTripMismatch(f"product mismatch at cell ({i}, {j})")
     t, f = chain.constants()
     if mapping[tbl.unit] != t or mapping[tbl.falsum] != f:
         raise RoundTripMismatch("constants not preserved")
-    return RoundTripWitness(result, mapping, tbl.size)
+    layer_of = {i: x.layer for i, x in enumerate(elems)}
+    return RoundTripWitness(DecompositionResult(chain.bunch, mapping, layer_of), mapping, tbl.size)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +166,7 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
     elements (for c, element-layer pairs) it was tried on and its first
     failure; the report's ``samples`` is the number of elements plus pairs.
     A layer's elements are the chain's own first layer blocks, dotted
-    companions included, and (c) applies the chain's compiled transitions.
+    companions included, and (c) applies the chain's own `Chain.lift`.
     """
     if samples < 0:
         raise ValueError("samples must be at least 0")
@@ -274,7 +206,7 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
                     fail("d", f"dot projection broken at {x}")
         iu = b.index(u)
         for v in b.skeleton[iu:]:
-            tr = chain._tr[u, v]
+            tr = chain.lift(u, v)
             for x in pools[u]:
                 if x.dotted:
                     continue

@@ -7,7 +7,7 @@ per source layer; the induced element map carries (u, g, dotted) to
 order/least/partition preservation, commuting transition squares, subgroup
 membership both ways on class-I layers, unit covers on class-J layers, and a
 direct order/product/constants check on sampled elements.  Both sides of a
-transition square are read from the two chains' compiled transitions.
+transition square are the two chains' own `Chain.lift` maps.
 
 Each unordered pair of sampled elements is checked once, since `Chain.compare`
 is antisymmetric and `Chain.mul` commutative.  Every DSL hom is an
@@ -115,7 +115,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
                     "transition-square", f"{u}->{v}", False, "proved",
                     "image layers are not skeleton-ordered"))
                 continue
-            src_tr, dst_tr = src._tr[u, v], dst._tr[smap[u], smap[v]]
+            src_tr, dst_tr = src.lift(u, v), dst.lift(smap[u], smap[v])
             fv = maps[v]
             bad = next((a for a, fa in zip(pools[u], mapped[u])
                         if fv(src_tr(a)) != dst_tr(fa)), None)

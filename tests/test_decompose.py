@@ -7,8 +7,8 @@ from layerlat.bunch import Bunch, validate
 from layerlat.chain import Chain, ChainElement
 from layerlat.decompose import (decompose_table, recover_bunch_samples,
                                 roundtrip_table, table_of_chain, window_table)
-from layerlat.errors import (AxiomFailure, InfiniteChain, InternalInvariant,
-                             NotInvolutive, NotOddOrEven, WindowTooSmall)
+from layerlat.errors import (AxiomFailure, InfiniteChain, NotInvolutive, NotOddOrEven,
+                             RoundTripMismatch, WindowTooSmall)
 from layerlat.oracle import (CayleyTable, brute_residuum, enumerate_finite_chains,
                              format_table_csv)
 
@@ -77,10 +77,18 @@ def test_roundtrip_on_enumerated_chains(n):
 
 
 def test_invalid_decomposition_raises_under_optimisation(monkeypatch):
-    # an explicit raise, not an assert, so python -O keeps the check
-    monkeypatch.setattr(Bunch, "kappa_j_free", lambda self: False)
-    with pytest.raises(InternalInvariant, match="invalid bunch"):
-        roundtrip_table(S3_TABLE)
+    # explicit raises, not asserts, so python -O keeps the certificate; the
+    # oracle passes the lawful S3_TABLE, so a wrong candidate surfaces the
+    # certificate's own error: first a carrier of the wrong size, then one of
+    # the right size (an invalid class-J bunch) whose products differ
+    j_above = Bunch(("t", "u1"), {"t": "I", "u1": "J"},
+                    {"t": og.TRIVIAL, "u1": og.TRIVIAL}, {"t": og.whole(og.TRIVIAL)},
+                    {("t", "u1"): og.unit_map(og.TRIVIAL, og.TRIVIAL)})
+    for candidate, message in ((fixtures.finite_bunch(2), "candidate chain has 2 points, not 3"),
+                               (j_above, r"product mismatch at cell \(0, 2\)")):
+        monkeypatch.setattr("layerlat.decompose.finite_bunch", lambda n, b=candidate: b)
+        with pytest.raises(RoundTripMismatch, match=message):
+            roundtrip_table(S3_TABLE)
 
 
 def test_a_table_failing_only_associativity_is_rejected(tmp_path, capsys):

@@ -133,3 +133,13 @@ def test_embedding_and_recovery_read_the_chains_compiled_transitions(monkeypatch
     assert check_embedding(chain, chain, identity_embedding(b)).ok
     assert recover_bunch_samples(chain).ok
     assert calls == []
+
+
+def test_embedding_and_recovery_compile_no_transition_on_a_finite_chain():
+    # every layer pair of a finite chain is at or past its threshold, or the
+    # same layer, so `Chain.lift` decides it with no entry in `_tr`
+    b = fixtures.finite_bunch(81)
+    chain = Chain(b)
+    assert check_embedding(chain, chain, identity_embedding(b)).ok
+    assert recover_bunch_samples(chain).ok
+    assert chain._tr == {}

@@ -1491,10 +1491,18 @@ def trivial_bunches(layers: int) -> list[Bunch]:
     return bunches
 
 
+def test_every_lawful_table_is_the_finite_bunchs_table():
+    # the premise of `roundtrip_table`'s certificate, pinned by the
+    # backtracking oracle, which knows nothing of bunches: each size has
+    # exactly one lawful table, the one of `finite_bunch(n)`'s chain
+    for n in range(1, 13):
+        assert enumerate_finite_chains(n, bound=12) == [finite_table(n)], n
+
+
 def test_every_valid_trivial_bunch_has_a_lawful_chain():
-    # the premise of `roundtrip_table`'s certificate: the chain of any bunch
-    # `validate` accepts, which `_decompose` may build from an outside table,
-    # passes the full oracle, associativity included
+    # the other half of that premise: among the bunches of trivial layer
+    # groups, `validate` accepts exactly the `finite_bunch(n)`, and the
+    # chain of each passes the full oracle, associativity included
     accepted = []
     for layers in range(1, 9):
         for bunch in trivial_bunches(layers):
@@ -1506,8 +1514,9 @@ def test_every_valid_trivial_bunch_has_a_lawful_chain():
 
 
 def test_a_trivial_bunch_is_valid_exactly_when_class_j_free():
-    # why `_decompose` may ask `kappa_j_free` in place of `validate`: on the
-    # trivial bunches it builds, G2 is the only clause that can fail
+    # why a bunch of trivial layer groups is valid only without class J, so
+    # that `finite_bunch(n)` is the one candidate `roundtrip_table` needs:
+    # on such bunches G2 is the only clause that can fail
     for layers in range(1, 9):
         for bunch in trivial_bunches(layers):
             assert validate(bunch).ok == bunch.kappa_j_free(), serialize_bunch(bunch)
