@@ -1,11 +1,11 @@
 """Bunches of layer groups: a finite totally ordered skeleton of layers, one
 abelian o-group per layer, designated subgroups on class-I layers, and
 order-hom transitions stored on covering pairs.  `transition` composes them
-once per bunch, in `hom_compose`'s normal form, for its two compilers:
-`Chain`, which every chain reader goes through, and `validate`.  `Chain`
-asks only for the pairs below its per-layer constant-unit threshold, which
-it reads off the steps themselves, so a bunch whose steps are unit maps has
-no transition composed by its chain.
+once per bunch, in `hom_compose`'s normal form, for its one compiler,
+`Chain`, which every chain reader and `validate` go through.  `Chain` asks
+only for the pairs below its per-layer constant-unit threshold, which it
+reads off the steps themselves, so a bunch whose steps are unit maps has no
+transition composed at all.
 
 Layer classes are "O" (only ever the least layer), "J" (discrete layers whose
 transitions collapse the unit's lower cover), and "I" (layers carrying a
@@ -109,8 +109,8 @@ def structural_problems(b: Bunch) -> list[str]:
     if len(set(b.skeleton)) != len(b.skeleton):
         problems.append("skeleton labels are not distinct")
     for u in b.skeleton:
-        if not u or ":" in u:
-            problems.append(f"layer label {u!r} is empty or contains ':'")
+        if not u or ":" in u or "->" in u:
+            problems.append(f"layer label {u!r} is empty or contains ':' or '->'")
     layer_set = set(b.skeleton)
     if set(b.partition) != layer_set:
         problems.append("partition does not cover exactly the skeleton")
@@ -140,11 +140,11 @@ def validate(b: Bunch, samples: int = 100) -> Report:
     """Check every bunch law into a `report.Report`; raises only if samples < 0.
 
     Structural shortcuts are used where a clause holds by construction (a
-    constant-unit transition lands in any subgroup; a whole subgroup absorbs
-    anything); otherwise the first ``samples`` enumerated elements of the
-    relevant source group are pushed through the transitions, each compiled
-    once per layer pair.  D2 is sampled per triple u <= v <= w, streaming
-    each layer's samples once, so memory does not grow with ``samples``.
+    transition at or past `Chain.thresholds` lands in any subgroup; a whole
+    subgroup absorbs anything); otherwise the first ``samples`` elements of
+    the source group go through the bunch's `Chain.lift` maps, read once per
+    layer pair.  D2 is sampled per triple u <= v <= w, streaming each layer's
+    samples once, so memory does not grow with ``samples``.
     """
     if samples < 0:
         raise ValueError("samples must be at least 0")
@@ -164,13 +164,15 @@ def validate(b: Bunch, samples: int = 100) -> Report:
     if not any(c.clause == "G1" and not c.ok for c in report.checks):
         report.checks.append(Check("G1", least, True, "structural"))
 
-    # identity transitions hold by definition of `transition`
+    # identity transitions hold by definition of `Chain.lift`
     report.checks.append(Check("D1", "all layers", True, "structural"))
 
+    from .chain import Chain  # here, since chain.py imports this module
+    chain = Chain(b)
+    unit_from = chain.thresholds()
     sk, n = b.skeleton, len(b.skeleton)
-    # fns[i][k] applies transition(sk[i], sk[k]) for i <= k
-    fns = [[og.hom_fn(transition(b, sk[i], sk[k])) if i <= k else None for k in range(n)]
-           for i in range(n)]
+    # lifts[i][k] applies the transition from sk[i] up to sk[k] for i <= k
+    lifts = [[chain.lift(sk[i], sk[k]) if i <= k else None for k in range(n)] for i in range(n)]
 
     for i, u in enumerate(sk):
         if b.partition[u] != "J":
@@ -184,7 +186,7 @@ def validate(b: Bunch, samples: int = 100) -> Report:
         report.checks.append(Check("G2", f"{u} discrete", True, "structural"))
         down = og.g_cover_down(group, og.g_unit(group))
         for k in range(i + 1, n):
-            ok = fns[i][k](down) == og.g_unit(b.groups[sk[k]])
+            ok = lifts[i][k](down) == og.g_unit(b.groups[sk[k]])
             report.checks.append(Check(
                 "G2", f"{u}->{sk[k]}", ok, "exact",
                 "" if ok else "transition does not collapse the unit's lower cover"))
@@ -195,10 +197,10 @@ def validate(b: Bunch, samples: int = 100) -> Report:
         sub = b.subgroups[v]
         member = og.member_fn(sub)
         for i, u in enumerate(sk[:k]):
-            if og.subgroup_is_whole(sub) or og.hom_is_constant_unit(transition(b, u, v)):
+            if og.subgroup_is_whole(sub) or k >= unit_from[i]:
                 report.checks.append(Check("G3", f"{u}->{v}", True, "structural"))
                 continue
-            fn = fns[i][k]
+            fn = lifts[i][k]
             bad = None
             for x in islice(og.g_enumerate(b.groups[u]), samples):
                 if not member(fn(x)):
@@ -215,9 +217,9 @@ def validate(b: Bunch, samples: int = 100) -> Report:
         # are streamed once, each pushed through every transition out of u
         bad = {}
         for x in islice(og.g_enumerate(b.groups[u]), samples):
-            images = [None] * i + [f(x) for f in fns[i][i:]]
+            images = [None] * i + [f(x) for f in lifts[i][i:]]
             for j in range(i, n):
-                mid, second = images[j], fns[j]
+                mid, second = images[j], lifts[j]
                 for k in range(j, n):
                     if images[k] != second[k](mid) and (j, k) not in bad:
                         bad[j, k] = x
@@ -270,8 +272,8 @@ def bunch_from_json(doc) -> Bunch:
         raise ParseError("skeleton: must be a nonempty list of layer labels")
     if len(set(skeleton)) != len(skeleton):
         raise ParseError("skeleton: labels must be distinct")
-    for u in skeleton:
-        if not u or ":" in u:
+    for u in skeleton:  # ':' splits element literals, '->' step keys
+        if not u or ":" in u or "->" in u:
             raise ParseError(f"skeleton: bad label {u!r}")
 
     partition = doc["partition"]

@@ -1,4 +1,4 @@
-"""The involutive FL_e-chain built over a validated bunch.
+"""The involutive FL_e-chain built over a bunch.
 
 A `Chain` is its bunch's compiled form, over the bunch's own maps, which it
 does not copy:
@@ -17,9 +17,9 @@ does not copy:
 * ``_same``: one product kernel per layer, built on first use.
 * ``_tr``: one transition map per remaining layer pair, compiled on first
   use from `bunch.transition`.  Only `Chain` reads it: `lift` decides a
-  layer pair by the threshold first, and `zeta`, `embed.check_embedding`
-  and `decompose.recover_bunch_samples` go through `lift`, so a bunch is
-  compiled here and in `bunch.validate` only.
+  layer pair by the threshold first, and `zeta`, `embed.check_embedding`,
+  `decompose.recover_bunch_samples` and `bunch.validate` go through `lift`,
+  so a bunch is compiled here only.
 * ``_layer_blocks``: one point stream per layer, which
   `recover_bunch_samples` reads too.
 
@@ -75,7 +75,7 @@ class ChainElement(NamedTuple):
 
 
 class Chain:
-    """Decidable chain over a validated bunch; immutable and pure."""
+    """Decidable chain over a structurally sound bunch; immutable and pure."""
 
     def __init__(self, bunch: Bunch):
         problems = structural_problems(bunch)
@@ -93,9 +93,9 @@ class Chain:
         self._member = {u: og.member_fn(s) for u, s in bunch.subgroups.items()}
         self._tr = _Memo(lambda uv: og.hom_fn(transition(bunch, *uv)))
         self._same = _Memo(lambda u: _same_layer_kernel(bunch, u))
-        self._unit_from: list[int] = []  # filled by _thresholds on first use
+        self._unit_from: list[int] = []  # filled by thresholds on first use
 
-    def _thresholds(self) -> list[int]:
+    def thresholds(self) -> list[int]:
         """Fill ``_unit_from``: position i -> the least position from which
         every transition out of layer i is the constant unit map (the module
         docstring says why)."""
@@ -135,7 +135,7 @@ class Chain:
         iu, iv = self.bunch.index(u), self.bunch.index(v)
         if iu == iv:
             return _identity
-        if iv >= (self._unit_from or self._thresholds())[iu]:
+        if iv >= (self._unit_from or self.thresholds())[iu]:
             unit = self._unit[v]
             return lambda g: unit
         return self._tr[(u, v)]
@@ -159,7 +159,7 @@ class Chain:
             if c:
                 return c
             return LT if x.dotted else GT
-        unit_from = self._unit_from or self._thresholds()
+        unit_from = self._unit_from or self.thresholds()
         if iu < iv:
             lifted = self._unit[v] if iv >= unit_from[iu] else self._tr[(u, v)](x.g)
             c = self._cmp[v](lifted, y.g)
@@ -177,7 +177,7 @@ class Chain:
         if u == v:
             return self._same[u](x, y)
         # past the threshold op(e, g) = g, and the higher operand's dot is kept
-        unit_from = self._unit_from or self._thresholds()
+        unit_from = self._unit_from or self.thresholds()
         iu, iv = self._idx[u], self._idx[v]
         if iu < iv:
             if iv >= unit_from[iu]:

@@ -29,10 +29,16 @@ LT, EQ, GT = -1, 0, 1
 ORDERING_NAMES = {LT: "LT", EQ: "EQ", GT: "GT"}
 
 
-@dataclass(frozen=True)
 class _UnitMark:
+    """Hashed and compared by identity, in C; pickled by name, as `UNIT`."""
+
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "e"
+
+    def __reduce__(self) -> str:
+        return "UNIT"
 
 
 #: The single element of the trivial group.

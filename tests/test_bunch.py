@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 
 from layerlat import fixtures, ogroup as og
-from layerlat.bunch import (Bunch, BunchType, bunch_from_json, bunch_type,
+from layerlat.bunch import (Bunch, BunchType, bunch_from_json, bunch_to_json, bunch_type,
                             parse_bunch, serialize_bunch, transition, validate)
 from layerlat.chain import Chain, ChainElement
 from layerlat.densify import densify_driver
@@ -134,6 +134,7 @@ def reference_transition(b, u, v):
 
 def assert_transitions_match_reference(b, samples=12):
     sk = b.skeleton
+    unit_from = Chain(b).thresholds()
     for i, u in enumerate(sk):
         pool = list(islice(og.g_enumerate(b.groups[u]), samples))
         for v in sk[i:]:
@@ -143,6 +144,10 @@ def assert_transitions_match_reference(b, samples=12):
             assert [fn(x) for x in pool] == [ref_fn(x) for x in pool], (u, v)
             # decides whether G3 is reported structural or sampled
             assert og.hom_is_constant_unit(got) == og.hom_is_constant_unit(ref), (u, v)
+        # validate reads G3's structural case off the chain's threshold
+        for k in range(i + 1, len(sk)):
+            assert (k >= unit_from[i]) == \
+                og.hom_is_constant_unit(reference_transition(b, u, sk[k])), (u, sk[k])
 
 
 def test_transitions_match_reference_fold():
@@ -226,6 +231,21 @@ def test_parse_accepts_non_ascending_labels():
     b = bunch_from_json(doc)
     assert b.least() == "z"
     assert validate(b).ok
+
+
+def test_labels_with_an_arrow_are_rejected():
+    # the steps a->b -> a and a -> b->a would share the key "a->b->a"
+    sk = ("a->b", "a", "b->a")
+    b = Bunch(sk, {"a->b": "O", "a": "I", "b->a": "I"}, {u: og.TRIVIAL for u in sk},
+              {u: og.whole(og.TRIVIAL) for u in sk[1:]},
+              {(u, v): og.unit_map(og.TRIVIAL, og.TRIVIAL) for u, v in zip(sk, sk[1:])})
+    report = validate(b)
+    assert [(c.clause, c.ok) for c in report.checks] == [("structure", False)] * 2
+    assert "'->'" in report.checks[0].detail
+    doc = bunch_to_json(b)
+    assert list(doc["steps"]) == ["a->b->a"]
+    with pytest.raises(ParseError, match="skeleton: bad label 'a->b'"):
+        bunch_from_json(doc)
 
 
 def test_parse_rejects_malformed_documents():

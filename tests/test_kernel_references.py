@@ -508,9 +508,16 @@ def wrong_transition(wrong: Callable[[Bunch, str, str], og.Hom | None]):
     return patched
 
 
+def patch_transition(monkeypatch, patched) -> None:
+    """Replace `transition` where `Chain` compiles it, which is where
+    `validate` reads it, and where the references read it."""
+    for module in (chain_module, bunch_module):
+        monkeypatch.setattr(module, "transition", patched)
+
+
 def test_d2_failure_and_witness_match_the_reference(monkeypatch):
     # t->w doubles, so t->u->w disagrees at 1, the first sample 0 maps to 0
-    monkeypatch.setattr(bunch_module, "transition", wrong_transition(
+    patch_transition(monkeypatch, wrong_transition(
         lambda b, u, v: og.scale_int(2) if (u, v) == ("t", "w") else None))
     b = int_tower()
     report = validate(b)
@@ -544,7 +551,7 @@ def test_d2_failures_on_collapsed_transitions_match_the_reference(monkeypatch):
         if spans:
             collapsed[id(b)] = spans[0]
             cases.append(b)
-    monkeypatch.setattr(bunch_module, "transition", wrong_transition(
+    patch_transition(monkeypatch, wrong_transition(
         lambda b, u, v: og.unit_map(b.groups[u], b.groups[v])
         if collapsed.get(id(b)) == (u, v) else None))
     assert len(cases) >= 5
@@ -1719,8 +1726,7 @@ def count_transitions(monkeypatch) -> list[tuple]:
         calls.append(args)
         return transition(*args)
 
-    for module in (chain_module, bunch_module):
-        monkeypatch.setattr(module, "transition", counted)
+    patch_transition(monkeypatch, counted)
     return calls
 
 
@@ -1740,6 +1746,7 @@ def test_finite_tables_compile_no_transition(monkeypatch):
     assert roundtrip_table(tbl).result.bunch == fixtures.finite_bunch(81)
     assert len(built) == 1
     assert chain._tr == {} and built[0]._tr == {}
+    assert validate(fixtures.finite_bunch(81)).ok
     assert calls == []
 
 

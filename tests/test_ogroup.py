@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -161,6 +163,13 @@ def catalog_of_homs():
         og.hom_compose(og.int_to_rat(), og.scale_int(3)),
         og.hom_compose(og.project_first(lex), og.inject_first(lex)),
     ]
+
+
+def test_unit_is_a_singleton_hashed_by_identity():
+    assert pickle.loads(pickle.dumps(og.UNIT)) is og.UNIT
+    assert copy.deepcopy(og.UNIT) is og.UNIT
+    assert type(og.UNIT).__hash__ is object.__hash__
+    assert repr(og.UNIT) == "e"
 
 
 def test_hom_apply_examples():
