@@ -21,10 +21,14 @@ import enum
 import json
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from . import ogroup as og
 from .errors import LayerOrderError, ParseError, UnknownLayer
 from .report import VALIDATE, Check, Report
+
+if TYPE_CHECKING:
+    from .chain import Chain
 
 LAYER_CLASSES = ("O", "J", "I")
 
@@ -146,6 +150,12 @@ def validate(b: Bunch, samples: int = 100) -> Report:
     layer pair.  D2 is sampled per triple u <= v <= w, streaming each layer's
     samples once, so memory does not grow with ``samples``.
     """
+    return _validate(b, samples)[0]
+
+
+def _validate(b: Bunch, samples: int) -> tuple[Report, Chain | None]:
+    """`validate`'s report and the `Chain` it was checked on (None when the
+    bunch is structurally broken), so a caller that needs both builds one."""
     if samples < 0:
         raise ValueError("samples must be at least 0")
     report = Report([], samples, VALIDATE)
@@ -153,7 +163,7 @@ def validate(b: Bunch, samples: int = 100) -> Report:
     for p in problems:
         report.checks.append(Check("structure", "bunch", False, "structural", p))
     if problems:
-        return report
+        return report, None
     report.checks.append(Check("structure", "bunch", True, "structural"))
 
     least = b.least()
@@ -230,7 +240,7 @@ def validate(b: Bunch, samples: int = 100) -> Report:
                     "D2", f"{u}->{sk[j]}->{sk[k]}", x is None, "sampled",
                     "" if x is None else f"composition disagrees at {og.format_gelem(b.groups[u], x)}",
                     witness=x))
-    return report
+    return report, chain
 
 
 # ---------------------------------------------------------------------------

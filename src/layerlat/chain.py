@@ -1,7 +1,12 @@
 """The involutive FL_e-chain built over a bunch.
 
 A `Chain` is its bunch's compiled form, over the bunch's own maps, which it
-does not copy:
+does not copy.  Set-up checks the bunch's structure and builds five tables
+keyed by layer: the group's unit, comparison, operation and inverse, and
+the subgroup's membership test.  Each is ``dict(zip(layers, map(compiler,
+groups)))`` over an `lru_cache`d `ogroup` compiler; groups are hash-consed
+and hash by identity, so this iterates and hashes in C, with no Python
+frame per layer.  Everything else is built on first use:
 
 * ``_unit_from``: per layer position i, the position just above the first
   step at or above ``sk[i]`` that is `og.hom_is_constant_unit` (``len(sk)``
@@ -86,11 +91,12 @@ class Chain:
         self._idx = bunch._positions
         self._cls = bunch.partition
         self._group = bunch.groups
-        self._unit = {u: og.g_unit(g) for u, g in bunch.groups.items()}
-        self._cmp = {u: og.cmp_fn(g) for u, g in bunch.groups.items()}
-        self._op = {u: og.op_fn(g) for u, g in bunch.groups.items()}
-        self._inv = {u: og.inv_fn(g) for u, g in bunch.groups.items()}
-        self._member = {u: og.member_fn(s) for u, s in bunch.subgroups.items()}
+        layers, groups = bunch.groups.keys(), bunch.groups.values()
+        self._unit = dict(zip(layers, map(og.g_unit, groups)))
+        self._cmp = dict(zip(layers, map(og.cmp_fn, groups)))
+        self._op = dict(zip(layers, map(og.op_fn, groups)))
+        self._inv = dict(zip(layers, map(og.inv_fn, groups)))
+        self._member = dict(zip(bunch.subgroups, map(og.member_fn, bunch.subgroups.values())))
         self._tr = _Memo(lambda uv: og.hom_fn(transition(bunch, *uv)))
         self._same = _Memo(lambda u: _same_layer_kernel(bunch, u))
         self._unit_from: list[int] = []  # filled by thresholds on first use

@@ -5,6 +5,25 @@ binary lexicographic products), so comparison, covers, enumeration, and
 subgroup membership all stay decidable.  Element values are plain Python
 data: the unit mark, exact ints, ``fractions.Fraction``, and nested pairs.
 
+Groups, subgroups and homs are hash-consed (Filliâtre and Conchon,
+"Type-safe modular hash-consing", 2006): a constructor returns the one
+object that holds its value, from the module-level pool ``_POOL`` keyed by
+``(class, *fields)``.  The fields are interned already, so a key hashes in C,
+and equality and hashing are `object`'s, by identity, in C too: the
+`lru_cache`d compilers below and `Chain`'s set-up hash a group with no
+Python frame.  ``__new__`` builds the object only on a pool miss, and no
+``__init__`` runs (the dataclasses have ``init=False``); pickling and
+copying rebuild through the constructor, so they return the pooled object.
+The pool is a plain dict, never a `functools` cache and never cleared:
+emptying it would let ``Int()`` build a second object while `INT` and every
+bunch built before still hold the first, and identity equality would call
+them different.  It holds one object per distinct value ever built, and
+bunches share those objects where each used to hold its own copies; a
+process that meets unboundedly many distinct values (scale factors, say)
+grows it, as `hom_fn`'s unbounded cache grows with the homs it compiles.
+A `WeakValueDictionary` would free them, at the cost of a Python-level
+lookup on every construction.
+
 The module also owns the textual/JSON encodings for groups, elements, homs,
 and subgroups used by bunch files and the CLI.  `hom_check` tests the hom
 laws and returns a `report.Report`, one `Check` per property.
@@ -45,28 +64,56 @@ class _UnitMark:
 UNIT = _UnitMark()
 
 
-@dataclass(frozen=True)
-class Trivial:
+#: The hash-cons pool: (class, *fields) -> the one object with that value.
+_POOL: dict[tuple, object] = {}
+
+
+class _Interned:
+    """Base of the hash-consed DSL values (see the module docstring).  Its
+    ``__new__`` serves the classes without fields; the others key the pool
+    with every field, defaults bound, and call ``_intern`` on a miss."""
+
+    def __new__(cls):
+        key = (cls,)
+        return _POOL.get(key) or cls._intern(key)
+
+    @classmethod
+    def _intern(cls, key: tuple):
+        self = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, key[1:]):
+            object.__setattr__(self, name, value)
+        return _POOL.setdefault(key, self)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Trivial(_Interned):
     def __repr__(self) -> str:
         return "Trivial()"
 
 
-@dataclass(frozen=True)
-class Int:
+@dataclass(frozen=True, eq=False, init=False)
+class Int(_Interned):
     def __repr__(self) -> str:
         return "Int()"
 
 
-@dataclass(frozen=True)
-class Rat:
+@dataclass(frozen=True, eq=False, init=False)
+class Rat(_Interned):
     def __repr__(self) -> str:
         return "Rat()"
 
 
-@dataclass(frozen=True)
-class Lex:
+@dataclass(frozen=True, eq=False, init=False)
+class Lex(_Interned):
     left: "OGroup"
     right: "OGroup"
+
+    def __new__(cls, left: "OGroup", right: "OGroup") -> "Lex":
+        key = (cls, left, right)
+        return _POOL.get(key) or cls._intern(key)
 
 
 OGroup = Trivial | Int | Rat | Lex
@@ -275,8 +322,8 @@ def g_enumerate(group: OGroup) -> Iterator[GElem]:
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class Hom:
+@dataclass(frozen=True, eq=False, init=False)
+class Hom(_Interned):
     """An order-preserving group homomorphism from the closed DSL.
 
     ``op`` is one of unit/id/scale_int/int_to_rat/inject_first/project_first/
@@ -288,6 +335,11 @@ class Hom:
     target: OGroup
     k: int = 0
     parts: tuple["Hom", ...] = ()
+
+    def __new__(cls, op: str, source: OGroup, target: OGroup, k: int = 0,
+                parts: tuple["Hom", ...] = ()) -> "Hom":
+        key = (cls, op, source, target, k, parts)
+        return _POOL.get(key) or cls._intern(key)
 
 
 def unit_map(source: OGroup, target: OGroup) -> Hom:
@@ -412,13 +464,17 @@ def hom_check(h: Hom, samples: int = 1000) -> Report:
 # subgroups
 
 
-@dataclass(frozen=True)
-class Subgroup:
+@dataclass(frozen=True, eq=False, init=False)
+class Subgroup(_Interned):
     """A decidable subgroup of ``ambient`` from the closed DSL."""
 
     op: str  # whole | int_multiples | int_in_rat | first_zero
     ambient: OGroup
     k: int = 0
+
+    def __new__(cls, op: str, ambient: OGroup, k: int = 0) -> "Subgroup":
+        key = (cls, op, ambient, k)
+        return _POOL.get(key) or cls._intern(key)
 
 
 def whole(ambient: OGroup) -> Subgroup:

@@ -8,10 +8,12 @@ import pytest
 
 from layerlat import fixtures, ogroup as og
 from layerlat.bunch import (Bunch, BunchType, bunch_from_json, bunch_to_json, bunch_type,
-                            parse_bunch, serialize_bunch, transition, validate)
+                            parse_bunch, serialize_bunch, structural_problems, transition,
+                            validate)
 from layerlat.chain import Chain, ChainElement
 from layerlat.densify import densify_driver
-from layerlat.errors import LayerOrderError, ParseError, UnknownLayer
+from layerlat.errors import LayerOrderError, ParseError, TypeMismatch, UnknownLayer
+from layerlat.report import Check
 
 
 def test_s3_validates_every_clause():
@@ -257,3 +259,47 @@ def test_parse_rejects_malformed_documents():
     with pytest.raises(ParseError, match="partition"):
         bunch_from_json({"skeleton": ["t"], "partition": {"t": "X"},
                          "groups": {"t": "int"}, "steps": {}})
+
+
+# -- structure under identity equality ------------------------------------------------
+
+def _three_layers(groups, subgroups, steps) -> Bunch:
+    sk = ("t", "a", "b")
+    return Bunch(sk, {"t": "O", "a": "I", "b": "I"}, dict(zip(sk, groups)),
+                 dict(zip(("a", "b"), subgroups)), dict(zip(zip(sk, sk[1:]), steps)))
+
+
+LII, LIR = og.Lex(og.INT, og.INT), og.Lex(og.INT, og.RAT)
+BROKEN = {
+    "subgroup of 'a' has wrong ambient group": _three_layers(
+        (og.TRIVIAL, og.INT, og.INT), (og.whole(og.RAT), og.whole(og.INT)),
+        (og.unit_map(og.TRIVIAL, og.INT), og.identity(og.INT))),
+    "step 'a'->'b' has wrong source group": _three_layers(
+        (og.TRIVIAL, LII, LII), (og.whole(LII), og.first_zero(LII)),
+        (og.unit_map(og.TRIVIAL, LII), og.unit_map(LIR, LII))),
+    "step 't'->'a' has wrong target group": _three_layers(
+        (og.TRIVIAL, og.INT, og.INT), (og.whole(og.INT), og.whole(og.INT)),
+        (og.unit_map(og.TRIVIAL, og.RAT), og.scale_int(2))),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BROKEN))
+def test_structural_mismatches_are_reported_by_every_reader(problem):
+    b = BROKEN[problem]
+    assert structural_problems(b) == [problem]
+    report = validate(b)
+    assert not report.ok
+    assert report.checks == [Check("structure", "bunch", False, "structural", problem)]
+    with pytest.raises(TypeMismatch, match=f"^bunch is structurally broken: {problem}$"):
+        Chain(b)
+
+
+def test_groups_built_apart_are_one_group_to_the_structure_check():
+    # each layer builds its own Lex(INT, INT); the pool makes them one object
+    b = _three_layers(
+        (og.TRIVIAL, og.Lex(og.INT, og.INT), og.Lex(og.INT, og.INT)),
+        (og.first_zero(og.Lex(og.INT, og.INT)), og.whole(og.Lex(og.INT, og.INT))),
+        (og.unit_map(og.TRIVIAL, og.Lex(og.INT, og.INT)), og.identity(og.Lex(og.INT, og.INT))))
+    assert structural_problems(b) == []
+    assert validate(b).ok
+    Chain(b)

@@ -565,6 +565,26 @@ def test_a_call_builds_only_its_subcommands_parser(monkeypatch, fixture_files, a
     assert code == 0 and count == built
 
 
+@pytest.mark.parametrize("argv", [
+    ["type", "{s3}"],
+    ["bounded", "{zb}"],
+    ["eval", "{zb}", "--op", "neg", "--lhs", "t:1"],
+    ["laws", "{s3}", "--law-samples", "20"],
+])
+def test_a_call_builds_one_chain_per_bunch(monkeypatch, fixture_files, argv):
+    count = 0
+    init = Chain.__init__
+
+    def counting_init(self, bunch):
+        nonlocal count
+        count += 1
+        init(self, bunch)
+
+    monkeypatch.setattr(Chain, "__init__", counting_init)
+    code, _, _ = cli_run([a.format(**fixture_files) for a in argv])
+    assert code == 0 and count == 1
+
+
 @pytest.mark.parametrize("op", ["mul", "res", "cmp"])
 def test_eval_missing_rhs_is_a_usage_error_before_reading_the_bunch(tmp_path, op):
     broken = tmp_path / "broken.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 import random
 import sys
@@ -10,7 +11,8 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, strategies as st
 
-from layerlat import ogroup as og
+from layerlat import fixtures, ogroup as og
+from layerlat.bunch import parse_bunch, serialize_bunch
 from layerlat.errors import ParseError, TypeMismatch
 
 GROUPS = {
@@ -396,3 +398,87 @@ def test_subgroup_json_round_trip():
     for sub in (og.whole(og.RAT), og.int_multiples(2), og.int_in_rat(),
                 og.first_zero(og.Lex(og.INT, og.INT))):
         assert og.subgroup_from_json(og.subgroup_to_json(sub), sub.ambient) == sub
+
+
+# -- hash-consing -----------------------------------------------------------------
+
+INTERNED = (og.Trivial, og.Int, og.Rat, og.Lex, og.Subgroup, og.Hom)
+LEX_IR = og.Lex(og.INT, og.RAT)
+DSL_VALUES = [
+    og.TRIVIAL, og.INT, og.RAT, LEX_IR, og.Lex(LEX_IR, og.Lex(og.INT, og.TRIVIAL)),
+    og.whole(og.RAT), og.int_multiples(3), og.int_in_rat(), og.first_zero(LEX_IR),
+    og.unit_map(LEX_IR, og.INT), og.identity(LEX_IR), og.scale_int(6),
+    og.inject_first(LEX_IR), og.project_first(LEX_IR),
+    og.hom_compose(og.int_to_rat(), og.scale_int(3)),
+]
+
+
+def test_every_dsl_class_hashes_and_compares_by_identity_in_c():
+    assert {type(x) for x in DSL_VALUES} == set(INTERNED)
+    for x in DSL_VALUES:
+        assert type(x).__hash__ is object.__hash__
+        assert type(x).__eq__ is object.__eq__
+        assert type(x).__init__ is object.__init__  # a pool hit runs no __init__
+
+
+def test_a_constructor_returns_the_one_object_of_its_value():
+    assert og.Trivial() is og.TRIVIAL and og.Int() is og.INT and og.Rat() is og.RAT
+    assert og.Lex(og.INT, og.RAT) is LEX_IR
+    assert og.Lex(right=og.RAT, left=og.INT) is LEX_IR
+    assert og.Lex(og.RAT, og.INT) is not LEX_IR
+    two = og.Hom("scale_int", og.INT, og.INT, 2)
+    assert two is og.Hom("scale_int", og.INT, og.INT, k=2) is og.scale_int(2)
+    assert og.Hom("id", og.INT, og.INT) is og.Hom("id", og.INT, og.INT, 0, ()) is og.identity(og.INT)
+    assert og.Subgroup("whole", og.RAT) is og.Subgroup("whole", og.RAT, k=0) is og.whole(og.RAT)
+    assert og.hom_compose(og.int_to_rat(), og.scale_int(3)) is og.Hom(
+        "compose", og.INT, og.RAT, parts=(og.int_to_rat(), og.scale_int(3)))
+    assert dataclasses.replace(two, k=3) is og.scale_int(3)
+
+
+def test_reprs_and_fields_are_those_of_the_dataclasses():
+    assert repr(LEX_IR) == "Lex(left=Int(), right=Rat())"
+    assert repr(og.scale_int(2)) == "Hom(op='scale_int', source=Int(), target=Int(), k=2, parts=())"
+    assert repr(og.int_multiples(2)) == "Subgroup(op='int_multiples', ambient=Int(), k=2)"
+    assert [f.name for f in dataclasses.fields(og.Hom)] == ["op", "source", "target", "k", "parts"]
+    assert [f.name for f in dataclasses.fields(og.Subgroup)] == ["op", "ambient", "k"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        og.scale_int(2).k = 3
+
+
+def test_the_pool_outlives_every_functools_cache():
+    lex = og.Lex(og.INT, og.RAT)
+    og.cmp_fn(lex)
+    cleared = 0
+    for name, module in list(sys.modules.items()):
+        if name == "layerlat" or name.startswith("layerlat."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+                    cleared += 1
+    assert cleared and og.cmp_fn.cache_info().currsize == 0
+    assert og.Lex(og.INT, og.RAT) is lex
+    assert og.Int() is og.INT
+
+
+@pytest.mark.parametrize("value", DSL_VALUES, ids=repr)
+def test_pickle_and_copy_return_the_pooled_object(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) is value
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+
+
+def test_bunches_parsed_from_one_text_share_their_values():
+    rng = random.Random(5)
+    bunches = [make() for make in fixtures.ALL.values()]
+    bunches += [fixtures.random_bunch(rng) for _ in range(20)]
+    for bunch in bunches:
+        text = serialize_bunch(bunch)
+        a, b = parse_bunch(text), parse_bunch(text)
+        assert a is not b and a == b == bunch
+        for u in a.skeleton:
+            assert a.groups[u] is b.groups[u] is bunch.groups[u]
+        for u, sub in a.subgroups.items():
+            assert sub is b.subgroups[u] is bunch.subgroups[u]
+        for uv, hom in a.steps.items():
+            assert hom is b.steps[uv] is bunch.steps[uv]
