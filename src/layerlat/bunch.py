@@ -24,7 +24,7 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from . import ogroup as og
-from .errors import LayerOrderError, ParseError, UnknownLayer
+from .errors import LayerOrderError, ParseError, TypeMismatch, UnknownLayer
 from .report import VALIDATE, Check, Report
 
 if TYPE_CHECKING:
@@ -147,22 +147,34 @@ def validate(b: Bunch, samples: int = 100) -> Report:
     transition at or past `Chain.thresholds` lands in any subgroup; a whole
     subgroup absorbs anything); otherwise the first ``samples`` elements of
     the source group go through the bunch's `Chain.lift` maps, read once per
-    layer pair.  D2 is sampled per triple u <= v <= w, streaming each layer's
-    samples once, so memory does not grow with ``samples``.
+    layer pair and only for the rows a check reads.  D2 reports one sampled
+    check per triple u <= v <= w, streaming each layer's samples once, so
+    memory does not grow with ``samples``.  It compares only u < v < w below
+    v's threshold: at u == v or v == w one side applies `lift`'s identity,
+    and from v's threshold on, which is at or past u's, both sides are
+    `lift`'s constant unit, so those sides are equal whatever `transition`
+    returns.
     """
     return _validate(b, samples)[0]
 
 
 def _validate(b: Bunch, samples: int) -> tuple[Report, Chain | None]:
     """`validate`'s report and the `Chain` it was checked on (None when the
-    bunch is structurally broken), so a caller that needs both builds one."""
+    bunch is structurally broken), so a caller that needs both builds one.
+    The build checks the structure, so `structural_problems` runs again only
+    when it fails, to list every problem."""
     if samples < 0:
         raise ValueError("samples must be at least 0")
     report = Report([], samples, VALIDATE)
-    problems = structural_problems(b)
-    for p in problems:
-        report.checks.append(Check("structure", "bunch", False, "structural", p))
-    if problems:
+    from .chain import Chain, _Memo  # here, since chain.py imports this module
+    try:
+        chain = Chain(b)
+    except TypeMismatch:
+        problems = structural_problems(b)
+        if not problems:
+            raise
+        for p in problems:
+            report.checks.append(Check("structure", "bunch", False, "structural", p))
         return report, None
     report.checks.append(Check("structure", "bunch", True, "structural"))
 
@@ -177,12 +189,11 @@ def _validate(b: Bunch, samples: int) -> tuple[Report, Chain | None]:
     # identity transitions hold by definition of `Chain.lift`
     report.checks.append(Check("D1", "all layers", True, "structural"))
 
-    from .chain import Chain  # here, since chain.py imports this module
-    chain = Chain(b)
     unit_from = chain.thresholds()
     sk, n = b.skeleton, len(b.skeleton)
-    # lifts[i][k] applies the transition from sk[i] up to sk[k] for i <= k
-    lifts = [[chain.lift(sk[i], sk[k]) if i <= k else None for k in range(n)] for i in range(n)]
+    # lifts[i][k] applies the transition from sk[i] up to sk[k] for i <= k;
+    # row i is built when a check first reads it
+    lifts = _Memo(lambda i: [None] * i + [chain.lift(sk[i], sk[k]) for k in range(i, n)])
 
     for i, u in enumerate(sk):
         if b.partition[u] != "J":
@@ -224,13 +235,15 @@ def _validate(b: Bunch, samples: int) -> tuple[Report, Chain | None]:
     for i, u in enumerate(sk):
         # (j, k) -> the first sample x of u where transition(u, sk[k]) differs
         # from transition(sk[j], sk[k]) after transition(u, sk[j]); the samples
-        # are streamed once, each pushed through every transition out of u
+        # are streamed once, each pushed through every transition out of u,
+        # and only i < j < k < unit_from[j] can differ (see validate)
         bad = {}
-        for x in islice(og.g_enumerate(b.groups[u]), samples):
+        spans = [(j, range(j + 1, unit_from[j])) for j in range(i + 1, n) if j + 1 < unit_from[j]]
+        for x in islice(og.g_enumerate(b.groups[u]), samples) if spans else ():
             images = [None] * i + [f(x) for f in lifts[i][i:]]
-            for j in range(i, n):
+            for j, ks in spans:
                 mid, second = images[j], lifts[j]
-                for k in range(j, n):
+                for k in ks:
                     if images[k] != second[k](mid) and (j, k) not in bad:
                         bad[j, k] = x
         for j in range(i, n):

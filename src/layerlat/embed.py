@@ -9,9 +9,14 @@ membership both ways on class-I layers, unit covers on class-J layers, and a
 direct order/product/constants check on sampled elements.  Both sides of a
 transition square are the two chains' own `Chain.lift` maps.
 
-Each unordered pair of sampled elements is checked once, since `Chain.compare`
-is antisymmetric and `Chain.mul` commutative.  Every DSL hom is an
-order-preserving group hom by construction, so of a layer map only its
+Both chains' `Chain.compare` are linear orders, so the element-order clause
+is certified by sorting the sampled pool by the source order and checking
+that the images ascend strictly on neighbours: about P log P + P compares for
+P samples, not P(P - 1).  Only when that fails does the scan of every
+unordered pair run, so the report names the first failing pair in pool
+order.  That scan and the product scan check each unordered pair once, since
+`Chain.compare` is antisymmetric and `Chain.mul` commutative.  Every DSL hom
+is an order-preserving group hom by construction, so of a layer map only its
 strictness is checked, on neighbours of its sorted pool, since the group
 orders are linear.
 """
@@ -25,7 +30,7 @@ from itertools import islice
 
 from . import ogroup as og
 from .bunch import Bunch
-from .chain import Chain, ChainElement
+from .chain import Chain, ChainElement, _new
 from .errors import ParseError, TypeMismatch
 from .report import EMBED, Check, Report
 
@@ -94,7 +99,7 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
     mapped = {u: [maps[u](a) for a in pools[u]] for u in sb.skeleton}
 
     def emap(x: ChainElement) -> ChainElement:
-        return ChainElement(smap[x.layer], maps[x.layer](x.g), x.dotted)
+        return _new(ChainElement, (smap[x.layer], maps[x.layer](x.g), x.dotted))
 
     for u in sb.skeleton:
         cmp_s = og.cmp_fn(sb.groups[u])
@@ -158,15 +163,17 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
     images = [emap(x) for x in pool]
     # compare is antisymmetric and mul commutative on both chains, so (j, i)
     # fails exactly when (i, j) does: the first failure of a scan over all
-    # pairs has i <= j, and i < j for order, which never fails at i == j
+    # pairs has i <= j, and i < j for order, which never fails at i == j.
+    # The pool's points are distinct, so the order scan runs only when the
+    # images of the source-sorted pool do not ascend strictly
+    ranked = sorted(zip(pool, images), key=cmp_to_key(lambda p, q: src.compare(p[0], q[0])))
     bad = None
-    for i, (x, fx) in enumerate(zip(pool, images)):
-        for y, fy in zip(pool[i + 1:], images[i + 1:]):
-            if src.compare(x, y) != dst.compare(fx, fy):
-                bad = (x, y)
+    if not all(dst.compare(fa, fc) < 0 for (_, fa), (_, fc) in zip(ranked, ranked[1:])):
+        for i, (x, fx) in enumerate(zip(pool, images)):
+            bad = next(((x, y) for y, fy in zip(pool[i + 1:], images[i + 1:])
+                        if src.compare(x, y) != dst.compare(fx, fy)), None)
+            if bad:
                 break
-        if bad:
-            break
     report.checks.append(Check(
         "element-order", "carrier", bad is None, method,
         "" if bad is None else f"order not preserved at {bad}"))

@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from layerlat import fixtures, ogroup as og
+from layerlat import bunch as bunch_module, chain as chain_module, fixtures, ogroup as og
 from layerlat.bunch import (Bunch, BunchType, bunch_from_json, bunch_to_json, bunch_type,
                             parse_bunch, serialize_bunch, structural_problems, transition,
                             validate)
@@ -21,6 +21,45 @@ def test_s3_validates_every_clause():
     assert report.ok
     clauses = {c.clause for c in report.checks}
     assert {"structure", "G1", "D1", "G3", "D2"} <= clauses
+
+
+def test_validate_reads_no_lift_on_a_finite_bunch(monkeypatch):
+    # every step of a finite bunch is a unit map, so every D2 triple and
+    # every G3 pair is decided by a threshold or an identity
+    calls = []
+    lift = Chain.lift
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return lift(self, u, v)
+
+    monkeypatch.setattr(Chain, "lift", counted)
+    assert validate(fixtures.finite_bunch(81)).ok
+    assert calls == []
+
+
+def test_validate_checks_the_structure_once(monkeypatch):
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return structural_problems(b)
+
+    for module in (bunch_module, chain_module):
+        monkeypatch.setattr(module, "structural_problems", counted)
+    b = fixtures.lz2()
+    assert validate(b).ok
+    assert calls == [b]
+
+
+def test_a_build_error_of_a_structurally_sound_bunch_propagates():
+    # structure lists nothing wrong here, so `validate` lets the build's
+    # own TypeMismatch through, as it did when the structure was read first
+    b = fixtures.lz()
+    b = Bunch(b.skeleton, b.partition, b.groups, {"u": og.Subgroup("bogus", og.INT)}, b.steps)
+    assert structural_problems(b) == []
+    with pytest.raises(TypeMismatch, match="unknown subgroup constructor 'bogus'"):
+        validate(b)
 
 
 def test_validate_needs_a_sample_count_of_at_least_zero():

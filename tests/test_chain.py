@@ -255,6 +255,21 @@ def test_chain_laws_on_seeded_random_bunches():
         assert report.ok, report.render()
 
 
+def test_compare_sorts_a_pool_into_its_own_order():
+    # `check_embedding` certifies its order clause on a sorted pool's
+    # neighbours, which is sound because compare is a linear order: the
+    # rank of a sorted pool decides compare on every pair
+    rng = random.Random(20)
+    bunches = [f() for _, f in sorted(fixtures.ALL.items())]
+    bunches += [fixtures.random_bunch(rng) for _ in range(12)]
+    for b in bunches:
+        chain = Chain(b)
+        ranked = sorted(islice(chain.enumerate_elements(), 64), key=cmp_to_key(chain.compare))
+        for i, x in enumerate(ranked):
+            for j, y in enumerate(ranked):
+                assert chain.compare(x, y) == (i > j) - (i < j), (b.skeleton, x, y)
+
+
 def test_chain_laws_need_a_sample_count_of_at_least_zero(zb_chain):
     with pytest.raises(ValueError, match="samples must be at least 0"):
         check_chain_laws(zb_chain, samples=-1)

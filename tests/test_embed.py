@@ -32,6 +32,23 @@ def test_element_checks_are_proved_only_on_the_whole_carrier():
             assert report.first(clause).method == method, (samples, clause)
 
 
+def test_element_order_is_certified_by_a_sorted_scan(monkeypatch):
+    # 64 points, about 64 * log2(64) compares to sort and 63 on neighbours;
+    # the scan over every pair made 64 * 63 = 4,032
+    b = fixtures.finite_bunch(101)
+    chain = Chain(b)
+    calls = []
+    compare = Chain.compare
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return compare(self, x, y)
+
+    monkeypatch.setattr(Chain, "compare", counted)
+    assert check_embedding(chain, chain, identity_embedding(b), samples=64).ok
+    assert len(calls) <= 64 * 6 + 64
+
+
 def test_embedding_check_needs_a_sample_count_of_at_least_zero(zb_chain):
     spec = identity_embedding(zb_chain.bunch)
     with pytest.raises(ValueError, match="samples must be at least 0"):

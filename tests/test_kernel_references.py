@@ -479,10 +479,14 @@ def d2_checks(report: Report) -> list[Check]:
 
 
 def validation_bunches() -> list[Bunch]:
+    """The fixtures, finite bunches, seeded random bunches and a densified
+    `lz`, whose identity steps fold no constant unit, so that D2 compares
+    every triple u < v < w there."""
     rng = random.Random(2312)
     return ([f() for _, f in sorted(fixtures.ALL.items())]
             + [fixtures.finite_bunch(n) for n in range(1, 41)]
-            + [fixtures.random_bunch(rng, max_layers=8) for _ in range(200)])
+            + [fixtures.random_bunch(rng, max_layers=8) for _ in range(200)]
+            + [densify_driver(Chain(fixtures.lz()), 4, 2)[0]])
 
 
 @pytest.mark.parametrize("samples", [100, 3])
@@ -917,13 +921,15 @@ def embedding_cases() -> list[tuple[Chain, Chain, EmbeddingSpec]]:
     that is not strictly order-preserving, and the identity of each fixture
     and of seeded random bunches.
 
-    Three cases pin the one-triangle scans of `check_embedding`: a
+    Four cases pin the one-triangle scans of `check_embedding`: a
     non-injective layer map, whose strictness fails on (0, 0) < (0, 1), two
     points not adjacent in enumeration order; a spec whose products fail on
-    the diagonal while its order holds; and a 101-point carrier, which is
-    exhaustive at neither sample count."""
+    the diagonal while its order holds; a skeleton map that sends u2 onto t,
+    whose first failing order pair in pool order, t:e and u2:e, is not
+    adjacent in source order, since u1:e lies between; and a 101-point
+    carrier, which is exhaustive at neither sample count."""
     s3, ze, lz2 = Chain(fixtures.s3()), Chain(fixtures.ze()), Chain(fixtures.lz2())
-    jz = Chain(fixtures.jz())
+    jz, five = Chain(fixtures.jz()), Chain(fixtures.finite_bunch(5))
     lex = og.Lex(og.INT, og.INT)
 
     def one_layer(group: og.OGroup) -> Chain:
@@ -946,6 +952,8 @@ def embedding_cases() -> list[tuple[Chain, Chain, EmbeddingSpec]]:
          EmbeddingSpec({"t": "t"}, {"t": og.project_first(lex)})),
         (jz, lz2, EmbeddingSpec({"t": "t", "u": "u"},
                                 {"t": og.unit_map(og.TRIVIAL, og.INT), "u": og.identity(og.INT)})),
+        (five, five, EmbeddingSpec({"t": "t", "u1": "u1", "u2": "t"},
+                                   dict.fromkeys(five.bunch.skeleton, trivial))),
     ]
     rng = random.Random(11)
     bunches = [f() for _, f in sorted(fixtures.ALL.items())]
