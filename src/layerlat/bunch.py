@@ -21,7 +21,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import ogroup as og
 from .errors import LayerOrderError, ParseError, TypeMismatch, UnknownLayer
@@ -141,31 +141,64 @@ def structural_problems(b: Bunch) -> list[str]:
 
 
 def validate(b: Bunch, samples: int = 100) -> Report:
-    """Check every bunch law into a `report.Report`; raises only if samples < 0.
-
-    Structural shortcuts are used where a clause holds by construction (a
-    transition at or past `Chain.thresholds` lands in any subgroup; a whole
-    subgroup absorbs anything); otherwise the first ``samples`` elements of
-    the source group go through the bunch's `Chain.lift` maps, read once per
-    layer pair and only for the rows a check reads.  D2 reports one sampled
-    check per triple u <= v <= w, streaming each layer's samples once, so
-    memory does not grow with ``samples``.  It compares only u < v < w below
-    v's threshold: at u == v or v == w one side applies `lift`'s identity,
-    and from v's threshold on, which is at or past u's, both sides are
-    `lift`'s constant unit, so those sides are equal whatever `transition`
-    returns.
-    """
-    return _validate(b, samples)[0]
+    """The bunch's `_audit` as a `report.Report`; raises only if samples < 0."""
+    return _audit(b, samples).report()
 
 
-def _validate(b: Bunch, samples: int) -> tuple[Report, Chain | None]:
-    """`validate`'s report and the `Chain` it was checked on (None when the
-    bunch is structurally broken), so a caller that needs both builds one.
-    The build checks the structure, so `structural_problems` runs again only
-    when it fails, to list every problem."""
+class Audit(NamedTuple):
+    """What one pass over the bunch laws found: the failed checks alone, and
+    the `Chain` they were decided on (None when the structure is broken).
+    ``ok`` is the verdict; `report` is `validate`'s report, built from them."""
+
+    samples: int
+    chain: Chain | None
+    failed: dict[tuple, Check]  # by clause and layer positions: ("D2", i, j, k), ...
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed
+
+    def report(self) -> Report:
+        """Each failed check where it failed, a passing one for every other subject."""
+        failed = self.failed
+        if self.chain is None:
+            return Report(list(failed.values()), self.samples, VALIDATE)
+        b = self.chain.bunch
+        sk, n = b.skeleton, len(b.skeleton)
+        unit_from = self.chain.thresholds()
+        checks = [Check("structure", "bunch", True, "structural")]
+        checks += [c for key, c in failed.items() if key[0] == "G1"] \
+            or [Check("G1", sk[0], True, "structural")]
+        checks.append(Check("D1", "all layers", True, "structural"))  # `Chain.lift`'s identity
+        for i, u in enumerate(sk):
+            if b.partition[u] == "J" and ("G2", i) in failed:  # u's group is not discrete
+                checks.append(failed["G2", i])
+            elif b.partition[u] == "J":
+                checks.append(Check("G2", f"{u} discrete", True, "structural"))
+                checks += [failed.get(("G2", i, k)) or Check("G2", f"{u}->{sk[k]}", True, "exact")
+                           for k in range(i + 1, n)]
+        for k, v in enumerate(sk):
+            if b.partition[v] == "I":
+                whole = og.subgroup_is_whole(b.subgroups[v])
+                checks += [failed.get(("G3", i, k)) or Check(
+                    "G3", f"{u}->{v}", True,
+                    "structural" if whole or k >= unit_from[i] else "sampled")
+                    for i, u in enumerate(sk[:k])]
+        checks += [failed.get(("D2", i, j, k))
+                   or Check("D2", f"{sk[i]}->{sk[j]}->{sk[k]}", True, "sampled")
+                   for i in range(n) for j in range(i, n) for k in range(j, n)]
+        return Report(checks, self.samples, VALIDATE)
+
+
+def _audit(b: Bunch, samples: int) -> Audit:
+    """Decide every bunch law in one pass and keep the checks that failed.
+    The chain build checks the structure (`structural_problems` runs only to
+    list a failure's problems).  A clause that holds by construction is not
+    computed: a transition at or past `Chain.thresholds` lands in any
+    subgroup, and a whole subgroup absorbs anything.  Otherwise the first
+    ``samples`` elements of the source group go through `Chain.lift`."""
     if samples < 0:
         raise ValueError("samples must be at least 0")
-    report = Report([], samples, VALIDATE)
     from .chain import Chain, _Memo  # here, since chain.py imports this module
     try:
         chain = Chain(b)
@@ -173,87 +206,61 @@ def _validate(b: Bunch, samples: int) -> tuple[Report, Chain | None]:
         problems = structural_problems(b)
         if not problems:
             raise
-        for p in problems:
-            report.checks.append(Check("structure", "bunch", False, "structural", p))
-        return report, None
-    report.checks.append(Check("structure", "bunch", True, "structural"))
-
-    least = b.least()
-    for u in b.skeleton:
-        if b.partition[u] == "O" and u != least:
-            report.checks.append(Check(
-                "G1", u, False, "structural", "class O is reserved for the least layer"))
-    if not any(c.clause == "G1" and not c.ok for c in report.checks):
-        report.checks.append(Check("G1", least, True, "structural"))
-
-    # identity transitions hold by definition of `Chain.lift`
-    report.checks.append(Check("D1", "all layers", True, "structural"))
-
+        return Audit(samples, None, {("structure", i): Check(
+            "structure", "bunch", False, "structural", p) for i, p in enumerate(problems)})
     unit_from = chain.thresholds()
     sk, n = b.skeleton, len(b.skeleton)
     # lifts[i][k] applies the transition from sk[i] up to sk[k] for i <= k;
-    # row i is built when a check first reads it
+    # row i is built when a clause first reads it
     lifts = _Memo(lambda i: [None] * i + [chain.lift(sk[i], sk[k]) for k in range(i, n)])
+    failed = {("G1", i): Check("G1", u, False, "structural",
+                               "class O is reserved for the least layer")
+              for i, u in enumerate(sk) if i and b.partition[u] == "O"}
 
     for i, u in enumerate(sk):
-        if b.partition[u] != "J":
-            continue
         group = b.groups[u]
-        if not og.is_discrete(group):
-            report.checks.append(Check(
-                "G2", u, False, "structural",
-                f"class-J layer group {group!r} is not discrete"))
-            continue
-        report.checks.append(Check("G2", f"{u} discrete", True, "structural"))
-        down = og.g_cover_down(group, og.g_unit(group))
-        for k in range(i + 1, n):
-            ok = lifts[i][k](down) == og.g_unit(b.groups[sk[k]])
-            report.checks.append(Check(
-                "G2", f"{u}->{sk[k]}", ok, "exact",
-                "" if ok else "transition does not collapse the unit's lower cover"))
+        if b.partition[u] == "J" and not og.is_discrete(group):
+            failed["G2", i] = Check("G2", u, False, "structural",
+                                    f"class-J layer group {group!r} is not discrete")
+        elif b.partition[u] == "J":
+            down = og.g_cover_down(group, og.g_unit(group))
+            for k in range(i + 1, n):
+                if lifts[i][k](down) != og.g_unit(b.groups[sk[k]]):
+                    failed["G2", i, k] = Check(
+                        "G2", f"{u}->{sk[k]}", False, "exact",
+                        "transition does not collapse the unit's lower cover")
 
     for k, v in enumerate(sk):
-        if b.partition[v] != "I":
+        if b.partition[v] != "I" or og.subgroup_is_whole(b.subgroups[v]):
             continue
-        sub = b.subgroups[v]
-        member = og.member_fn(sub)
-        for i, u in enumerate(sk[:k]):
-            if og.subgroup_is_whole(sub) or k >= unit_from[i]:
-                report.checks.append(Check("G3", f"{u}->{v}", True, "structural"))
-                continue
-            fn = lifts[i][k]
-            bad = None
-            for x in islice(og.g_enumerate(b.groups[u]), samples):
-                if not member(fn(x)):
-                    bad = x
-                    break
-            report.checks.append(Check(
-                "G3", f"{u}->{v}", bad is None, "sampled",
-                "" if bad is None else f"{og.format_gelem(b.groups[u], bad)} maps outside the subgroup",
-                witness=bad))
+        member = og.member_fn(b.subgroups[v])
+        for i in [i for i in range(k) if k < unit_from[i]]:
+            fn, group = lifts[i][k], b.groups[sk[i]]
+            x = next((x for x in islice(og.g_enumerate(group), samples) if not member(fn(x))), None)
+            if x is not None:
+                failed["G3", i, k] = Check(
+                    "G3", f"{sk[i]}->{v}", False, "sampled",
+                    f"{og.format_gelem(group, x)} maps outside the subgroup", witness=x)
 
+    # D2: the first sample of sk[i] where sk[i]->sk[k] differs from sk[i]->sk[j]
+    # then sk[j]->sk[k], each sample streamed once through every transition out
+    # of sk[i].  Only i < j < k < unit_from[j] can differ: at i == j or j == k
+    # one side is `lift`'s identity, and from sk[j]'s threshold on, at or past
+    # sk[i]'s, both sides are `lift`'s constant unit, whatever `transition` is.
+    live = [j for j in range(n) if j + 1 < unit_from[j]]
     for i, u in enumerate(sk):
-        # (j, k) -> the first sample x of u where transition(u, sk[k]) differs
-        # from transition(sk[j], sk[k]) after transition(u, sk[j]); the samples
-        # are streamed once, each pushed through every transition out of u,
-        # and only i < j < k < unit_from[j] can differ (see validate)
-        bad = {}
-        spans = [(j, range(j + 1, unit_from[j])) for j in range(i + 1, n) if j + 1 < unit_from[j]]
+        spans = [(j, range(j + 1, unit_from[j])) for j in live if j > i]
         for x in islice(og.g_enumerate(b.groups[u]), samples) if spans else ():
             images = [None] * i + [f(x) for f in lifts[i][i:]]
             for j, ks in spans:
                 mid, second = images[j], lifts[j]
                 for k in ks:
-                    if images[k] != second[k](mid) and (j, k) not in bad:
-                        bad[j, k] = x
-        for j in range(i, n):
-            for k in range(j, n):
-                x = bad.get((j, k))
-                report.checks.append(Check(
-                    "D2", f"{u}->{sk[j]}->{sk[k]}", x is None, "sampled",
-                    "" if x is None else f"composition disagrees at {og.format_gelem(b.groups[u], x)}",
-                    witness=x))
-    return report, chain
+                    if images[k] != second[k](mid) and ("D2", i, j, k) not in failed:
+                        failed["D2", i, j, k] = Check(
+                            "D2", f"{u}->{sk[j]}->{sk[k]}", False, "sampled",
+                            f"composition disagrees at {og.format_gelem(b.groups[u], x)}",
+                            witness=x)
+    return Audit(samples, chain, failed)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ frame per layer.  Everything else is built on first use:
 * ``_tr``: one transition map per remaining layer pair, compiled on first
   use from `bunch.transition`.  Only `Chain` reads it: `lift` decides a
   layer pair by the threshold first, and `zeta`, `embed.check_embedding`,
-  `decompose.recover_bunch_samples` and `bunch.validate` go through `lift`,
+  `decompose.recover_bunch_samples` and `bunch._audit` go through `lift`,
   so a bunch is compiled here only.
 * ``_layer_blocks``: one point stream per layer, which
   `recover_bunch_samples` reads too.
@@ -201,12 +201,10 @@ class Chain:
         u = x.layer
         inv = self._inv[u](x.g)
         cls = self._cls[u]
-        if cls == "I":
-            if not x.dotted and self._member[u](x.g):
-                return _new(ChainElement, (u, inv, True))
-            return _new(ChainElement, (u, inv, False))
+        if cls == "I":  # an undotted subgroup member's complement is dotted
+            return _new(ChainElement, (u, inv, not x.dotted and self._member[u](x.g)))
         if cls == "J":
-            down = og.g_cover_down(self._group[u], inv)
+            down = og.cover_fn(self._group[u], -1)(inv)
             if down is None:
                 raise CoverMissing(f"class-J layer {u!r} has no covers")
             return _new(ChainElement, (u, down, False))

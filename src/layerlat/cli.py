@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .bunch import _validate, bunch_to_json, parse_bunch, serialize_bunch, validate
+from .bunch import _audit, bunch_to_json, parse_bunch, serialize_bunch, validate
 from .chain import Chain, check_chain_laws, format_element, parse_element
 from .decompose import roundtrip_table, table_of_chain, window_table
 from .densify import densify_driver, fill_gap
@@ -73,11 +73,10 @@ class _DeferredParser:
 
 
 def _require_valid(path: str, samples: int) -> Chain:
-    """The chain of a bunch file that validates: the one `validate` built."""
-    report, chain = _validate(parse_bunch(Path(path).read_text()), samples)
-    if not report.ok:
-        raise LayerlatError(f"bunch {path} does not validate:\n{report.render()}")
-    return chain
+    """The chain a bunch file's audit built; a failed audit raises with its report."""
+    if not (audit := _audit(parse_bunch(Path(path).read_text()), samples)).ok:
+        raise LayerlatError(f"bunch {path} does not validate:\n{audit.report().render()}")
+    return audit.chain
 
 
 def _cmd_validate(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from . import ogroup as og
-from .bunch import Bunch, validate
+from .bunch import Bunch, _audit
 
 
 def s3() -> Bunch:
@@ -92,12 +92,8 @@ def finite_bunch(n: int) -> Bunch:
     """
     if n < 1:
         raise ValueError("chain size must be positive")
-    if n % 2:
-        labels = ("t",) + tuple(f"u{i}" for i in range(1, (n + 1) // 2))
-        partition = {"t": "O"} | {u: "I" for u in labels[1:]}
-    else:
-        labels = ("t",) + tuple(f"u{i}" for i in range(1, n // 2))
-        partition = {u: "I" for u in labels}
+    labels = ("t",) + tuple(f"u{i}" for i in range(1, (n + 1) // 2))
+    partition = {u: "O" if u == "t" and n % 2 else "I" for u in labels}
     groups = {u: og.TRIVIAL for u in labels}
     subgroups = {u: og.whole(og.TRIVIAL) for u in labels if partition[u] == "I"}
     steps = {(labels[i], labels[i + 1]): og.unit_map(og.TRIVIAL, og.TRIVIAL)
@@ -166,8 +162,7 @@ def random_bunch(rng: random.Random, max_layers: int = 3) -> Bunch:
         options = _step_options(groups[u], groups[v], subgroups.get(v))
         steps[(u, v)] = rng.choice(options)
     b = Bunch(labels, partition, groups, subgroups, steps)
-    report = validate(b)
-    if not report.ok:
+    if not (audit := _audit(b, 100)).ok:
         raise AssertionError("random bunch generator produced an invalid bunch:\n"
-                             + report.render())
+                             + audit.report().render())
     return b

@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator
 
 from .errors import ParseError, TypeMismatch
@@ -235,27 +235,30 @@ def is_discrete(group: OGroup) -> bool:
     return False
 
 
-def _cover(group: OGroup, x: GElem, step: int) -> GElem | None:
+@lru_cache(maxsize=None)
+def cover_fn(group: OGroup, step: int) -> Callable[[GElem], GElem | None]:
+    """Compiled cover (no type checks): x -> its upper (step 1) or lower
+    (step -1) cover, or None in a group that is not discrete."""
+    if not is_discrete(group):
+        return lambda x: None
     if isinstance(group, Int):
-        return x + step
-    if isinstance(group, Lex):
-        if not group_is_trivial(group.right):
-            inner = _cover(group.right, x[1], step)
-            return None if inner is None else (x[0], inner)
-        inner = _cover(group.left, x[0], step)
-        return None if inner is None else (inner, x[1])
-    return None
+        return lambda x: x + step
+    if not group_is_trivial(group.right):  # a discrete Lex: the ruling factor covers
+        right = cover_fn(group.right, step)
+        return lambda x: (x[0], right(x[1]))
+    left = cover_fn(group.left, step)
+    return lambda x: (left(x[0]), x[1])
 
 
 def g_cover_up(group: OGroup, x: GElem) -> GElem | None:
     """The unique upper cover of ``x``, or None in dense/trivial groups."""
     g_check(group, x)
-    return _cover(group, x, 1)
+    return cover_fn(group, 1)(x)
 
 
 def g_cover_down(group: OGroup, x: GElem) -> GElem | None:
     g_check(group, x)
-    return _cover(group, x, -1)
+    return cover_fn(group, -1)(x)
 
 
 def _rationals() -> Iterator[Fraction]:
@@ -271,11 +274,9 @@ def _rationals() -> Iterator[Fraction]:
 
 def _integers() -> Iterator[int]:
     yield 0
-    k = 1
-    while True:
+    for k in count(1):
         yield k
         yield -k
-        k += 1
 
 
 def _dovetail(left: Iterator[GElem], right: Iterator[GElem]) -> Iterator[tuple]:

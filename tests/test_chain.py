@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import pickle
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
 
 import pytest
 
 from layerlat import fixtures, ogroup as og
+from layerlat.bunch import Bunch
 from layerlat.chain import (Chain, ChainElement, check_chain_laws,
                             format_element, parse_element)
 from layerlat.decompose import table_of_chain, window_table
-from layerlat.errors import LayerOrderError, ParseError, TypeMismatch, UnknownLayer
+from layerlat.errors import (CoverMissing, LayerOrderError, ParseError, TypeMismatch,
+                             UnknownLayer)
 from layerlat.oracle import brute_residuum, check_flea_axioms, enumerate_finite_chains
 
 UNIT = og.UNIT
@@ -124,6 +127,13 @@ def test_ze_negation_against_brute_force_window(ze_chain):
         # independent oracle: greatest v in the window with k + v <= -1
         best = max(v for v in range(-20, 21) if k + v <= -1)
         assert ze_chain.negate(ChainElement("t", k)) == ChainElement("t", best)
+
+
+def test_negation_on_a_class_j_layer_without_covers_raises():
+    # G2 rejects this bunch, but a Chain can still be built over it
+    dense = Bunch(("t",), {"t": "J"}, {"t": og.RAT}, {}, {})
+    with pytest.raises(CoverMissing, match="class-J layer 't' has no covers"):
+        Chain(dense).negate(ChainElement("t", Fraction(1, 2)))
 
 
 def test_lz_negation_dots_subgroup_members(lz_chain):

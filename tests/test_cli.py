@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerlat import cli, fixtures, ogroup as og
+from layerlat import cli, fixtures, ogroup as og, report as report_module
 from layerlat.bunch import Bunch, bunch_from_json, serialize_bunch
 from layerlat.chain import Chain, check_chain_laws, parse_element
 from layerlat.densify import insert_above
@@ -86,6 +86,8 @@ def fixture_files(tmp_path_factory) -> dict[str, str]:
         path = root / f"{name}.json"
         path.write_text(serialize_bunch(fixtures.ALL[name]()))
         files[name] = str(path)
+    files["g3"] = str(root / "g3.json")
+    (root / "g3.json").write_text(G3_BUNCH)
     return files
 
 
@@ -330,6 +332,11 @@ ok        D2           u->u->u [sampled]
 ok (8 checks, 12 samples per sampled clause)
 """
 
+# the identity step misses the even-multiples subgroup at 1 (G3)
+G3_BUNCH = serialize_bunch(Bunch(("t", "u"), {"t": "O", "u": "I"},
+                                 {"t": og.INT, "u": og.INT}, {"u": og.int_multiples(2)},
+                                 {("t", "u"): og.identity(og.INT)}))
+
 G3_VALIDATE = """\
 ok        structure    bunch [structural]
 ok        G1           t [structural]
@@ -439,9 +446,7 @@ def render_files(tmp_path_factory) -> dict[str, str]:
     s3, ze, lz2 = fixtures.s3(), fixtures.ze(), fixtures.lz2()
     trivial = og.identity(og.TRIVIAL)
     docs = {
-        "g3": serialize_bunch(Bunch(("t", "u"), {"t": "O", "u": "I"},
-                                    {"t": og.INT, "u": og.INT}, {"u": og.int_multiples(2)},
-                                    {("t", "u"): og.identity(og.INT)})),
+        "g3": G3_BUNCH,
         "g1": serialize_bunch(Bunch(("t", "u"), {"t": "O", "u": "O"},
                                     {"t": og.TRIVIAL, "u": og.TRIVIAL}, {},
                                     {("t", "u"): og.unit_map(og.TRIVIAL, og.TRIVIAL)})),
@@ -491,6 +496,16 @@ def render_files(tmp_path_factory) -> dict[str, str]:
 def test_report_renders_are_pinned(render_files, capsys, argv, code, expected):
     assert run(["--samples", "12"] + [a.format(**render_files) for a in argv], capsys) \
         == (code, expected)
+
+
+@pytest.mark.parametrize("argv, rejected, expected", [
+    (["type", "{g3}"], "g3", G3_VALIDATE),
+    (["eval", "{g1}", "--op", "neg", "--lhs", "t:e"], "g1", G1_VALIDATE),
+    (["embed-check", "{s3}", "{g3}", "{id_s3}"], "g3", G3_VALIDATE),
+], ids=["type-g3", "eval-g1", "embed-dst-g3"])
+def test_a_rejected_bunch_renders_its_validation_report(render_files, argv, rejected, expected):
+    assert cli_run(["--samples", "12"] + [a.format(**render_files) for a in argv]) \
+        == (1, "", f"error: bunch {render_files[rejected]} does not validate:\n{expected}")
 
 
 def test_failing_law_renders_are_pinned():
@@ -570,6 +585,7 @@ def test_a_call_builds_only_its_subcommands_parser(monkeypatch, fixture_files, a
     ["bounded", "{zb}"],
     ["eval", "{zb}", "--op", "neg", "--lhs", "t:1"],
     ["laws", "{s3}", "--law-samples", "20"],
+    ["type", "{g3}"],  # rejected: the report is expanded from the same chain
 ])
 def test_a_call_builds_one_chain_per_bunch(monkeypatch, fixture_files, argv):
     count = 0
@@ -582,7 +598,26 @@ def test_a_call_builds_one_chain_per_bunch(monkeypatch, fixture_files, argv):
 
     monkeypatch.setattr(Chain, "__init__", counting_init)
     code, _, _ = cli_run([a.format(**fixture_files) for a in argv])
-    assert code == 0 and count == 1
+    assert code == (1 if "{g3}" in argv else 0) and count == 1
+
+
+def test_an_accepted_bunch_builds_no_check(monkeypatch, tmp_path):
+    # the audit's verdict decides; `validate`'s report (95,124 checks here)
+    # is expanded only to render a rejection
+    path = tmp_path / "f161.json"
+    path.write_text(serialize_bunch(fixtures.finite_bunch(161)))
+    count = 0
+    init = report_module.Check.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(report_module.Check, "__init__", counting_init)
+    assert cli_run(["type", str(path)]) == (0, "Odd\n", "")
+    assert count == 0
+    assert cli_run(["validate", str(path)])[0] == 0 and count == 95_124
 
 
 @pytest.mark.parametrize("op", ["mul", "res", "cmp"])

@@ -8,7 +8,8 @@ mirror), the embedding checker that maps every element through
 ``element_map``, the ``Fraction``-valued prefix-maximum table behind
 ``sup_extend`` (minus its per-placement cache, which now holds rank tables)
 with its own binary search, `validate`'s D2 triple loop, which compiles
-three transitions and draws the sample pool afresh for every triple, the
+three transitions and draws the sample pool afresh for every triple, and its
+whole report built check by check, before failures were audited apart, the
 densify driver that builds a bunch and its Chain for every insertion, the
 table decomposition and round trip that run the full axiom oracle before
 decomposing, the window export that floors a product by a linear scan, the
@@ -40,7 +41,8 @@ import pytest
 
 from layerlat import (bunch as bunch_module, chain as chain_module, cli,
                       decompose as decompose_module, fixtures, ogroup as og)
-from layerlat.bunch import Bunch, BunchType, bunch_type, serialize_bunch, transition, validate
+from layerlat.bunch import (Bunch, BunchType, _audit, bunch_type, serialize_bunch,
+                            structural_problems, transition, validate)
 from layerlat.chain import Chain, ChainElement, _sample_triples, check_chain_laws, format_element
 from layerlat.decompose import (DecompositionResult, RoundTripWitness, decompose_table,
                                 recover_bunch_samples, roundtrip_table, table_of_chain,
@@ -55,7 +57,7 @@ from layerlat.errors import (AxiomFailure, EvenTypeUnsupported, InternalInvarian
                              TypeMismatch, UnknownLayer, WindowTooSmall)
 from layerlat.oracle import (CayleyTable, brute_residuum, check_flea_axioms,
                              enumerate_finite_chains, format_table_csv)
-from layerlat.report import EMBED, LAWS, RECOVER, Check, Report
+from layerlat.report import EMBED, LAWS, RECOVER, VALIDATE, Check, Report
 from layerlat.standardize import (RationalPlacement, cantor_map, extend_with_products,
                                   sup_extend)
 
@@ -396,6 +398,53 @@ def reference_validate_d2(b: Bunch, samples: int = 100) -> list[Check]:
     return checks
 
 
+def reference_validate(b: Bunch, samples: int = 100) -> Report:
+    """`validate`'s report built check by check in one pass, every G2 and
+    sampled G3 pair through `transition` and D2 by `reference_validate_d2`.
+    Its values read `transition` from its module, so a patched one reaches
+    them; G3 is structural where the real transition is the constant unit."""
+    problems = structural_problems(b)
+    if problems:
+        return Report([Check("structure", "bunch", False, "structural", p) for p in problems],
+                      samples, VALIDATE)
+    checks = [Check("structure", "bunch", True, "structural")]
+    sk = b.skeleton
+    checks += [Check("G1", u, False, "structural", "class O is reserved for the least layer")
+               for u in sk if b.partition[u] == "O" and u != sk[0]] \
+        or [Check("G1", sk[0], True, "structural")]
+    checks.append(Check("D1", "all layers", True, "structural"))
+    for i, u in enumerate(sk):
+        group = b.groups[u]
+        if b.partition[u] != "J":
+            continue
+        if not og.is_discrete(group):
+            checks.append(Check("G2", u, False, "structural",
+                                f"class-J layer group {group!r} is not discrete"))
+            continue
+        checks.append(Check("G2", f"{u} discrete", True, "structural"))
+        down = og.g_cover_down(group, og.g_unit(group))
+        for w in sk[i + 1:]:
+            ok = og.hom_apply(bunch_module.transition(b, u, w), down) == og.g_unit(b.groups[w])
+            checks.append(Check("G2", f"{u}->{w}", ok, "exact",
+                                "" if ok else "transition does not collapse the unit's lower cover"))
+    for k, v in enumerate(sk):
+        if b.partition[v] != "I":
+            continue
+        sub = b.subgroups[v]
+        for u in sk[:k]:
+            if og.subgroup_is_whole(sub) or og.hom_is_constant_unit(transition(b, u, v)):
+                checks.append(Check("G3", f"{u}->{v}", True, "structural"))
+                continue
+            fn = og.hom_fn(bunch_module.transition(b, u, v))
+            bad = next((x for x in islice(og.g_enumerate(b.groups[u]), samples)
+                        if not og.sub_member(sub, fn(x))), None)
+            checks.append(Check(
+                "G3", f"{u}->{v}", bad is None, "sampled",
+                "" if bad is None else f"{og.format_gelem(b.groups[u], bad)} maps outside the subgroup",
+                witness=bad))
+    return Report(checks + reference_validate_d2(b, samples), samples, VALIDATE)
+
+
 def reference_recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
     """Verify, on sampled elements, that the decomposition equations re-read
     the bunch off the reconstructed chain:
@@ -497,6 +546,38 @@ def test_d2_checks_match_the_reference(samples):
         assert len(new) == len(b.skeleton) * (len(b.skeleton) + 1) * (len(b.skeleton) + 2) // 6
 
 
+def rejected_bunches() -> list[Bunch]:
+    """The G1, G2 and G3 counterexamples of the bunch and CLI tests, and a
+    bunch with a step of the wrong source group."""
+    trivial2 = {"t": og.TRIVIAL, "u": og.TRIVIAL}
+    unit = {("t", "u"): og.unit_map(og.TRIVIAL, og.TRIVIAL)}
+    return [
+        Bunch(("t", "u"), {"t": "O", "u": "O"}, trivial2, {}, unit),
+        Bunch(("t", "u"), {"t": "O", "u": "J"}, trivial2, {}, unit),
+        Bunch(("t", "u"), {"t": "J", "u": "I"}, {"t": og.INT, "u": og.INT},
+              {"u": og.whole(og.INT)}, {("t", "u"): og.identity(og.INT)}),
+        Bunch(("t", "u"), {"t": "O", "u": "I"}, {"t": og.INT, "u": og.INT},
+              {"u": og.int_multiples(2)}, {("t", "u"): og.identity(og.INT)}),
+        Bunch(("t", "u"), {"t": "O", "u": "I"}, trivial2, {"u": og.whole(og.TRIVIAL)},
+              {("t", "u"): og.identity(og.INT)}),
+    ]
+
+
+def assert_audit_matches_the_reference(b: Bunch, samples: int = 100) -> Report:
+    audit, report = _audit(b, samples), validate(b, samples)
+    assert report == reference_validate(b, samples), b.skeleton
+    assert audit.ok == report.ok and audit.report() == report, b.skeleton
+    return report
+
+
+@pytest.mark.parametrize("samples", [100, 3])
+def test_the_audit_verdict_and_report_match_the_reference(samples):
+    for b in validation_bunches():
+        assert assert_audit_matches_the_reference(b, samples).ok
+    for b in rejected_bunches():
+        assert not assert_audit_matches_the_reference(b, samples).ok
+
+
 def int_tower() -> Bunch:
     """Three Int layers joined by identity steps, every subgroup whole."""
     return Bunch(("t", "u", "w"), {"t": "O", "u": "I", "w": "I"},
@@ -524,7 +605,7 @@ def test_d2_failure_and_witness_match_the_reference(monkeypatch):
     patch_transition(monkeypatch, wrong_transition(
         lambda b, u, v: og.scale_int(2) if (u, v) == ("t", "w") else None))
     b = int_tower()
-    report = validate(b)
+    report = assert_audit_matches_the_reference(b)
     new = d2_checks(report)
     assert new == reference_validate_d2(b)
     assert [(c.subject, c.detail, c.witness) for c in report.violations()] == \
@@ -560,7 +641,7 @@ def test_d2_failures_on_collapsed_transitions_match_the_reference(monkeypatch):
         if collapsed.get(id(b)) == (u, v) else None))
     assert len(cases) >= 5
     for b in cases:
-        new = d2_checks(validate(b))
+        new = d2_checks(assert_audit_matches_the_reference(b))
         assert new == reference_validate_d2(b), b.skeleton
         assert not all(c.ok for c in new), b.skeleton
 

@@ -125,6 +125,32 @@ def test_cover_round_trip_on_discrete(name):
         assert og.g_cover_up(group, down) == x
 
 
+def reference_cover(group, x, step):
+    """The recursive cover that `cover_fn` compiles: None where no factor covers."""
+    if isinstance(group, og.Int):
+        return x + step
+    if isinstance(group, og.Lex):
+        if not og.group_is_trivial(group.right):
+            inner = reference_cover(group.right, x[1], step)
+            return None if inner is None else (x[0], inner)
+        inner = reference_cover(group.left, x[0], step)
+        return None if inner is None else (inner, x[1])
+    return None
+
+
+def test_compiled_cover_matches_the_recursive_reference():
+    groups = list(GROUPS.values()) + [
+        og.Lex(og.RAT, og.INT), og.Lex(og.RAT, og.TRIVIAL), og.Lex(og.TRIVIAL, og.INT),
+        og.Lex(og.Lex(og.INT, og.TRIVIAL), og.TRIVIAL), og.Lex(og.INT, og.Lex(og.RAT, og.INT))]
+    for group in groups:
+        for step in (1, -1):
+            fn = og.cover_fn(group, step)
+            assert og.cover_fn(group, step) is fn
+            for x in pool(group, 40):
+                assert fn(x) == reference_cover(group, x, step), (group, x, step)
+                assert (fn(x) is None) == (not og.is_discrete(group))
+
+
 # -- enumeration ---------------------------------------------------------------
 
 def test_enumerate_declared_orders():
