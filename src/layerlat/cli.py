@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all odd-or-even involutive chain tables of a size")
     p.add_argument("--size", type=_int_at_least(1), required=True)
     p.add_argument("--bound", type=_int_at_least(1), default=10,
-                   help="largest size searched (default 10)")
+                   help="largest size enumerated (default 10)")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("standardize", help="rational placement CSV of a bounded prefix")

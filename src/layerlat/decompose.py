@@ -12,7 +12,8 @@ The round trip builds that candidate's chain, maps index i to the i-th
 point of its sorted carrier, and compares every product cell and both
 constants.  A match certifies every clause of the oracle, associativity
 included, with no n^3 scan; the oracle runs, once, only on a mismatch, and
-names the first violation.
+names the first violation.  The classification's second consumer is
+`oracle.enumerate_finite_chains`, which returns that one table.
 
 On symbolic chains the decomposition is verified as a family of identities
 instead of re-derived, since the chain already carries its bunch:

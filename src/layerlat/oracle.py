@@ -1,16 +1,15 @@
 """Brute-force ground truth on finite carriers.
 
 A CayleyTable is an extensional chain: carrier 0 < 1 < ... < n-1, an n-by-n
-product table, and unit/falsum indices.  Everything here is checked by
-exhaustive search and is deliberately independent of the bunch machinery, so
-it can act as an oracle for it.  `check_flea_axioms` returns a
-`report.Report`, one exact `Check` per law.
+product table, and unit/falsum indices.  `check_flea_axioms` decides every
+law by exhaustive search and is deliberately independent of the bunch
+machinery, so it can act as an oracle for it; so are `brute_residuum` and the
+CSV codec.  `check_flea_axioms` returns a `report.Report`, one exact `Check`
+per law.
 
-The enumerator searches one (unit, falsum) placement.  In a finite
-involutive chain x -> x->f is an order-reversing bijection of 0 < ... < n-1,
-hence x -> n-1-x; so f = n-1-t, and odd or even forces t = n // 2.  This and
-the involution row bound in _search_tables are elementary order theory, not
-the representation theorem, so the oracle stays independent of the bunch code.
+`enumerate_finite_chains` is the exception: it lists the finite chains by
+the classification in `decompose`, not by search.  The backtracking table
+search that checks that classification independently lives in the tests.
 """
 
 from __future__ import annotations
@@ -110,97 +109,20 @@ def check_flea_axioms(tbl: CayleyTable) -> Report:
     return Report(checks, 0, AXIOMS)
 
 
-def _search_tables(n: int) -> list[CayleyTable]:
-    # Search the forced placement t = n // 2, f = n-1-t.  Prefill the unit row
-    # and the absorbing bottom row, then backtrack over the remaining cells.
-    # Rows adjacent to the unit row are filled first so its values bound them
-    # tightly; each assignment is pruned by monotonicity against known
-    # neighbours, by the involution (x->z = not(x * not z) gives x*y <= z iff
-    # x*(n-1-z) <= n-1-y, so r*a = v puts r*c <= n-1-a if c <= n-1-v and
-    # r*c >= n-a otherwise) and by every associativity instance that the
-    # assignment completes.  The exhaustive checker still accepts or rejects
-    # each finished table.
-    t = n // 2
-    f = n - 1 - t
-    grid: list[list[int | None]] = [[None] * n for _ in range(n)]
-
-    def put(i: int, j: int, v: int) -> None:
-        grid[i][j] = v
-        grid[j][i] = v
-
-    for x in range(n):
-        put(t, x, x)
-        put(0, x, 0)
-    row_order = list(range(t - 1, 0, -1)) + list(range(t + 1, n))
-    cells: list[tuple[int, int]] = []
-    seen_cells = set()
-    for r in row_order:
-        for c in range(1, n):
-            key = (min(r, c), max(r, c))
-            if c == t or key in seen_cells or grid[r][c] is not None:
-                continue
-            seen_cells.add(key)
-            cells.append((r, c))
-    results: list[CayleyTable] = []
-
-    def assoc_ok(i: int, j: int) -> bool:
-        v = grid[i][j]
-        gi, gj = grid[i], grid[j]
-        for k in range(n):
-            jk = gj[k]
-            if jk is not None:
-                left, right = grid[v][k], gi[jk]
-                if left is not None and right is not None and left != right:
-                    return False
-                ik = gi[k]
-                if ik is not None:
-                    left = grid[ik][j]
-                    if left is not None and gi[jk] is not None and left != gi[jk]:
-                        return False
-        return True
-
-    def rec(pos: int) -> None:
-        if pos == len(cells):
-            tbl = CayleyTable(n, tuple(tuple(row) for row in grid), t, f)
-            if check_flea_axioms(tbl).ok:
-                results.append(tbl)
-            return
-        i, j = cells[pos]
-        lo, hi = 0, n - 1
-        if i > 0 and grid[i - 1][j] is not None:
-            lo = max(lo, grid[i - 1][j])
-        if j > 0 and grid[i][j - 1] is not None:
-            lo = max(lo, grid[i][j - 1])
-        if i + 1 < n and grid[i + 1][j] is not None:
-            hi = min(hi, grid[i + 1][j])
-        if j + 1 < n and grid[i][j + 1] is not None:
-            hi = min(hi, grid[i][j + 1])
-        for r, c in ((i, j), (j, i)):
-            for a, v in enumerate(grid[r]):
-                if v is not None and c <= n - 1 - v:
-                    hi = min(hi, n - 1 - a)
-                elif v is not None:
-                    lo = max(lo, n - a)
-        for v in range(lo, hi + 1):
-            put(i, j, v)
-            if assoc_ok(i, j):
-                rec(pos + 1)
-        grid[i][j] = None
-        if i != j:
-            grid[j][i] = None
-
-    rec(0)
-    return results
-
-
 def enumerate_finite_chains(n: int, bound: int = 10) -> list[CayleyTable]:
-    """All odd-or-even involutive chain tables on n elements, by backtracking.
+    """All odd-or-even involutive chain tables on n elements.
 
-    The carrier is the fixed chain 0 < ... < n-1, so order-isomorphism is the
-    identity; the one forced placement never yields a table twice.
+    By the representation theorem (see `decompose`) there is exactly one:
+    the table of `fixtures.finite_bunch(n)`'s chain, on the fixed carrier
+    0 < ... < n-1, so order-isomorphism is the identity.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
     if n > bound:
         raise BoundExceeded(f"size {n} above the configured bound {bound}")
-    return _search_tables(n)
+    # imported here: decompose imports this module, and the checker above
+    # stays free of the bunch code
+    from .chain import Chain
+    from .decompose import table_of_chain
+    from .fixtures import finite_bunch
+    return [table_of_chain(Chain(finite_bunch(n)))[0]]

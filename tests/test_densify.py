@@ -16,7 +16,7 @@ from layerlat.embed import check_embedding
 from layerlat.errors import (EvenTypeUnsupported, LayerClassError,
                              LeastLayerError, NotLess, SubgroupObstruction,
                              UnknownLayer)
-from layerlat.oracle import enumerate_finite_chains
+from table_search import lawful_tables
 
 UNIT = og.UNIT
 LT = og.LT
@@ -33,7 +33,7 @@ def test_insert_above_s3_gives_the_five_element_chain(s3_chain):
     receipt = insert_above(s3_chain.bunch, "u")
     assert validate(receipt.new_bunch).ok
     tbl, _ = table_of_chain(Chain(receipt.new_bunch))
-    assert tbl == enumerate_finite_chains(5)[0]
+    assert tbl == lawful_tables(5)[0]
 
 
 def test_insert_above_the_unit_layer_is_allowed(s3_chain):

@@ -55,11 +55,11 @@ from layerlat.errors import (AxiomFailure, EvenTypeUnsupported, InternalInvarian
                              LayerClassError, LeastLayerError, NotInvolutive, NotLess,
                              NotOddOrEven, RoundTripMismatch, SubgroupObstruction,
                              TypeMismatch, UnknownLayer, WindowTooSmall)
-from layerlat.oracle import (CayleyTable, brute_residuum, check_flea_axioms,
-                             enumerate_finite_chains, format_table_csv)
+from layerlat.oracle import CayleyTable, brute_residuum, check_flea_axioms, format_table_csv
 from layerlat.report import EMBED, LAWS, RECOVER, VALIDATE, Check, Report
 from layerlat.standardize import (RationalPlacement, cantor_map, extend_with_products,
                                   sup_extend)
+from table_search import lawful_tables
 
 EQ, LT, GT = og.EQ, og.LT, og.GT
 
@@ -1523,10 +1523,10 @@ def one_sided_mutations(tbl: CayleyTable) -> list[CayleyTable]:
 
 
 def roundtrip_corpus() -> tuple[list[CayleyTable], list[CayleyTable]]:
-    """The lawful tables (every enumerated chain up to 10 elements and the
+    """The lawful tables (every table the search finds up to 10 elements and the
     finite chains up to 40) and the altered ones (every single-cell mutation
     of a finite chain's table up to 9 elements, and the swapped constants)."""
-    lawful = [tbl for n in range(1, 11) for tbl in enumerate_finite_chains(n)]
+    lawful = [tbl for n in range(1, 11) for tbl in lawful_tables(n)]
     lawful += [finite_table(n) for n in range(1, 41)]
     altered = [CayleyTable(tbl.size, tbl.product, tbl.falsum, tbl.unit)
                for tbl in lawful if tbl.unit != tbl.falsum]
@@ -1589,10 +1589,10 @@ def trivial_bunches(layers: int) -> list[Bunch]:
 
 def test_every_lawful_table_is_the_finite_bunchs_table():
     # the premise of `roundtrip_table`'s certificate, pinned by the
-    # backtracking oracle, which knows nothing of bunches: each size has
+    # backtracking search, which knows nothing of bunches: each size has
     # exactly one lawful table, the one of `finite_bunch(n)`'s chain
-    for n in range(1, 13):
-        assert enumerate_finite_chains(n, bound=12) == [finite_table(n)], n
+    for n in range(1, 14):
+        assert lawful_tables(n) == [finite_table(n)], n
 
 
 def test_every_valid_trivial_bunch_has_a_lawful_chain():
