@@ -26,7 +26,7 @@ from . import oracle
 from .bunch import _audit, bunch_to_json, parse_bunch, serialize_bunch, validate
 from .chain import Chain, check_chain_laws, format_element, parse_element
 from .decompose import roundtrip_table, table_of_chain, window_table
-from .densify import densify_driver, fill_gap
+from .densify import _densify, fill_gap
 from .embed import check_embedding, parse_embedding_spec
 from .errors import InfiniteChain, LayerlatError
 from .ogroup import ORDERING_NAMES
@@ -194,10 +194,9 @@ def _cmd_fill_gap(args) -> int:
 
 def _cmd_densify(args) -> int:
     chain = _require_valid(args.bunch, args.samples)
-    bunch, trace = densify_driver(chain, args.prefix, args.rounds)
-    extended = Chain(bunch)
+    extended, trace = _densify(chain, args.prefix, args.rounds)
     print(json.dumps({
-        "bunch": bunch_to_json(bunch),
+        "bunch": bunch_to_json(extended.bunch),
         "trace": [{
             "case_tag": r.case_tag,
             "inserted_layer": r.inserted_layer,

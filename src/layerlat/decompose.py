@@ -29,7 +29,7 @@ from itertools import islice
 
 from . import ogroup as og
 from .bunch import Bunch
-from .chain import Chain, ChainElement
+from .chain import Chain, ChainElement, _new
 from .errors import (AxiomFailure, InfiniteChain, NotInvolutive, NotOddOrEven,
                      RoundTripMismatch, WindowTooSmall)
 from .fixtures import finite_bunch
@@ -195,12 +195,12 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
                 shifted = chain.mul(x, comp_u)
                 if (chain.compare(shifted, x) < 0) != expected:
                     fail("b", f"complement-shift test wrong at {x}")
-                candidate = ChainElement(u, inv(x.g), False)
+                candidate = _new(ChainElement, (u, inv(x.g), False))
                 if (chain.mul(x, candidate) == idem[u]) != expected:
                     fail("b", f"invertibility wrong at {x}")
             if x.dotted:
                 tried["d"] += 1
-                original = ChainElement(u, x.g, False)
+                original = _new(ChainElement, (u, x.g, False))
                 if chain.mul(original, comp_u) != x:
                     fail("d", f"{x} is not its original times the complement")
                 if chain.zeta(u, u, x) != x.g:
@@ -212,7 +212,7 @@ def recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report:
                 if x.dotted:
                     continue
                 tried["c"] += 1
-                if chain.mul(idem[v], x) != ChainElement(v, tr(x.g), False):
+                if chain.mul(idem[v], x) != _new(ChainElement, (v, tr(x.g), False)):
                     fail("c", f"idempotent multiplication is not the transition at {x} -> {v}")
     checks = [Check(f"({k})", subject, k not in first, "sampled", first.get(k, ""), tried[k])
               for k, subject in (("a", "local units"), ("b", "class-I invertibility"),

@@ -212,6 +212,13 @@ def densify_driver(chain: Chain, prefix: int, rounds: int) -> tuple[Bunch, list[
     witness never separates a later pair of its pass.  The set is sorted
     once; each pass is one splice and one Chain (`_pass`) and places its
     witnesses in the order (the module docstring says why)."""
+    extended, trace = _densify(chain, prefix, rounds)
+    return extended.bunch, trace
+
+
+def _densify(chain: Chain, prefix: int, rounds: int) -> tuple[Chain, list[TraceRecord]]:
+    """`densify_driver` with the Chain of its last pass in place of that
+    chain's bunch (``chain`` itself when no pass ran)."""
     if prefix < 0 or rounds < 0:
         raise ValueError("prefix and rounds must be nonnegative")
     current = chain
@@ -223,7 +230,7 @@ def densify_driver(chain: Chain, prefix: int, rounds: int) -> tuple[Bunch, list[
         current, records = _pass(current, zip(order, order[1:]))
         order = [p for x, r in zip(order, records) for p in (x, r.witness)] + order[-1:]
         trace += records
-    return current.bunch, trace
+    return current, trace
 
 
 def preserves_idempotent_symmetry(trace: list[TraceRecord]) -> bool:

@@ -6,8 +6,17 @@ and drops each new element at the midpoint of its placed neighbours, giving
 a strictly order-preserving map of the prefix into Q [0, 1].  sup_extend
 approximates the left-continuous extension of the product: the supremum of
 placed products over placed points strictly below the query pair, with a
-budgeted closure pass that places missing products first.  Results are exact
+budgeted closure that places missing products first.  Results are exact
 rationals and only ever lower approximations; nothing here claims the limit.
+
+The closure (`extend_with_products`) is one scan of the placed points in
+placement order, each multiplied by itself and by every point placed before
+it, the products it places joining the end of the scan; it multiplies each
+unordered pair at most once.  The supremum table (`_extended_tables`) uses
+only that the product is commutative, never that it is monotone (a `Chain`
+can be built from a structurally sound bunch that fails `validate`): it keeps
+the lower triangle, n(n + 1)/2 maxima of product ranks for n placed points,
+and a query reads the one cell at its larger and its smaller count.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .chain import Chain, ChainElement, format_element
 from .errors import TrivialChain, Unbounded
@@ -109,38 +118,46 @@ def extend_with_products(chain: Chain, placement: RationalPlacement,
     """A copy of ``placement`` with up to ``depth`` missing products placed.
 
     Pairs are scanned in placement order, so the result depends only on the
-    placement and the budget, never on any later query.
+    placement and the budget, never on any later query: each placed point,
+    in placement order, is multiplied by itself and by every point placed
+    before it, and a product not yet placed is placed and joins the end of
+    the scan, until ``depth`` products are placed or the scan ends.  Each
+    unordered pair is multiplied at most once.
     """
     work = placement.copy()
+    order = list(work._q)  # placement order: dicts keep insertion order
+    mul, placed = chain.mul, work._q
     budget = depth
-    progressed = True
-    while budget > 0 and progressed:
-        progressed = False
-        snapshot = list(work._q)  # placement order: dicts keep insertion order
-        for i, x in enumerate(snapshot):
-            for y in snapshot[:i + 1]:
-                z = chain.mul(x, y)
-                if z not in work:
-                    work.place(z)
-                    budget -= 1
-                    progressed = True
-                    if budget == 0:
-                        break
-            if budget == 0:
-                break
+    i = 0
+    while budget > 0 and i < len(order):
+        x = order[i]
+        for y in order[:i + 1]:
+            z = mul(x, y)
+            if z not in placed:
+                work.place(z)
+                order.append(z)
+                budget -= 1
+                if budget == 0:
+                    break
+        i += 1
     return work
 
 
 def _extended_tables(chain: Chain, placement: RationalPlacement,
                      depth: int) -> tuple[list[Fraction], list[list[int]]]:
-    """The extended placement's values ``qs`` in ascending order and the table
-    ``best``: best[i][j] is the largest rank r such that qs[r] is the value of
-    a placed product x * y with x among the first i + 1 and y among the first
-    j + 1 placed points, or -1 when no such product is placed.
+    """The extended placement's values ``qs`` in ascending order and the
+    lower-triangular table ``best``: for j <= i, best[i][j] is the largest
+    rank r such that qs[r] is the value of a placed product of the k-th and
+    l-th placed points with l <= k <= i and l <= j, or -1 when no such
+    product is placed.
 
     ``q`` is strictly increasing along ``_sorted``, so a product is stored by
     its rank there, and the running maximum of ranks picks out the same
-    product as the running maximum of its values would.
+    product as the running maximum of its values would.  ``mul`` is
+    commutative, so each unordered pair is multiplied once, and row i of
+    ``best`` is the running maximum of row i's products merged with row
+    i - 1 (its last cell standing for the diagonal cell it lacks); the table
+    holds n(n + 1)/2 cells.
     """
     cached = placement._ext_cache.get(depth)
     if cached is not None:
@@ -148,17 +165,15 @@ def _extended_tables(chain: Chain, placement: RationalPlacement,
     work = extend_with_products(chain, placement, depth)
     elems = work._sorted
     qs = [work._q[e] for e in elems]
-    rank = {e: r for r, e in enumerate(elems)}
-    n = len(elems)
-    prods = [[-1] * n for _ in range(n)]
-    for i, x in enumerate(elems):
-        for j in range(i + 1):
-            prods[i][j] = prods[j][i] = rank.get(chain.mul(x, elems[j]), -1)
+    rank = {e: r for r, e in enumerate(elems)}.get
+    mul = chain.mul
     best = []
-    above = [-1] * n
-    for row in prods:
-        above = list(accumulate(map(max, row, above), max))
-        best.append(above)
+    above = [-1]
+    for i, x in enumerate(elems, 1):
+        prods = map(rank, map(mul, repeat(x, i), elems), repeat(-1))
+        row = list(accumulate(map(max, prods, above), max))
+        best.append(row)
+        above = row + row[-1:]
     placement._ext_cache[depth] = (qs, best)
     return qs, best
 
@@ -167,7 +182,7 @@ def sup_extend(chain: Chain, placement: RationalPlacement, a: Fraction,
                b: Fraction, depth: int = 0) -> Fraction:
     """max of q(x*y) over placed x, y with q(x) < a and q(y) < b.
 
-    The closure pass that places up to ``depth`` missing products is
+    The closure that places up to ``depth`` missing products is
     deterministic and does not depend on (a, b), so the result is exactly
     monotone in a, in b, and in depth.  The caller's placement is never
     mutated (the extension happens on an internal copy, memoized per depth).
@@ -182,5 +197,7 @@ def sup_extend(chain: Chain, placement: RationalPlacement, a: Fraction,
     count_b = bisect_left(qs, b)
     if count_a == 0 or count_b == 0:
         return Fraction(0)
-    r = best[count_a - 1][count_b - 1]
+    # the rectangle's products are those of the pairs with the larger point
+    # among the first max(count) and the smaller among the first min(count)
+    r = best[max(count_a, count_b) - 1][min(count_a, count_b) - 1]
     return qs[r] if r >= 0 else Fraction(0)

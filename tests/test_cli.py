@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import csv
 import argparse
+import hashlib
 import io
 import json
 import sys
@@ -588,17 +589,35 @@ def test_a_call_builds_only_its_subcommands_parser(monkeypatch, fixture_files, a
     ["type", "{g3}"],  # rejected: the report is expanded from the same chain
 ])
 def test_a_call_builds_one_chain_per_bunch(monkeypatch, fixture_files, argv):
-    count = 0
+    built = count_chain_builds(monkeypatch)
+    code, _, _ = cli_run([a.format(**fixture_files) for a in argv])
+    assert code == (1 if "{g3}" in argv else 0) and len(built) == 1
+
+
+def count_chain_builds(monkeypatch) -> list[Bunch]:
+    """Record the bunch of every `Chain` built from now on."""
+    built = []
     init = Chain.__init__
 
     def counting_init(self, bunch):
-        nonlocal count
-        count += 1
+        built.append(bunch)
         init(self, bunch)
 
     monkeypatch.setattr(Chain, "__init__", counting_init)
-    code, _, _ = cli_run([a.format(**fixture_files) for a in argv])
-    assert code == (1 if "{g3}" in argv else 0) and count == 1
+    return built
+
+
+# stdout of `densify s3.json --prefix 3 --rounds 8` when the command rebuilt
+# the Chain of the driver's last pass from its bunch
+DENSIFY_S3_ROUNDS_8_SHA256 = "3633a9e261134e373ab6e8b7cbdfb57ec1d5149e17f1cc57b71cb5581c616b94"
+
+
+def test_densify_formats_its_trace_with_the_chain_of_the_last_pass(monkeypatch, fixture_files):
+    # one Chain for the input and one per pass, and no rebuild of the last
+    built = count_chain_builds(monkeypatch)
+    code, out, _ = cli_run(["densify", fixture_files["s3"], "--prefix", "3", "--rounds", "8"])
+    assert code == 0 and len(built) == 9
+    assert hashlib.sha256(out.encode()).hexdigest() == DENSIFY_S3_ROUNDS_8_SHA256
 
 
 def test_an_accepted_bunch_builds_no_check(monkeypatch, tmp_path):

@@ -7,17 +7,19 @@ element-keyed memos (ordered, so that a product never stands in for its
 mirror), the embedding checker that maps every element through
 ``element_map``, the ``Fraction``-valued prefix-maximum table behind
 ``sup_extend`` (minus its per-placement cache, which now holds rank tables)
-with its own binary search, `validate`'s D2 triple loop, which compiles
-three transitions and draws the sample pool afresh for every triple, and its
-whole report built check by check, before failures were audited apart, the
-densify driver that builds a bunch and its Chain for every insertion, the
-table decomposition and round trip that run the full axiom oracle before
-decomposing, the window export that floors a product by a linear scan, the
-recovery identities that list each layer's points and compose each
-transition themselves, and the chain's compare, mul and zeta, which lift
-every pair across layers through its compiled transition
-(``ReferenceKernels``).  The current kernels decide each law value once over
-interned element ids, compare ranks instead of values, compile each
+with its own binary search and its full square table, the extension that
+multiplies every pair of its snapshot again in each pass, `validate`'s D2
+triple loop, which compiles three transitions and draws the sample pool
+afresh for every triple, and its whole report built check by check, before
+failures were audited apart, the densify driver that builds a bunch and its
+Chain for every insertion, the table decomposition and round trip that run
+the full axiom oracle before decomposing, the window export that floors a
+product by a linear scan, the recovery identities that list each layer's
+points and compose each transition themselves, and the chain's compare, mul
+and zeta, which lift every pair across layers through its compiled
+transition (``ReferenceKernels``).  The current kernels decide each law
+value once over interned element ids, compare ranks instead of values in a
+lower-triangular table, multiply each extension pair once, compile each
 transition pair once and stream each layer's samples once, splice each
 densify pass into one bunch, certify a table by its reconstruction, floor by
 bisection, read the chain's own layer blocks and transitions, and decide
@@ -325,9 +327,34 @@ def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
     return report
 
 
+def reference_extend_with_products(chain: Chain, placement: RationalPlacement,
+                                   depth: int) -> RationalPlacement:
+    """Passes over a snapshot of the placed points, each multiplying every
+    pair of its snapshot again, until the budget is spent or a pass places
+    nothing."""
+    work = placement.copy()
+    budget = depth
+    progressed = True
+    while budget > 0 and progressed:
+        progressed = False
+        snapshot = list(work._q)  # placement order: dicts keep insertion order
+        for i, x in enumerate(snapshot):
+            for y in snapshot[:i + 1]:
+                z = chain.mul(x, y)
+                if z not in work:
+                    work.place(z)
+                    budget -= 1
+                    progressed = True
+                    if budget == 0:
+                        break
+            if budget == 0:
+                break
+    return work
+
+
 def reference_extended_tables(chain: Chain, placement: RationalPlacement,
                               depth: int) -> tuple[list[Fraction], list[list[Fraction]]]:
-    work = extend_with_products(chain, placement, depth)
+    work = reference_extend_with_products(chain, placement, depth)
     elems = work._sorted
     qs = [work._q[e] for e in elems]
     n = len(elems)
@@ -1125,10 +1152,14 @@ def test_bisect_counts_the_points_below_as_the_earlier_loop():
 
 
 @pytest.mark.parametrize("make, prefix", [(fixtures.zb, 80),
+                                          (fixtures.zb, 200),
                                           (lambda: fixtures.finite_bunch(31), 16),
                                           (bounded_rationals, 24)])
 def test_sup_extend_matches_the_reference_on_a_grid(make, prefix):
-    chain = Chain(make())
+    assert_sup_extend_matches_the_reference(Chain(make()), prefix)
+
+
+def assert_sup_extend_matches_the_reference(chain: Chain, prefix: int) -> None:
     placement = cantor_map(chain, prefix)
     grid = [Fraction(k, 96) for k in range(97)]
     for depth in (0, 6, 200):
@@ -1136,6 +1167,56 @@ def test_sup_extend_matches_the_reference_on_a_grid(make, prefix):
         expected = [reference_sup_extend(tables, a, b) for a in grid for b in grid]
         got = [sup_extend(chain, placement, a, b, depth) for a in grid for b in grid]
         assert got == expected, depth
+
+
+def test_sup_extend_matches_the_reference_on_a_non_monotone_product():
+    # commutative, as the half-size table assumes, but not monotone: products
+    # at odd group values are negated, so a read needs the maxima over both
+    # axes, not the product at the rectangle's corner or along one row
+    chain = Chain(fixtures.zb())
+    raw = chain.mul
+
+    def scrambled(x, y):
+        z = raw(x, y)
+        return chain.negate(z) if z.layer == "t" and z.g % 2 else z
+    chain.mul = scrambled
+    assert_sup_extend_matches_the_reference(chain, 40)
+
+
+EXTENSION_BUNCHES = {
+    "zb": fixtures.zb,
+    "s3": fixtures.s3,
+    **{f"finite_bunch({n})": lambda n=n: fixtures.finite_bunch(n) for n in (3, 9, 41)},
+    **{f"densify(s3, 3, {r})": lambda r=r: densify_driver(Chain(fixtures.s3()), 3, r)[0]
+       for r in (2, 4)},
+}
+
+
+@pytest.mark.parametrize("name", EXTENSION_BUNCHES)
+def test_the_extension_matches_the_multi_pass_reference(name):
+    chain = Chain(EXTENSION_BUNCHES[name]())
+    for prefix in (2, 5, 17, 60, 200):
+        placement = cantor_map(chain, prefix)
+        for depth in (0, 1, 3, 10, 50, 200):
+            got = extend_with_products(chain, placement, depth)
+            expected = reference_extend_with_products(chain, placement, depth)
+            assert got.placed() == expected.placed(), (prefix, depth)
+            assert got.to_csv() == expected.to_csv(), (prefix, depth)
+
+
+# `mul` calls of the extension at zb, prefix 200, depth 200; the multi-pass
+# reference makes 40,600, multiplying again every pair an earlier pass settled
+EXTENSION_MUL_CALLS = 20_500
+
+
+def test_the_extension_multiplies_each_pair_once():
+    chain = Chain(fixtures.zb())
+    placement = cantor_map(chain, 200)
+    calls = count_calls(chain)
+    extend_with_products(chain, placement, 200)
+    pairs = [frozenset(args) for args in calls["mul"]]
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) <= EXTENSION_MUL_CALLS
 
 
 # ---------------------------------------------------------------------------
