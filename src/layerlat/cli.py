@@ -3,20 +3,23 @@
 Subcommands: validate, type, bounded, eval, table, decompose, embed-check,
 fill-gap, densify, enumerate, standardize, laws.  Exit codes: 0 ok, 1 domain
 error, 2 usage error.  Randomized sampling is seeded (--seed, default 0);
-LAYERLAT_SAMPLES, read on each call by the rule of --samples, overrides the
-default sample counts.
+LAYERLAT_SAMPLES overrides the default sample counts; it is read on every
+call, before parsing, by the rule of --samples, and stays out of the parser
+(--samples and --law-samples default to None, and ``main`` fills them in).
 
-A call runs one subcommand, so only that subcommand's parser is built:
-argparse's ``parser_class`` hook gives each one a ``_DeferredParser`` that
-records its definition, replayed into a real parser only when argparse
-dispatches to it.  argparse still registers every name and help line, so
-help, usage and choice errors are its own.  Building all twelve parsers was
-most of a short call's set-up (gettext and terminal-size lookups per option).
+``main`` builds the parser once per process (``_parser``) and each subparser
+on its first dispatch: argparse's ``parser_class`` hook gives each subcommand
+a ``_DeferredParser`` that records its definition and replays it into a real
+parser, which it keeps, when argparse first dispatches to it.  So a one-shot
+call builds two parsers, and a later call in the same process builds none.
+argparse still registers every name and help line, so help, usage and choice
+errors are its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,11 +36,11 @@ from .ogroup import ORDERING_NAMES
 from .standardize import cantor_map, extend_with_products
 
 
-def _samples_default(fallback: int) -> int:
-    """LAYERLAT_SAMPLES by the rule of --samples, else fallback; a bad
+def _samples_default() -> int | None:
+    """LAYERLAT_SAMPLES by the rule of --samples, or None when unset; a bad
     value raises argparse.ArgumentTypeError."""
     raw = os.environ.get("LAYERLAT_SAMPLES")
-    return fallback if raw is None else _int_at_least(0)(raw)
+    return None if raw is None else _int_at_least(0)(raw)
 
 
 def _int_at_least(low: int):
@@ -54,10 +57,10 @@ def _int_at_least(low: int):
 
 
 class _DeferredParser:
-    """A subparser built only if dispatched to (see the module docstring)."""
+    """A subparser built on its first dispatch and kept (see the module docstring)."""
 
     def __init__(self, **kwargs):
-        self._kwargs, self._calls = kwargs, []
+        self._kwargs, self._calls, self._parser = kwargs, [], None
 
     def add_argument(self, *args, **kwargs) -> None:
         self._calls.append((argparse.ArgumentParser.add_argument, args, kwargs))
@@ -66,10 +69,11 @@ class _DeferredParser:
         self._calls.append((argparse.ArgumentParser.set_defaults, (), kwargs))
 
     def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self._kwargs)
-        for method, a, kw in self._calls:
-            method(parser, *a, **kw)
-        return parser.parse_known_args(args, namespace)
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            for method, a, kw in self._calls:
+                method(self._parser, *a, **kw)
+        return self._parser.parse_known_args(args, namespace)
 
 
 def _require_valid(path: str, samples: int) -> Chain:
@@ -237,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, decide, decompose, embed, densify, and "
                     "standardize involutive FL_e-chains given as bunches of layer groups.")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
-    parser.add_argument("--samples", type=_int_at_least(0), default=_samples_default(100),
+    parser.add_argument("--samples", type=_int_at_least(0),
                         help="sample count for validation and sampled checks")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
 
@@ -303,19 +307,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laws", help="sample-check the chain axioms of a bunch")
     p.add_argument("bunch")
-    p.add_argument("--law-samples", type=_int_at_least(0), default=_samples_default(10000))
+    p.add_argument("--law-samples", type=_int_at_least(0))
     p.set_defaults(fn=_cmd_laws)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
+        samples = _samples_default()
     except argparse.ArgumentTypeError as e:
         print(f"layerlat: error: LAYERLAT_SAMPLES: {e}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.samples is None:
+        args.samples = 100 if samples is None else samples
+    if getattr(args, "law_samples", 0) is None:
+        args.law_samples = 10000 if samples is None else samples
     try:
         return args.fn(args)
     except (LayerlatError, OSError, UnicodeDecodeError) as e:

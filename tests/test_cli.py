@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from layerlat import cli, fixtures, ogroup as og, report as report_module
 from layerlat.bunch import Bunch, bunch_from_json, serialize_bunch
 from layerlat.chain import Chain, check_chain_laws, parse_element
+from layerlat.decompose import table_of_chain
 from layerlat.densify import insert_above
 from layerlat.embed import EmbeddingSpec, identity_embedding, serialize_embedding_spec
+from layerlat.oracle import format_table_csv
 from layerlat.standardize import cantor_map
 
 
@@ -541,7 +543,16 @@ ok   involution     48 samples
 ok   falsum-shape   48 samples"""
 
 
-# -- parser deferral, argument checks and LAYERLAT_SAMPLES ----------------------
+# -- parser cache and deferral, argument checks and LAYERLAT_SAMPLES ------------
+
+
+@pytest.fixture
+def cold_parser():
+    """Start from an empty parser cache, and keep no parser built under a
+    test's patches for the tests after it."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,12 +561,14 @@ ok   falsum-shape   48 samples"""
     ["eval", "--help"], ["enumerate", "--size", "0"], ["validate", "a", "b"],
     ["laws", "f.json", "--extra"],
 ])
-def test_deferred_subparsers_match_an_eager_parser(monkeypatch, argv):
+def test_deferred_subparsers_match_an_eager_parser(monkeypatch, cold_parser, argv):
     # the same definitions built at once are the reference; no golden text,
-    # since argparse wraps usage lines differently across Python versions
+    # since argparse wraps usage lines differently across Python versions.
+    # Each side starts cold, so the eager side really builds eager parsers.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("LAYERLAT_SAMPLES", raising=False)
     deferred = cli_run(argv)
+    cli._parser.cache_clear()
     monkeypatch.setattr(cli, "_DeferredParser", argparse.ArgumentParser)
     assert deferred == cli_run(argv)
 
@@ -567,18 +580,73 @@ def test_deferred_subparsers_match_an_eager_parser(monkeypatch, argv):
     (["enumerate", "--size", "2"], 2),
     (["--samples", "3", "eval", "{zb}", "--op", "neg", "--lhs", "t:1"], 2),
 ])
-def test_a_call_builds_only_its_subcommands_parser(monkeypatch, fixture_files, argv, built):
-    count = 0
+def test_a_call_builds_only_its_subcommands_parser(monkeypatch, cold_parser, fixture_files,
+                                                   argv, built):
+    # a cold call builds the main parser and its subcommand's; the same call
+    # again in the same process builds none
+    counts = []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
-        nonlocal count
-        count += 1
+        counts[-1] += 1
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    code, _, _ = cli_run([a.format(**fixture_files) for a in argv])
-    assert code == 0 and count == built
+    for _ in range(2):
+        counts.append(0)
+        code, _, _ = cli_run([a.format(**fixture_files) for a in argv])
+        assert code == 0
+    assert counts == [built, 0]
+
+
+def test_a_warm_parser_answers_every_call_as_a_cold_one(monkeypatch, cold_parser, fixture_files,
+                                                        tmp_path):
+    # one process runs a mixed sequence on one cached parser; each call must
+    # give what it gives from an empty cache, as in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    s3, zb = fixture_files["s3"], fixture_files["zb"]
+    table, spec = tmp_path / "f5.csv", tmp_path / "id_s3.json"
+    table.write_text(format_table_csv(table_of_chain(Chain(fixtures.finite_bunch(5)))[0]))
+    spec.write_text(serialize_embedding_spec(identity_embedding(fixtures.s3()), fixtures.s3()))
+    first = [
+        ["validate", s3],
+        ["type", s3],
+        ["bounded", zb],
+        ["eval", zb, "--op", "mul", "--lhs", "t:1", "--rhs", "t:2"],
+        ["table", s3, "--format", "json"],
+        ["decompose", str(table)],
+        ["--samples", "20", "embed-check", s3, s3, str(spec)],
+        ["fill-gap", s3, "--x", "t:e", "--y", "u:e"],
+        ["densify", s3, "--prefix", "3", "--rounds", "1"],
+        ["enumerate", "--size", "3"],
+        ["standardize", zb, "--prefix", "6", "--depth", "2"],
+        ["laws", s3, "--law-samples", "50"],
+    ]
+    calls = [(None, argv) for argv in first] + [
+        (None, ["laws", "--help"]),
+        (None, ["--seed", "x", "laws", "f.json"]),
+        (None, ["bogus"]),
+        ("abc", ["validate", s3]),
+        ("7", ["laws", zb]),
+    ] + [(None, argv) for argv in first]
+
+    def call(raw, argv):
+        if raw is None:
+            monkeypatch.delenv("LAYERLAT_SAMPLES", raising=False)
+        else:
+            monkeypatch.setenv("LAYERLAT_SAMPLES", raw)
+        return cli_run(argv)
+
+    warm = [call(raw, argv) for raw, argv in calls]
+    cold = []
+    for raw, argv in calls:
+        cli._parser.cache_clear()
+        cold.append(call(raw, argv))
+    assert warm == cold
+    assert [code for code, _, _ in warm[:len(first)]] == [0] * len(first)
+    assert warm[-len(first):] == warm[:len(first)]
+    assert warm[len(first) + 3][2].startswith("layerlat: error: LAYERLAT_SAMPLES: ")
+    assert cli.build_parser() is not cli.build_parser()
 
 
 @pytest.mark.parametrize("argv", [
