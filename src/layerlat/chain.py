@@ -52,15 +52,18 @@ complement, and residuum are all decided from the bunch data:
 `check_embedding` and `standardize._extended_tables` scan one triangle for it.
 
 `check_chain_laws` samples the chain axioms into a `report.Report`, one
-`Check` per law, deciding each value once over interned int ids; compare
-and the products of pool pairs sit in ordered tables that no law reads
-mirrored.  Points are built with `tuple.__new__` (`_new`), which skips the
-Python frame of NamedTuple's generated `__new__`.
+`Check` per law, deciding each value once over interned int ids.  The
+compare, product and residuum values of pool pairs sit in three flat lists
+of n * n slots indexed by pool position (i * n + j, None until decided),
+which no law reads mirrored; values with an off-pool operand sit in dicts.
+Points are built with `tuple.__new__` (`_new`), which skips the Python
+frame of NamedTuple's generated `__new__`.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
@@ -352,18 +355,20 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, *, seed: int = 0) -> R
     its first failure.  A finite chain gets its whole carrier as the pool only
     when it has at most `POOL_SIZE` points; the pool always holds the unit.
 
-    Each value is decided once, over element ids: pool point i is id i, and
-    every other element met gets the next free id, so lookups hash ints.
-    ``order`` holds compare(a, b) at (a, b), ordered, as totality tests that
-    (a, b) and (b, a) are opposite.  ``prod`` holds every product the laws
-    ask for, each with a pool factor: pool[i] * pool[j] at i * n + j,
-    ordered, as commutativity compares two independently computed products,
-    and non-pool id a times pool point p at a * n + p for both orientations
-    (`times` picks the key).  ``resid`` holds not(pool[i] * not(pool[j])) at
-    i * n + j.  So no ordered pair reaches `Chain.compare` or `Chain.mul`
-    twice.  The tables fill lazily, but the unit law, run first, stores
-    t * x and x * t in row and column 0 of ``prod`` (t is pool point 0).  No
-    table refers back to itself, so all are freed on return.
+    Each value is decided once, lazily, over element ids: pool point i is
+    id i, and every other element met gets the next free id.  The values of
+    pool pairs sit in three flat lists of n * n slots indexed by pool
+    position, i * n + j, each None until decided: ``order`` holds
+    compare(pool[i], pool[j]), ``prod`` the id of pool[i] * pool[j] and
+    ``resid`` the id of not(pool[i] * not(pool[j])).  A law reads the slots
+    of its sampled pairs inline, in the orientation it writes the value, and
+    calls a helper (`cmp`, `times`, `res`) on None and for derived values.
+    Plain dicts hold the values with an off-pool id a: compare at (a, b), a
+    times pool point p at a * n + p for both orientations (`times`), and
+    complements by id.  So no ordered pair reaches `Chain.compare` or
+    `Chain.mul` twice.  The unit law, run first, stores t * x and x * t in
+    row and column 0 of ``prod`` (t is pool point 0).  No table refers back
+    to itself, so all are freed on return.
     """
     if samples < 0:
         raise ValueError("samples must be at least 0")
@@ -372,29 +377,52 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, *, seed: int = 0) -> R
     triples = _sample_triples(n, samples, seed)
     t, f = chain.constants()
     raw_cmp, raw_mul, raw_neg = chain.compare, chain.mul, chain.negate
-    elems = list(pool)
+    elems, ids = list(pool), dict(zip(pool, range(n)))
+    order, prod, resid = [None] * (n * n), [None] * (n * n), [None] * (n * n)
+    off_order, off_prod, complements = {}, {}, {}
 
-    def new_id(x):
-        elems.append(x)
-        return len(elems) - 1
+    def intern(x):
+        a = ids.get(x)
+        if a is None:
+            a = ids[x] = len(elems)
+            elems.append(x)
+        return a
 
-    ids = _Memo(new_id)
-    ids.update(zip(pool, range(n)))
-    order = _Memo(lambda key: raw_cmp(elems[key[0]], elems[key[1]]))
-    prod = _Memo(lambda key: ids[raw_mul(elems[key // n], pool[key % n])])
-    complements = _Memo(lambda a: ids[raw_neg(elems[a])])
+    def cmp(a, b):  # compare(elems[a], elems[b])
+        if a < n and b < n:
+            c = order[a * n + b]
+            if c is None:
+                c = order[a * n + b] = raw_cmp(pool[a], pool[b])
+            return c
+        c = off_order.get((a, b))
+        if c is None:
+            c = off_order[a, b] = raw_cmp(elems[a], elems[b])
+        return c
 
-    def times(i, a):  # pool[i] * elems[a], pool pairs in their own orientation
-        return prod[i * n + a if a < n else a * n + i]
+    def times(a, b):  # elems[a] * elems[b], one of them a pool point
+        if a < n and b < n:
+            c = prod[a * n + b]
+            if c is None:
+                c = prod[a * n + b] = intern(raw_mul(pool[a], pool[b]))
+            return c
+        if a < n:  # an off-pool product is decided with the off-pool id first
+            a, b = b, a
+        c = off_prod.get(a * n + b)
+        if c is None:
+            c = off_prod[a * n + b] = intern(raw_mul(elems[a], pool[b]))
+        return c
 
-    resid = _Memo(lambda key: complements[times(key // n, complements[key % n])])
+    def neg(a):
+        if a not in complements:
+            complements[a] = intern(raw_neg(elems[a]))
+        return complements[a]
 
-    unit_failure = None
-    for i, x in enumerate(pool):
-        prod[i] = ids[raw_mul(t, x)]
-        if prod[i] != i or i and prod.setdefault(i * n, ids[raw_mul(x, t)]) != i:
-            unit_failure = f"{x}"
-            break
+    def res(i, k):  # not(pool[i] * not(pool[k]))
+        c = resid[i * n + k] = neg(times(i, neg(k)))
+        return c
+
+    unit_failure = next((f"{pool[i]}" for i in range(n)
+                         if times(0, i) != i or times(i, 0) != i), None)
 
     results = []
 
@@ -404,12 +432,14 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, *, seed: int = 0) -> R
 
     failure = None
     for i, j, k in triples:
-        c = order[i, j]
-        if c != -order[j, i]:
+        c, d = order[i * n + j], order[j * n + i]
+        if c is None or d is None:
+            c, d = cmp(i, j), cmp(j, i)
+        if c != -d:
             failure = f"asymmetry broken at {pool[i]}, {pool[j]}"
         elif (i == j) != (c == EQ):
             failure = f"equality vs EQ mismatch at {pool[i]}, {pool[j]}"
-        elif c <= 0 and order[j, k] <= 0 and order[i, k] > 0:
+        elif c <= 0 and cmp(j, k) <= 0 and cmp(i, k) > 0:
             failure = f"transitivity broken at {pool[i]}, {pool[j]}, {pool[k]}"
         if failure:
             break
@@ -417,45 +447,52 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, *, seed: int = 0) -> R
 
     law("commutativity", len(triples), next(
         (f"{pool[i]} * {pool[j]}" for i, j, _ in triples
-         if prod[i * n + j] != prod[j * n + i]), None))
+         for p, q in [(prod[i * n + j], prod[j * n + i])]
+         if (times(i, j) if p is None else p) != (times(j, i) if q is None else q)), None))
 
     law("associativity", len(triples), next(
         (f"{pool[i]}, {pool[j]}, {pool[k]}" for i, j, k in triples
-         if prod[prod[i * n + j] * n + k] != times(i, prod[j * n + k])), None))
+         for p, q in [(prod[i * n + j], prod[j * n + k])]
+         if times(times(i, j) if p is None else p, k)
+         != times(i, times(j, k) if q is None else q)), None))
 
     law("unit", n, unit_failure)
 
     law("monotonicity", len(triples), next(
-        (f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}"
-         for i, j, k in triples
-         if order[i, j] <= 0 and order[prod[i * n + k], prod[j * n + k]] > 0), None))
+        (f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}" for i, j, k in triples
+         for c, p, q in [(order[i * n + j], prod[i * n + k], prod[j * n + k])]
+         if (cmp(i, j) if c is None else c) <= 0
+         and cmp(times(i, k) if p is None else p, times(j, k) if q is None else q) > 0), None))
 
     law("adjointness", len(triples), next(
         (f"x={pool[i]}, v={pool[j]}, z={pool[k]}" for i, j, k in triples
-         if (order[prod[i * n + j], k] <= 0) != (order[j, resid[i * n + k]] <= 0)),
-        None))
+         for p, r in [(prod[i * n + j], resid[i * n + k])]
+         if (cmp(times(i, j) if p is None else p, k) <= 0)
+         != (cmp(j, res(i, k) if r is None else r) <= 0)), None))
 
-    law("involution", n, next(
-        (f"{pool[i]}" for i in range(n) if complements[complements[i]] != i), None))
+    law("involution", n, next((f"{pool[i]}" for i in range(n) if neg(neg(i)) != i), None))
 
-    ti, fi = ids[t], ids[f]
+    ti, fi = intern(t), intern(f)
     if chain.type() == BunchType.ODD:
         failure = None if fi == ti else "odd chain must fix the unit under complement"
-    elif order[fi, ti] != LT:
+    elif cmp(fi, ti) != LT:
         failure = "even chain needs falsum strictly below unit"
     else:
         failure = next((f"{pool[i]} lies strictly between falsum and unit" for i in range(n)
-                        if order[fi, i] == LT and order[i, ti] == LT), None)
+                        if cmp(fi, i) == LT and cmp(i, ti) == LT), None)
     law("falsum-shape", n, failure)
 
     return Report(results, samples, LAWS)
 
 
+@lru_cache(maxsize=1)
 def _sample_triples(n: int, samples: int, seed: int) -> list[tuple[int, int, int]]:
     """``samples`` triples of `random.Random(seed).randrange(n)` draws, drawn
     as `randrange` draws them, from ``getrandbits`` with the same rejection
     loop, without its per-call argument checks.  ``n`` must be positive:
-    ``getrandbits(0)`` is 0, so at n = 0 the loop never ends."""
+    ``getrandbits(0)`` is 0, so at n = 0 the loop never ends.  The last draw
+    is kept, so consecutive checks with equal arguments share one list, which
+    no caller may mutate."""
     bits = random.Random(seed).getrandbits
     k = n.bit_length()
     draws = []

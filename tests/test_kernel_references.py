@@ -797,6 +797,28 @@ def test_the_triple_draw_is_the_randrange_draw():
             assert _sample_triples(n, 40, seed) == expected, (n, seed)
 
 
+def test_checks_with_equal_draw_arguments_share_one_draw():
+    # zb, and lz2 with the identity for its complement, so that its report
+    # has details; both pools hold 48 points
+    chains = [Chain(fixtures.zb()), Chain(fixtures.lz2())]
+    chains[1].negate = lambda x: x
+    assert [len(list(islice(c.enumerate_elements(), 48))) for c in chains] == [48, 48]
+    _sample_triples.cache_clear()
+    reports = [check_chain_laws(chains[0], samples=500, seed=9)]
+    hits = _sample_triples.cache_info().hits
+    reports.append(check_chain_laws(chains[1], samples=500, seed=9))
+    assert _sample_triples.cache_info().hits == hits + 1
+    rng = random.Random(9)
+    assert _sample_triples(48, 500, 9) == [
+        (rng.randrange(48), rng.randrange(48), rng.randrange(48)) for _ in range(500)]
+    assert not reports[1].ok
+    for chain, report in zip(chains, reports):
+        _sample_triples.cache_clear()
+        fresh = check_chain_laws(chain, samples=500, seed=9)
+        assert fresh.render() == report.render()
+        assert verdicts(fresh) == verdicts(report)
+
+
 # raw `mul` calls made on these chains by the pool-table law checker, which
 # decided each pool pair once but compared products afresh for every triple
 EARLIER_MUL_CALLS = {"finite_bunch(9)": 144, "zb": 4503, "lz2": 5061}
@@ -952,7 +974,7 @@ def test_law_reports_read_each_pool_pair_in_its_own_orientation():
     failed = set()
     patch = broken_below_the_diagonal(BELOW_THE_DIAGONAL["complement"])
     for i, chain in enumerate(broken_chains(patch)):
-        new = verdicts(check_chain_laws(chain, samples=400, seed=i))
+        new = verdicts(same_laws(chain, samples=400, seed=i))
         assert new == literal_laws(chain, 400, i)
         failed |= {clause for clause, ok, _ in new if not ok}
     assert failed == {"commutativity", "associativity", "unit", "monotonicity",
@@ -1018,6 +1040,53 @@ def test_no_samples_cost_only_the_unit_law_products(name):
     assert len(calls["mul"]) <= 2 * n
     compares, negates = EARLIER_CALLS_AT_NO_SAMPLES[name]
     assert len(calls["compare"]) <= compares and len(calls["negate"]) <= negates
+
+
+# exact (compare, mul, negate) calls of check_chain_laws, recorded on the
+# id-keyed memo tables before the pool pairs moved into flat lists: a table
+# filled eagerly, or a pair decided twice, moves a count
+EXACT_LAW_CALLS = {"finite_bunch(9)": (81, 81, 10), "zb": (3794, 3255, 94),
+                   "lz2": (4637, 3813, 126)}
+EXACT_CALLS_AT_NO_SAMPLES = {"jz": (0, 95, 50), "lz": (0, 95, 52), "lz2": (0, 95, 50),
+                             "s3": (0, 5, 4), "zb": (0, 95, 50), "ze": (73, 95, 51)}
+
+
+def raw_call_counts(chain: Chain, samples: int, seed: int) -> tuple[int, int, int]:
+    calls = count_calls(chain)
+    assert check_chain_laws(chain, samples=samples, seed=seed).ok
+    return len(calls["compare"]), len(calls["mul"]), len(calls["negate"])
+
+
+@pytest.mark.parametrize("name, make, samples", [
+    ("finite_bunch(9)", lambda: fixtures.finite_bunch(9), 2000),
+    ("zb", fixtures.zb, 3000),
+    ("lz2", fixtures.lz2, 3000),
+])
+def test_the_law_checker_makes_exactly_the_recorded_raw_calls(name, make, samples):
+    assert raw_call_counts(Chain(make()), samples, 1) == EXACT_LAW_CALLS[name]
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL))
+def test_no_samples_make_exactly_the_recorded_raw_calls(name):
+    chain = Chain(fixtures.ALL[name]())
+    assert raw_call_counts(chain, 0, 1) == EXACT_CALLS_AT_NO_SAMPLES[name]
+
+
+def test_law_reports_match_when_totality_stops_at_the_first_triple():
+    # compare answers LT both ways on the pool pair of triple 0, so totality
+    # fails there and stops: every later law reads compare values that
+    # totality never decided
+    for seed, (name, b) in enumerate(law_bunches()[:40]):
+        chain = Chain(b)
+        compare = chain.compare
+        pool = list(islice(chain.enumerate_elements(), 48))
+        i, j, _ = _sample_triples(len(pool), 1, seed)[0]
+        pair = {pool[i], pool[j]}
+        chain.compare = (lambda x, y, pair=pair, compare=compare:
+                         LT if {x, y} == pair else compare(x, y))
+        new = same_laws(chain, samples=400, seed=seed)
+        assert verdicts(new) == literal_laws(chain, 400, seed), name
+        assert new.checks[0].detail == f"asymmetry broken at {pool[i]}, {pool[j]}", name
 
 
 # ---------------------------------------------------------------------------
