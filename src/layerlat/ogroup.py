@@ -24,6 +24,12 @@ grows it, as `hom_fn`'s unbounded cache grows with the homs it compiles.
 A `WeakValueDictionary` would free them, at the cost of a Python-level
 lookup on every construction.
 
+`cmp_fn`, `op_fn` and `inv_fn` compile `Rat`, also as a `Lex` factor, to
+integer kernels on Fraction's ``__slots__`` ``_numerator`` and ``_denominator``
+(kept from Python 2.6 through 3.13) that return what its operators return.
+No compiled function type-checks: only Fractions enter a `Rat` layer (through
+`parse_gelem`, `g_enumerate`, `g_unit`, ``int_to_rat``); `g_check` rejects the rest.
+
 The module also owns the textual/JSON encodings for groups, elements, homs,
 and subgroups used by bunch files and the CLI.  `hom_check` tests the hom
 laws and returns a `report.Report`, one `Check` per property.
@@ -36,6 +42,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
@@ -159,33 +166,64 @@ def g_unit(group: OGroup) -> GElem:
     return (g_unit(group.left), g_unit(group.right))
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d for coprime n and d > 0, as 3.12's ``Fraction._from_coprime_ints``."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n, d
+    return q
+
+
+def _rat_cmp(a: Fraction, b: Fraction) -> int:
+    x, y = a._numerator * b._denominator, b._numerator * a._denominator
+    return (x > y) - (x < y)
+
+
+def _rat_add(a: Fraction, b: Fraction) -> Fraction:
+    """a + b in lowest terms by the gcd steps of ``Fraction._add``."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    if da == db:
+        g = math.gcd(na + nb, da)
+        return _fraction((na + nb) // g, da // g)
+    g = math.gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    return _fraction(t // g2, s * (db // g2))
+
+
 @lru_cache(maxsize=None)
 def cmp_fn(group: OGroup) -> Callable[[GElem, GElem], int]:
-    """Compiled three-way comparison for ``group`` (no type checks)."""
+    """Compiled three-way comparison (no type checks); `Rat` cross-multiplies slots."""
     if isinstance(group, Trivial):
         return lambda a, b: EQ
     if isinstance(group, (Int, Rat)):
-        return lambda a, b: (a > b) - (a < b)
+        return _rat_cmp if isinstance(group, Rat) else lambda a, b: (a > b) - (a < b)
     left, right = cmp_fn(group.left), cmp_fn(group.right)
     return lambda a, b: left(a[0], b[0]) or right(a[1], b[1])
 
 
 @lru_cache(maxsize=None)
 def op_fn(group: OGroup) -> Callable[[GElem, GElem], GElem]:
-    """Compiled group operation (componentwise addition)."""
+    """Compiled group operation (componentwise addition); `Rat` adds slots by gcds."""
     if isinstance(group, Trivial):
         return lambda a, b: UNIT
     if isinstance(group, (Int, Rat)):
-        return operator.add
+        return _rat_add if isinstance(group, Rat) else operator.add
     left, right = op_fn(group.left), op_fn(group.right)
     return lambda a, b: (left(a[0], b[0]), right(a[1], b[1]))
 
 
 @lru_cache(maxsize=None)
 def inv_fn(group: OGroup) -> Callable[[GElem], GElem]:
+    """Compiled inverse; `Rat` negates the numerator slot."""
     if isinstance(group, Trivial):
         return lambda a: UNIT
-    if isinstance(group, (Int, Rat)):
+    if isinstance(group, Rat):
+        return lambda a: _fraction(-a._numerator, a._denominator)
+    if isinstance(group, Int):
         return operator.neg
     left, right = inv_fn(group.left), inv_fn(group.right)
     return lambda a: (left(a[0]), right(a[1]))
@@ -263,13 +301,13 @@ def g_cover_down(group: OGroup, x: GElem) -> GElem | None:
 
 def _rationals() -> Iterator[Fraction]:
     # 0 first, then each positive rational of the Calkin-Wilf walk with its
-    # negative right behind it.
-    yield Fraction(0)
-    q = Fraction(1)
+    # negative right behind it: n/d steps to d/((2*(n//d) + 1)*d - n), coprime.
+    yield _fraction(0, 1)
+    n = d = 1
     while True:
-        yield q
-        yield -q
-        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
+        yield _fraction(n, d)
+        yield _fraction(-n, d)
+        n, d = d, (2 * (n // d) + 1) * d - n
 
 
 def _integers() -> Iterator[int]:
@@ -404,7 +442,7 @@ def hom_fn(h: Hom) -> Callable[[GElem], GElem]:
         k = h.k
         return lambda x: k * x
     if h.op == "int_to_rat":
-        return lambda x: Fraction(x)
+        return lambda x: _fraction(x, 1)
     if h.op == "inject_first":
         u = g_unit(h.target.right)
         return lambda x: (x, u)
@@ -506,7 +544,7 @@ def member_fn(sub: Subgroup) -> Callable[[GElem], bool]:
         k = sub.k
         return lambda x: x % k == 0
     if sub.op == "int_in_rat":
-        return lambda x: x.denominator == 1
+        return lambda x: x._denominator == 1
     if sub.op == "first_zero":
         u = g_unit(sub.ambient.left)
         return lambda x: x[0] == u
@@ -542,13 +580,20 @@ def format_gelem(group: OGroup, x: GElem) -> str:
     return _format_gelem(group, x)
 
 
+def _digits(n: int) -> str:
+    try:  # str(Decimal(n)) is exact, and not bounded by the int-to-string digit limit
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _format_gelem(group: OGroup, x: GElem) -> str:
     if isinstance(group, Trivial):
         return "e"
     if isinstance(group, Int):
-        return str(x)
+        return _digits(x)
     if isinstance(group, Rat):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
     return f"({_format_gelem(group.left, x[0])},{_format_gelem(group.right, x[1])})"
 
 

@@ -208,6 +208,38 @@ def test_standardize_writes_numbers_past_the_digit_limit(fixture_files, capsys):
     assert len(str(Decimal(values[-2].denominator))) > 640
 
 
+def one_layer_file(tmp_path, name: str, group: og.OGroup) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_bunch(Bunch(("t",), {"t": "I"}, {"t": group},
+                                          {"t": og.whole(group)}, {})))
+    return str(path)
+
+
+def test_eval_writes_results_past_the_digit_limit(fixture_files, tmp_path):
+    # 640 digits is the lowest int-to-string limit the interpreter accepts;
+    # each literal stays below it, and each product's numbers go past it
+    big = int("9" * 640)
+    d1, d2 = 10 ** 400 + 1, 10 ** 400 + 3
+    q = Fraction(1, d1) + Fraction(1, d2)
+    cases = [
+        (fixture_files["zb"], f"t:{big}", f"t:{big}", f"t:{Decimal(2 * big)}"),
+        (one_layer_file(tmp_path, "rat", og.RAT), f"t:1/{d1}", f"t:1/{d2}",
+         f"t:{Decimal(q.numerator)}/{Decimal(q.denominator)}"),
+        (one_layer_file(tmp_path, "lex", og.Lex(og.INT, og.RAT)), f"t:({big},1/{d1})",
+         f"t:({big},1/{d2})", f"t:({Decimal(2 * big)},{Decimal(q.numerator)}/{Decimal(q.denominator)})"),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        results = [cli_run(["eval", path, "--op", "mul", "--lhs", lhs, "--rhs", rhs])
+                   for path, lhs, rhs, _ in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(str(q.denominator)) > 640
+    for (code, out, err), (*_, expected) in zip(results, cases):
+        assert (code, out, err) == (0, expected + "\n", "")
+
+
 def test_unreadable_input_files_are_errors(tmp_path):
     latin = tmp_path / "latin.json"
     latin.write_bytes(b"\xff\xfe{")

@@ -25,12 +25,15 @@ densify pass into one bunch, certify a table by its reconstruction, floor by
 bisection, read the chain's own layer blocks and transitions, and decide
 constant-unit transitions by one threshold per layer; these tests
 pin that their reports, values and errors are unchanged, on passing and on
-deliberately broken inputs.
+deliberately broken inputs.  The reports on the random bunches with `Rat`
+layers are pinned by digests recorded while `ogroup` added, negated and
+compared Fractions through their operators, before its integer kernels.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -1070,6 +1073,124 @@ def test_the_law_checker_makes_exactly_the_recorded_raw_calls(name, make, sample
 def test_no_samples_make_exactly_the_recorded_raw_calls(name):
     chain = Chain(fixtures.ALL[name]())
     assert raw_call_counts(chain, 0, 1) == EXACT_CALLS_AT_NO_SAMPLES[name]
+
+
+def has_rat(group: og.OGroup) -> bool:
+    return group is og.RAT or (isinstance(group, og.Lex)
+                               and (has_rat(group.left) or has_rat(group.right)))
+
+
+def report_sha256(report: Report) -> str:
+    return hashlib.sha256(report.render().encode()).hexdigest()
+
+
+# Every random_bunch(random.Random(k), max_layers=4) with k < 60 that has a Rat
+# layer group, directly or as a Lex factor, mapped to the sha256 of the
+# rendered identity check_embedding at 64 and at 400 samples and of
+# recover_bunch_samples, and to the exact (compare, mul, negate) calls of
+# check_chain_laws(chain, 3000, seed=1), whose report renders alike on all of
+# them.  Recorded while Rat arithmetic ran through the Fraction operators.
+RAT_LAW_REPORT_SHA256 = "385cb3718323d5d991a0e01cabb182ee3ddfc655eb0c634c4d8e4accb2337707"
+RAT_BUNCH_REPORTS = {
+    0: ("8c09a3739f39859a67ffb1bc821427802389adb862bca1cc7cd9d8269a4764f0",
+        "8c09a3739f39859a67ffb1bc821427802389adb862bca1cc7cd9d8269a4764f0",
+        "8310df4433a4d95d9ec3519f9dfe4bd1e84e74cd4d465f1a3f2cfcd35981d10f", (3297, 3307, 121)),
+    3: ("60710f0aeb1c3fc039b3742fc861384893720c4f09ce83319ed6eadc7c227135",
+        "60710f0aeb1c3fc039b3742fc861384893720c4f09ce83319ed6eadc7c227135",
+        "7f18af97cdaa5e89f4be136afa7e5b5dfdae4ece017d876e7d7559c852c96f92", (4199, 3812, 165)),
+    5: ("b9eeda35ae1af4affcb0250739a043aa9d1c6cb1c354c6f72cc0b8f7307f4cbe",
+        "b9eeda35ae1af4affcb0250739a043aa9d1c6cb1c354c6f72cc0b8f7307f4cbe",
+        "729c46e3eed52760d1f4d861cba6c251045bf8eb380765b654153b5e9d46e367", (3704, 3423, 134)),
+    9: ("913ab794b05c1213a69e536532a41fa42d71aa4d336be9dd1bc2d868aa817cc1",
+        "913ab794b05c1213a69e536532a41fa42d71aa4d336be9dd1bc2d868aa817cc1",
+        "d7127e746fc4b68f2a61a23296fea1b426f04b83f6d49f6eae347959b1e5ab26", (3244, 3080, 116)),
+    11: ("913ab794b05c1213a69e536532a41fa42d71aa4d336be9dd1bc2d868aa817cc1",
+        "913ab794b05c1213a69e536532a41fa42d71aa4d336be9dd1bc2d868aa817cc1",
+        "8310df4433a4d95d9ec3519f9dfe4bd1e84e74cd4d465f1a3f2cfcd35981d10f", (3261, 3281, 128)),
+    12: ("a8840074ecc7447bb380cc6dd44879a269df0eb32d3c45bf01143b2a4e2ef597",
+        "a8840074ecc7447bb380cc6dd44879a269df0eb32d3c45bf01143b2a4e2ef597",
+        "68e5893b74592da3e4fdec3b598e6cb0a9b3bdbac08e6823db50a0f8a8c690f8", (3414, 3614, 147)),
+    14: ("7157ec2a60c893176632c5bead9c711dde57a8535f538a059f4a42db5076f14a",
+        "7157ec2a60c893176632c5bead9c711dde57a8535f538a059f4a42db5076f14a",
+        "2076fca30ced9adf993b2c603add1b88bb6180bca07cec2751f42427d01f913c", (5657, 4625, 199)),
+    15: ("a48e84f18e1eca2b3fc680a6f5668dc6445f46772f0464de09239f26418d9c3c",
+        "a48e84f18e1eca2b3fc680a6f5668dc6445f46772f0464de09239f26418d9c3c",
+        "7669bcfe747096da4c5e693e8ba9be5bdb0433fede49a6c1605da464fc2f5c23", (3793, 3345, 140)),
+    20: ("c4a7de1a25438283efa8a80f4f6a92bf59766ec08218f6f6cf24f11439927e1c",
+        "c4a7de1a25438283efa8a80f4f6a92bf59766ec08218f6f6cf24f11439927e1c",
+        "2076fca30ced9adf993b2c603add1b88bb6180bca07cec2751f42427d01f913c", (4158, 3697, 155)),
+    23: ("cdd75f7474d08466f66f9f233b09b9413ca08e6cee7f8105becc699b42fd3212",
+        "cdd75f7474d08466f66f9f233b09b9413ca08e6cee7f8105becc699b42fd3212",
+        "3a01cda2510b31ba02619969fb228dda0d7004eab64c696e2e547bc8b55719fd", (4061, 3672, 165)),
+    26: ("d70edebcbaee8520c349a656ad2345083556f06d72b58f444cdde2a8fc65c1bd",
+        "d70edebcbaee8520c349a656ad2345083556f06d72b58f444cdde2a8fc65c1bd",
+        "f5e4e67c80bcc6b1cc9ebd9664f5f999437c85b2f29c54b049fed04c49f7310c", (3997, 3499, 146)),
+    27: ("913ab794b05c1213a69e536532a41fa42d71aa4d336be9dd1bc2d868aa817cc1",
+        "913ab794b05c1213a69e536532a41fa42d71aa4d336be9dd1bc2d868aa817cc1",
+        "cc20120999ec3d2ca8b9e851009aab078e34ea54be67d5f34c02b7212dca4610", (3261, 3000, 108)),
+    34: ("f1b7748e136570a1a4efd805ac38ae15c390f027340484305e69e56ffbcfe84b",
+        "f1b7748e136570a1a4efd805ac38ae15c390f027340484305e69e56ffbcfe84b",
+        "b09d1e6b6ca319e27c255aa575c02cbccbbd45dc43ff166b2eb74879560f44c9", (3684, 3308, 130)),
+    35: ("c9be0b9e3a41fd6ba5726aee4c623e51a5a4680b019821bc09f0b14235786371",
+        "c9be0b9e3a41fd6ba5726aee4c623e51a5a4680b019821bc09f0b14235786371",
+        "729c46e3eed52760d1f4d861cba6c251045bf8eb380765b654153b5e9d46e367", (3695, 3483, 152)),
+    37: ("7157ec2a60c893176632c5bead9c711dde57a8535f538a059f4a42db5076f14a",
+        "7157ec2a60c893176632c5bead9c711dde57a8535f538a059f4a42db5076f14a",
+        "2076fca30ced9adf993b2c603add1b88bb6180bca07cec2751f42427d01f913c", (5657, 4625, 199)),
+    38: ("18ac3630d8514c49d022cecaab2c0c63791508d347691a9ed66db60c25cbf187",
+        "18ac3630d8514c49d022cecaab2c0c63791508d347691a9ed66db60c25cbf187",
+        "68e5893b74592da3e4fdec3b598e6cb0a9b3bdbac08e6823db50a0f8a8c690f8", (3159, 3122, 119)),
+    40: ("7b696c333baad18fd978cf4a6d15166300d51718ffe6ed46043c49db713cd4d8",
+        "7b696c333baad18fd978cf4a6d15166300d51718ffe6ed46043c49db713cd4d8",
+        "12e066555e6aa6be5d691bd9ffde9bde84af1b9bf37de3eb5cf959d9b3013252", (3279, 3178, 123)),
+    41: ("193f531c9a65bb95c014f110674660189bd453745226269b387650669cf628df",
+        "193f531c9a65bb95c014f110674660189bd453745226269b387650669cf628df",
+        "156930af914364bf22e520c5a90baad863220a5e45e44bd193f7b06d19410c6a", (3441, 3496, 132)),
+    42: ("774e3d469a3416afcbc8842cf2cccb20833e7c4d93a2cfcc1b36e25c0bc6e719",
+        "774e3d469a3416afcbc8842cf2cccb20833e7c4d93a2cfcc1b36e25c0bc6e719",
+        "f632f318c271d82e3c508b6cd0b49b73c9d8cd9bd8c848131ae0d22d7e589bcf", (7631, 6191, 532)),
+    44: ("5c9e184eeef7b34a1b75c4e8ef50e16434494f4bcce4141ffc66fec4f8c3012c",
+        "5c9e184eeef7b34a1b75c4e8ef50e16434494f4bcce4141ffc66fec4f8c3012c",
+        "77d7c26e07abbf2b3ef008b4a43b3cc55cd02b92fde138644d0459e967355b18", (3224, 3114, 125)),
+    45: ("e2e1e61e536f31752d3d8da2a44dddfb258eef0d82ce5b9f03c2d0b380af7c88",
+        "e2e1e61e536f31752d3d8da2a44dddfb258eef0d82ce5b9f03c2d0b380af7c88",
+        "b09227c7077dcb6c16ddba9d8667e73866b5d4654849ede2bb17121980d55c72", (4066, 3720, 150)),
+    47: ("fff781ea52087c8708e05db9e54e0aae8a788c43d52b6b5bbd159525f2c5c02f",
+        "fff781ea52087c8708e05db9e54e0aae8a788c43d52b6b5bbd159525f2c5c02f",
+        "7d27707f52e5a7cb0be5baf96f514b526d451ed317991c25c5715ffc2a00e63d", (3449, 3181, 144)),
+    48: ("957be561a99a36f872f7c362651144e9ca5a8e5264327127d56a22190cbaf924",
+        "957be561a99a36f872f7c362651144e9ca5a8e5264327127d56a22190cbaf924",
+        "729c46e3eed52760d1f4d861cba6c251045bf8eb380765b654153b5e9d46e367", (3936, 3727, 179)),
+    51: ("60710f0aeb1c3fc039b3742fc861384893720c4f09ce83319ed6eadc7c227135",
+        "60710f0aeb1c3fc039b3742fc861384893720c4f09ce83319ed6eadc7c227135",
+        "2076fca30ced9adf993b2c603add1b88bb6180bca07cec2751f42427d01f913c", (4302, 3783, 155)),
+    52: ("197b046853948d5f86df5f9e4cfbbdbcd485ec0929b183e2d18a948b73270a94",
+        "197b046853948d5f86df5f9e4cfbbdbcd485ec0929b183e2d18a948b73270a94",
+        "ff457b8f6e25a861b39a612bad9a25036095f386d741b1400893fc40f24c3a55", (4128, 3603, 157)),
+}
+
+
+def rat_bunch(k: int) -> Bunch:
+    return fixtures.random_bunch(random.Random(k), max_layers=4)
+
+
+def test_the_rat_bunches_are_those_recorded():
+    assert [k for k in range(60) if any(has_rat(g) for g in rat_bunch(k).groups.values())] \
+        == sorted(RAT_BUNCH_REPORTS)
+
+
+@pytest.mark.parametrize("k", sorted(RAT_BUNCH_REPORTS))
+def test_reports_on_rat_bunches_match_the_recorded_digests(k):
+    b = rat_bunch(k)
+    embed64, embed400, recover, law_calls = RAT_BUNCH_REPORTS[k]
+    chain = Chain(b)
+    calls = count_calls(chain)
+    assert report_sha256(check_chain_laws(chain, 3000, seed=1)) == RAT_LAW_REPORT_SHA256
+    assert tuple(len(calls[name]) for name in ("compare", "mul", "negate")) == law_calls
+    chain = Chain(b)
+    assert report_sha256(check_embedding(chain, chain, identity_embedding(b), 64)) == embed64
+    assert report_sha256(check_embedding(chain, chain, identity_embedding(b), 400)) == embed400
+    assert report_sha256(recover_bunch_samples(chain)) == recover
 
 
 def test_law_reports_match_when_totality_stops_at_the_first_triple():

@@ -177,6 +177,123 @@ def test_enumerate_rationals_reduced():
         assert q.denominator >= 1
 
 
+# -- Rat kernels ----------------------------------------------------------------
+
+def reference_rationals():
+    """The Calkin-Wilf walk of `_rationals` in Fraction arithmetic, as it ran
+    before its step moved to ints."""
+    yield Fraction(0)
+    q = Fraction(1)
+    while True:
+        yield q
+        yield -q
+        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
+
+
+def assert_same_value(group, got, want):
+    """Equal as Python values, of the same type, and for a Fraction with the
+    same slots and hash."""
+    assert type(got) is type(want) and got == want, (group, got, want)
+    if isinstance(group, og.Lex):
+        assert_same_value(group.left, got[0], want[0])
+        assert_same_value(group.right, got[1], want[1])
+    elif isinstance(group, og.Rat):
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
+
+
+def reference_op(group, a, b):
+    if isinstance(group, og.Lex):
+        return reference_op(group.left, a[0], b[0]), reference_op(group.right, a[1], b[1])
+    return a + b
+
+
+def reference_inv(group, a):
+    if isinstance(group, og.Lex):
+        return reference_inv(group.left, a[0]), reference_inv(group.right, a[1])
+    return -a
+
+
+def reference_cmp(group, a, b):
+    if isinstance(group, og.Lex):
+        return reference_cmp(group.left, a[0], b[0]) or reference_cmp(group.right, a[1], b[1])
+    return (a > b) - (a < b)
+
+
+def assert_kernels_match(group, pairs):
+    cmp, op, inv = og.cmp_fn(group), og.op_fn(group), og.inv_fn(group)
+    for a, b in pairs:
+        assert_same_value(group, op(a, b), reference_op(group, a, b))
+        assert_same_value(group, inv(a), reference_inv(group, a))
+        assert cmp(a, b) == reference_cmp(group, a, b), (group, a, b)
+
+
+BIG = 10 ** 40
+BIG_FRACTIONS = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+
+
+@given(BIG_FRACTIONS, BIG_FRACTIONS)
+def test_rat_kernels_match_the_fraction_operators(a, b):
+    assert_kernels_match(og.RAT, [(a, b), (b, a), (a, a), (a, -a)])
+
+
+@given(st.integers(1, BIG), st.integers(-BIG, BIG), st.integers(-BIG, BIG))
+def test_rat_kernels_match_on_equal_denominators(d, m, n):
+    # two numerators coprime to one denominator, so both keep it
+    a, b = Fraction(m * d + 1, d), Fraction(n * d + 1, d)
+    assert a.denominator == b.denominator == d
+    assert_kernels_match(og.RAT, [(a, b), (a, -a), (a, 1 - a)])
+
+
+EDGE_RATS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+             Fraction(1, 6), Fraction(-1, 6), Fraction(5, 6), Fraction(7, 6), Fraction(-7, 6),
+             Fraction(1, 3), Fraction(-2, 3), Fraction(3, 4), Fraction(BIG), Fraction(-BIG),
+             Fraction(1, BIG), Fraction(-1, BIG), Fraction(BIG - 1, BIG), Fraction(BIG + 1, BIG)]
+
+
+def test_rat_kernels_match_on_zeros_units_and_cancelling_sums():
+    assert_kernels_match(og.RAT, product(EDGE_RATS, repeat=2))
+    add = og.op_fn(og.RAT)
+    for a in EDGE_RATS:
+        zero = add(a, -a)
+        assert (zero.numerator, zero.denominator) == (0, 1)
+    # equal denominators that cancel to an integer
+    assert_same_value(og.RAT, add(Fraction(1, 6), Fraction(5, 6)), Fraction(1))
+    assert_same_value(og.RAT, add(Fraction(7, 6), Fraction(-1, 6)), Fraction(1))
+
+
+def test_rat_kernels_match_on_the_enumerated_rationals():
+    points = pool(og.RAT, 2000)
+    n = len(points)
+    assert_kernels_match(og.RAT, ((points[i], points[j]) for i in range(n)
+                                  for j in (i, (i + 1) % n, n - 1 - i, 7 * i % n)))
+
+
+@pytest.mark.parametrize("group", [
+    og.Lex(og.INT, og.RAT),
+    og.Lex(og.RAT, og.RAT),
+    og.Lex(og.Lex(og.INT, og.RAT), og.RAT),
+], ids=repr)
+def test_lex_kernels_over_rat_match_the_fraction_operators(group):
+    elems = pool(group, 60)
+    assert_kernels_match(group, product(elems, repeat=2))
+
+
+def test_the_integer_walk_is_the_fraction_walk():
+    for got, want in zip(pool(og.RAT, 10_000), islice(reference_rationals(), 10_000)):
+        assert_same_value(og.RAT, got, want)
+
+
+def test_int_to_rat_and_int_in_rat_read_the_fraction_they_build():
+    to_rat, member = og.hom_fn(og.int_to_rat()), og.member_fn(og.int_in_rat())
+    for x in (0, 1, -1, 7, -BIG, BIG):
+        assert_same_value(og.RAT, to_rat(x), Fraction(x))
+        assert member(to_rat(x))
+    for q in EDGE_RATS:
+        assert member(q) == (q.denominator == 1)
+
+
 # -- homomorphisms ---------------------------------------------------------------
 
 def catalog_of_homs():
