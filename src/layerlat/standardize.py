@@ -17,6 +17,14 @@ only that the product is commutative, never that it is monotone (a `Chain`
 can be built from a structurally sound bunch that fails `validate`): it keeps
 the lower triangle, n(n + 1)/2 maxima of product ranks for n placed points,
 and a query reads the one cell at its larger and its smaller count.
+
+Every placed value is dyadic: a placement starts from 0 and 1, and
+`cantor_map` and `extend_with_products` place each new point at the midpoint
+of two placed ones.  `RationalPlacement.place` takes the midpoint of two
+power-of-two denominators on `Fraction`'s ``_numerator`` and ``_denominator``
+slots, by one shift and one strip of trailing zeros (``(a + b) / 2`` spends
+about ten times as long on gcds at 2,000 bits), and keeps ``(a + b) / 2``
+for any other pair.  Either way the result is the operator's, slots and hash.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from itertools import accumulate, repeat
 
 from .chain import Chain, ChainElement, format_element
 from .errors import TrivialChain, Unbounded
+from .ogroup import _fraction
 
 
 @dataclass
@@ -76,7 +85,7 @@ class RationalPlacement:
         lo = bisect_left(self._sorted, key(x), key=key)
         if lo == 0 or lo == len(self._sorted):
             raise Unbounded(f"{x} falls outside the pinned endpoints")
-        value = (self._q[self._sorted[lo - 1]] + self._q[self._sorted[lo]]) / 2
+        value = _midpoint(self._q[self._sorted[lo - 1]], self._q[self._sorted[lo]])
         self._q[x] = value
         self._sorted.insert(lo, x)
         return value
@@ -91,6 +100,21 @@ class RationalPlacement:
             writer.writerow([format_element(self.chain, x),
                              str(Decimal(value.numerator)), str(Decimal(value.denominator))])
         return out.getvalue()
+
+
+def _midpoint(a: Fraction, b: Fraction) -> Fraction:
+    """(a + b) / 2, by one shift and one strip of trailing zeros when both
+    denominators are powers of two (module docstring)."""
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    if da & (da - 1) or db & (db - 1):
+        return (a + b) / 2
+    if da < db:
+        na, da, nb, db = nb, db, na, da
+    s = na + (nb << (da.bit_length() - db.bit_length()))
+    if not s:
+        return _fraction(0, 1)
+    k = min((s & -s).bit_length() - 1, da.bit_length())  # 2 * da is 2 ** that
+    return _fraction(s >> k, (da << 1) >> k)
 
 
 def cantor_map(chain: Chain, prefix: int) -> RationalPlacement:

@@ -17,17 +17,19 @@ the full axiom oracle before decomposing, the window export that floors a
 product by a linear scan, the recovery identities that list each layer's
 points and compose each transition themselves, and the chain's compare, mul
 and zeta, which lift every pair across layers through its compiled
-transition (``ReferenceKernels``).  The current kernels decide each law
-value once over interned element ids, compare ranks instead of values in a
-lower-triangular table, multiply each extension pair once, compile each
-transition pair once and stream each layer's samples once, splice each
-densify pass into one bunch, certify a table by its reconstruction, floor by
-bisection, read the chain's own layer blocks and transitions, and decide
-constant-unit transitions by one threshold per layer; these tests
-pin that their reports, values and errors are unchanged, on passing and on
-deliberately broken inputs.  The reports on the random bunches with `Rat`
-layers are pinned by digests recorded while `ogroup` added, negated and
-compared Fractions through their operators, before its integer kernels.
+transition (``ReferenceKernels``), and the same-layer product that builds a
+new point on every call (``fresh_same_layer_product``).  The current kernels
+decide each law value once over interned element ids, compare ranks instead
+of values in a lower-triangular table, multiply each extension pair once,
+compile each transition pair once and stream each layer's samples once,
+splice each densify pass into one bunch, certify a table by its
+reconstruction, floor by bisection, read the chain's own layer blocks and
+transitions, decide constant-unit transitions by one threshold per layer and
+table equal same-layer products as one point; these tests pin that their
+reports, values and errors are unchanged, on passing and on deliberately
+broken inputs.  The reports on the random bunches with `Rat` layers are
+pinned by digests recorded while `ogroup` added, negated and compared
+Fractions through their operators, before its integer kernels.
 """
 
 from __future__ import annotations
@@ -2115,3 +2117,109 @@ def test_densify_compiles_no_transition(monkeypatch, rounds):
     calls = count_transitions(monkeypatch)
     densify_driver(Chain(fixtures.s3()), 3, rounds)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# same-layer product tables
+
+
+def fresh_same_layer_product(b: Bunch, x: ChainElement, y: ChainElement) -> ChainElement:
+    """x * y for two points of one layer, each product a new point, as the
+    kernels were before they tabled their products."""
+    u = x.layer
+    p = og.op_fn(b.groups[u])(x.g, y.g)
+    if b.partition[u] != "I":
+        return ChainElement(u, p, False)
+    mem = og.member_fn(b.subgroups[u])
+    return ChainElement(u, p, mem(p) and (x.dotted or y.dotted or not (mem(x.g) and mem(y.g))))
+
+
+def table_bunches() -> list[Bunch]:
+    bunches = [f() for _, f in sorted(fixtures.ALL.items())]
+    return bunches + [fixtures.random_bunch(random.Random(k), max_layers=4) for k in range(40)]
+
+
+def tables(chain: Chain) -> dict[str, dict]:
+    return {u: k.table for u, k in chain._same.items() if hasattr(k, "table")}
+
+
+def test_same_layer_products_match_the_fresh_reference():
+    tabled = 0
+    for i, b in enumerate(table_bunches()):
+        chain = Chain(b)
+        points = list(islice(chain.enumerate_elements(), 64))
+        for x, y in product(points, repeat=2):
+            if x.layer != y.layer:
+                continue
+            z, ref = chain.mul(x, y), fresh_same_layer_product(b, x, y)
+            assert (z, type(z), z.dotted, type(z.g)) == \
+                (ref, ChainElement, ref.dotted, type(ref.g)), (i, x, y)
+        tabled += len(tables(chain))
+    assert tabled == 53  # class O and J layers with no Rat factor, products met
+
+
+def lex_layer(group: og.OGroup, cls: str = "O") -> Bunch:
+    return Bunch(("t",), {"t": cls}, {"t": group}, {}, {})
+
+
+@pytest.mark.parametrize("b", [fixtures.zb(), fixtures.ze(), fixtures.jz(),
+                               lex_layer(og.Lex(og.INT, og.INT)),
+                               lex_layer(og.Lex(og.INT, og.INT), "J")])
+def test_equal_products_on_a_tabled_layer_are_one_object(b):
+    chain = Chain(b)
+    u = next(u for u in b.skeleton if not og.group_is_trivial(b.groups[u]))
+    values = og.g_enumerate(b.groups[u])
+    _, a, c = next(values), next(values), next(values)  # two after the unit
+    x, y = ChainElement(u, a), ChainElement(u, c)
+    z = chain.mul(x, y)
+    assert chain.mul(y, x) is z
+    assert chain.mul(ChainElement(u, c), ChainElement(u, a)) is z
+    assert list(tables(chain)) == [u] and tables(chain)[u] == {z.g: z}
+
+
+@pytest.mark.parametrize("b, u", [
+    (lex_layer(og.RAT), "t"), (lex_layer(og.Lex(og.INT, og.RAT)), "t"),
+    (lex_layer(og.Lex(og.RAT, og.INT)), "t"), (fixtures.lz(), "u"), (fixtures.lz2(), "u")])
+def test_rat_factors_and_class_i_layers_build_no_table(b, u):
+    chain = Chain(b)
+    points = [x for x in islice(chain.enumerate_elements(), 64) if x.layer == u]
+    products = [chain.mul(x, y) for x in points for y in points]
+    assert not hasattr(chain._same[u], "table")
+    assert products == [fresh_same_layer_product(b, x, y) for x in points for y in points]
+
+
+def test_a_unit_operand_returns_the_other_operand():
+    chain = Chain(fixtures.ze())
+    e = ChainElement("t", 0)
+    for k in (5, -3):
+        x = ChainElement("t", k)
+        assert chain.mul(x, e) is x and chain.mul(e, x) is x
+    x = ChainElement("t", 0)
+    assert chain.mul(x, e) is x and chain.mul(e, x) is e
+    assert tables(chain) == {"t": {}}
+
+
+def test_a_table_stops_growing_at_the_cap():
+    chain = Chain(fixtures.ze())
+    one, cap = ChainElement("t", 1), chain_module.TABLE_CAP
+    for k in range(1, cap + 500):
+        z = chain.mul(ChainElement("t", k), one)
+        assert (z, type(z)) == (ChainElement("t", k + 1, False), ChainElement)
+    assert len(tables(chain)["t"]) == cap
+    assert chain.mul(ChainElement("t", cap + 600), one) == ChainElement("t", cap + 601)
+    assert len(tables(chain)["t"]) == cap
+
+
+# table points per chain after a law check at 3000 samples, an embedding
+# check and a recovery: an upper bound on what a workload round keeps per chain
+TABLE_POINTS = {"zb": 127, "ze": 133, "jz": 130, "lz": 43, "lz2": 52}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_POINTS))
+def test_tables_stay_small_through_the_checks(name):
+    b = fixtures.ALL[name]()
+    chain = Chain(b)
+    check_chain_laws(chain, 3000, seed=1)
+    check_embedding(chain, chain, identity_embedding(b))
+    recover_bunch_samples(chain)
+    assert 0 < sum(map(len, tables(chain).values())) <= TABLE_POINTS[name]

@@ -1,19 +1,30 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from layerlat import fixtures, ogroup as og
 from layerlat.bunch import Bunch
 from layerlat.chain import Chain, ChainElement
 from layerlat.densify import densify_driver
 from layerlat.errors import TrivialChain, Unbounded
-from layerlat.standardize import (cantor_map, extend_with_products,
+from layerlat.standardize import (_midpoint, cantor_map, extend_with_products,
                                   sup_extend)
 
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+
+REFERENCE = json.loads((BENCH / "reference.json").read_text())["full"]["elements"]
 UNIT = og.UNIT
 
 
@@ -159,3 +170,46 @@ def test_symmetry_is_audited_but_completions_are_out_of_scope():
 def _driver_result(chain) -> Bunch:
     bunch, _ = densify_driver(chain, prefix=6, rounds=1)
     return bunch
+
+
+# the benchmark's recorded `elements` outputs, which only its runs checked before
+def test_the_zb_placement_is_the_recorded_one():
+    csv_text = cantor_map(Chain(fixtures.zb()), workloads.ELEMENTS["full"]["cantor"]).to_csv()
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == REFERENCE["placement"]
+
+
+def test_sup_extend_gives_the_recorded_values_on_every_query():
+    p = workloads.ELEMENTS["full"]
+    zb = Chain(fixtures.zb())
+    placement = cantor_map(zb, p["sup_prefix"])
+    for depth in p["depths"]:
+        assert [str(sup_extend(zb, placement, a, b, depth)) for a, b in workloads.sup_queries()] \
+            == REFERENCE["sup"][str(depth)]
+
+
+def dyadic():
+    """n / 2^k with k up to 4096, and numerators small or as long."""
+    return st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-(1 << 64), 1 << 64)
+                     | st.integers(-(1 << 4100), 1 << 4100), st.integers(0, 4096))
+
+
+def same_fraction(a: Fraction, b: Fraction) -> bool:
+    return (type(a) is type(b) is Fraction and a == b and hash(a) == hash(b)
+            and (type(a._numerator), a._numerator, type(a._denominator), a._denominator)
+            == (type(b._numerator), b._numerator, type(b._denominator), b._denominator))
+
+
+@settings(max_examples=300)
+@given(dyadic(), dyadic())
+@example(Fraction(0), Fraction(1))
+@example(Fraction(3, 8), Fraction(-3, 8))
+@example(Fraction(-3), Fraction(5))
+def test_the_dyadic_midpoint_is_the_operators(a, b):
+    assert same_fraction(_midpoint(a, b), (a + b) / 2)
+
+
+@settings(max_examples=300)
+@given(st.fractions() | dyadic(), st.fractions())
+def test_other_midpoints_are_the_operators(a, b):
+    assert same_fraction(_midpoint(a, b), (a + b) / 2)
+    assert same_fraction(_midpoint(b, a), (a + b) / 2)
