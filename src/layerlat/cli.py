@@ -141,7 +141,8 @@ def _emit_table(chain: Chain, tbl: oracle.CayleyTable, elems, fmt: str) -> None:
     else:
         lines = ["digraph chain {", "  rankdir=BT;"]
         for i, e in enumerate(elems):
-            lines.append(f'  n{i} [label="{format_element(chain, e)}"];')
+            label = format_element(chain, e).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{i} [label="{label}"];')
         for i in range(len(elems) - 1):
             lines.append(f"  n{i} -> n{i + 1};")
         lines.append("}")

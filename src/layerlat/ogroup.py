@@ -449,9 +449,29 @@ def hom_fn(h: Hom) -> Callable[[GElem], GElem]:
     if h.op == "project_first":
         return lambda x: x[0]
     if h.op == "compose":
-        outer, inner = hom_fn(h.parts[0]), hom_fn(h.parts[1])
-        return lambda x: outer(inner(x))
+        # `hom_compose` grows a composite by one stage per layer, so recursing
+        # into its parts, or nesting one closure per stage, would pass
+        # Python's recursion limit on a long skeleton: flatten it with a
+        # stack into its stages, innermost first, and pipe them as a tree
+        stages, todo = [], [h]
+        while todo:
+            g = todo.pop()
+            if g.op == "compose":
+                todo.extend(g.parts)
+            else:
+                stages.append(hom_fn(g))
+        return _pipeline(stages)
     raise TypeMismatch(f"unknown hom constructor {h.op!r}")
+
+
+def _pipeline(fns: list[Callable[[GElem], GElem]]) -> Callable[[GElem], GElem]:
+    """``fns`` applied in order, as a balanced tree of two-stage closures:
+    the call depth is log2 of the number of stages."""
+    if len(fns) == 1:
+        return fns[0]
+    mid = len(fns) // 2
+    first, then = _pipeline(fns[:mid]), _pipeline(fns[mid:])
+    return lambda x: then(first(x))
 
 
 def hom_apply(h: Hom, x: GElem) -> GElem:

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
 
 import pytest
 
-from layerlat import fixtures, ogroup as og
-from layerlat.bunch import Bunch
+from layerlat import cli, fixtures, ogroup as og
+from layerlat.bunch import Bunch, serialize_bunch
 from layerlat.chain import (Chain, ChainElement, check_chain_laws,
                             format_element, parse_element)
 from layerlat.decompose import table_of_chain, window_table
@@ -293,3 +294,53 @@ def test_finite_carriers_pass_the_axiom_checker_exactly(n):
     report = check_flea_axioms(tbl)
     assert report.ok
     assert report.first("odd-or-even").subject == ("odd" if n % 2 == 1 else "even")
+
+
+LEX = og.Lex(og.INT, og.INT)
+
+
+def long_bunch(shape: str) -> Bunch:
+    """A skeleton whose transition from bottom to top composes more stages
+    than the interpreter's recursion limit: ``alternating`` Int and Lex layers
+    stepped by inject_first and project_first, one stage per layer, or
+    ``composite`` Lex layers stepped by project_first then inject_first, two
+    stages per layer (which `og.hom_compose` does not cancel)."""
+    stages = sys.getrecursionlimit() + 501 | 1  # odd, so the top layer is Lex
+    if shape == "alternating":
+        sk = ("t",) + tuple(f"u{i}" for i in range(1, stages + 1))
+        groups = {u: LEX if i % 2 else og.INT for i, u in enumerate(sk)}
+        steps = {(a, b): og.inject_first(LEX) if groups[a] == og.INT else og.project_first(LEX)
+                 for a, b in zip(sk, sk[1:])}
+    else:
+        sk = ("t",) + tuple(f"u{i}" for i in range(1, stages // 2 + 1))
+        groups = dict.fromkeys(sk, LEX)
+        loop = og.hom_compose(og.inject_first(LEX), og.project_first(LEX))
+        steps = dict.fromkeys(zip(sk, sk[1:]), loop)
+    return Bunch(sk, {u: "I" if i else "O" for i, u in enumerate(sk)}, groups,
+                 {u: og.whole(groups[u]) for u in sk[1:]}, steps)
+
+
+def long_operands(b: Bunch) -> tuple[str, str]:
+    return "t:1" if b.groups["t"] == og.INT else "t:(1,7)", f"{b.skeleton[-1]}:(0,0)"
+
+
+@pytest.mark.parametrize("shape", ["alternating", "composite"])
+def test_a_transition_past_the_recursion_limit_compiles_and_applies(shape):
+    b = long_bunch(shape)
+    chain = Chain(b)
+    low, high = (parse_element(chain, s) for s in long_operands(b))
+    assert chain.zeta("t", high.layer, low) == (1, 0)
+    assert chain.compare(low, high) == GT and chain.compare(high, low) == LT
+
+
+@pytest.mark.parametrize("shape", ["alternating", "composite"])
+def test_eval_across_a_transition_past_the_recursion_limit(shape, tmp_path, capsys):
+    # at --samples 0 the validity check samples no D2 triple, whose loop is
+    # cubic in the number of layers
+    b = long_bunch(shape)
+    path = tmp_path / "long.json"
+    path.write_text(serialize_bunch(b))
+    low, high = long_operands(b)
+    argv = ["--samples", "0", "eval", str(path), "--op", "cmp", "--lhs", low, "--rhs", high]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "GT\n"

@@ -240,6 +240,28 @@ def test_eval_writes_results_past_the_digit_limit(fixture_files, tmp_path):
         assert (code, out, err) == (0, expected + "\n", "")
 
 
+def test_dot_labels_escape_backslashes_and_quotes(tmp_path):
+    # a layer label may hold " and \, which a quoted DOT label spells \" and \\
+    odd = 'a"b\\c'
+    path = tmp_path / "quoted.json"
+    path.write_text(serialize_bunch(Bunch(
+        (odd, "u"), {odd: "I", "u": "I"}, {odd: og.TRIVIAL, "u": og.TRIVIAL},
+        {odd: og.whole(og.TRIVIAL), "u": og.whole(og.TRIVIAL)},
+        {(odd, "u"): og.unit_map(og.TRIVIAL, og.TRIVIAL)})))
+    assert cli_run(["table", str(path), "--format", "dot"]) == (0, """\
+digraph chain {
+  rankdir=BT;
+  n0 [label="u:d:e"];
+  n1 [label="a\\"b\\\\c:d:e"];
+  n2 [label="a\\"b\\\\c:e"];
+  n3 [label="u:e"];
+  n0 -> n1;
+  n1 -> n2;
+  n2 -> n3;
+}
+""", "")
+
+
 def test_unreadable_input_files_are_errors(tmp_path):
     latin = tmp_path / "latin.json"
     latin.write_bytes(b"\xff\xfe{")
