@@ -196,7 +196,8 @@ def _audit(b: Bunch, samples: int) -> Audit:
     list a failure's problems).  A clause that holds by construction is not
     computed: a transition at or past `Chain.thresholds` lands in any
     subgroup, and a whole subgroup absorbs anything.  Otherwise the first
-    ``samples`` elements of the source group go through `Chain.lift`."""
+    ``samples`` elements of the source group go through `Chain.lift`; at
+    samples 0 the sampled clauses, G3 and D2, build no lift row or span."""
     if samples < 0:
         raise ValueError("samples must be at least 0")
     from .chain import Chain, _Memo  # here, since chain.py imports this module
@@ -230,6 +231,8 @@ def _audit(b: Bunch, samples: int) -> Audit:
                         "G2", f"{u}->{sk[k]}", False, "exact",
                         "transition does not collapse the unit's lower cover")
 
+    if not samples:  # the sampled clauses, G3 and D2, draw nothing to fail on
+        return Audit(samples, chain, failed)
     for k, v in enumerate(sk):
         if b.partition[v] != "I" or og.subgroup_is_whole(b.subgroups[v]):
             continue

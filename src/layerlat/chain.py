@@ -1,9 +1,9 @@
 """The involutive FL_e-chain built over a bunch.
 
 A `Chain` is its bunch's compiled form, over the bunch's own maps, which it
-does not copy.  Set-up checks the bunch's structure and builds five tables
-keyed by layer: the group's unit, comparison, operation and inverse, and
-the subgroup's membership test.  Each is ``dict(zip(layers, map(compiler,
+does not copy.  Set-up checks the bunch's structure and builds four tables
+keyed by layer: the group's unit, comparison and operation, and the
+subgroup's membership test.  Each is ``dict(zip(layers, map(compiler,
 groups)))`` over an `lru_cache`d `ogroup` compiler; groups are hash-consed
 and hash by identity, so this iterates and hashes in C, with no Python
 frame per layer.  Everything else is built on first use:
@@ -28,6 +28,12 @@ frame per layer.  Everything else is built on first use:
   on a prototype, tabling every kernel raised the `elements` benchmark's
   peak RSS by 11%, the same-layer kernels with class I by 9.6%, and the
   class O and J kernels without the unit rule by 6.1%; this design by 1-2%.
+  (`Rat` values are hash-consed in `ogroup` instead, up to ``og.RAT_CAP``.)
+* ``_neg``: one complement kernel per layer, built on first use, holding
+  the layer's compiled inverse, its membership test (class I) or its
+  compiled lower cover (class J), so `negate` is one dict hit and one call.
+  A class-J layer without covers gets a kernel that raises CoverMissing
+  when called, as `negate` did.
 * ``_tr``: one transition map per remaining layer pair, compiled on first
   use from `bunch.transition`.  Only `Chain` reads it: `lift` decides a
   layer pair by the threshold first, and `zeta`, `embed.check_embedding`,
@@ -46,7 +52,9 @@ complement, and residuum are all decided from the bunch data:
 
 * order: push both points up to the higher layer along the transition; a
   strict group comparison decides, and ties are broken by layer position
-  and dottedness;
+  and dottedness.  So two points are EQ exactly when they lie on one layer,
+  their group parts compare EQ and their dots agree: `compare` tests no
+  tuple equality, which on `Rat` parts reached ``Fraction.__eq__``;
 * product: multiply the lifted group parts in the higher layer's group; the
   result is dotted when the higher operand is dotted across distinct layers,
   or, within one class-I layer, when the product lands in the subgroup and
@@ -107,10 +115,10 @@ class Chain:
         self._unit = dict(zip(layers, map(og.g_unit, groups)))
         self._cmp = dict(zip(layers, map(og.cmp_fn, groups)))
         self._op = dict(zip(layers, map(og.op_fn, groups)))
-        self._inv = dict(zip(layers, map(og.inv_fn, groups)))
         self._member = dict(zip(bunch.subgroups, map(og.member_fn, bunch.subgroups.values())))
         self._tr = _Memo(lambda uv: og.hom_fn(transition(bunch, *uv)))
         self._same = _Memo(lambda u: _same_layer_kernel(bunch, u))
+        self._neg = _Memo(lambda u: _complement_kernel(bunch, u))
         self._unit_from: list[int] = []  # filled by thresholds on first use
 
     def thresholds(self) -> list[int]:
@@ -168,15 +176,13 @@ class Chain:
     # -- order and algebra ---------------------------------------------------
 
     def compare(self, x: ChainElement, y: ChainElement) -> int:
-        if x == y:
-            return EQ
         u, v = x.layer, y.layer
-        iu, iv = self._idx[u], self._idx[v]
-        if iu == iv:
+        if u == v:  # EQ exactly when the group parts tie and the dots agree
             c = self._cmp[u](x.g, y.g)
-            if c:
+            if c or x.dotted == y.dotted:
                 return c
             return LT if x.dotted else GT
+        iu, iv = self._idx[u], self._idx[v]
         unit_from = self._unit_from or self.thresholds()
         if iu < iv:
             lifted = self._unit[v] if iv >= unit_from[iu] else self._tr[(u, v)](x.g)
@@ -210,17 +216,7 @@ class Chain:
         return _new(ChainElement, (w, p, hi.dotted))
 
     def negate(self, x: ChainElement) -> ChainElement:
-        u = x.layer
-        inv = self._inv[u](x.g)
-        cls = self._cls[u]
-        if cls == "I":  # an undotted subgroup member's complement is dotted
-            return _new(ChainElement, (u, inv, not x.dotted and self._member[u](x.g)))
-        if cls == "J":
-            down = og.cover_fn(self._group[u], -1)(inv)
-            if down is None:
-                raise CoverMissing(f"class-J layer {u!r} has no covers")
-            return _new(ChainElement, (u, down, False))
-        return _new(ChainElement, (u, inv, False))
+        return self._neg[x.layer](x)
 
     def residuum(self, x: ChainElement, y: ChainElement) -> ChainElement:
         return self.negate(self.mul(x, self.negate(y)))
@@ -321,6 +317,28 @@ def _same_layer_kernel(b: Bunch, u: str):
     return kernel
 
 
+def _complement_kernel(b: Bunch, u: str):
+    """not(x) for a point of layer ``u``: the inverse of the group part,
+    dotted on a class-I layer exactly when x is an undotted subgroup member,
+    moved to its lower cover on a class-J layer (CoverMissing when the
+    group has none), and kept as it is otherwise."""
+    group, cls = b.groups[u], b.partition[u]
+    inv = og.inv_fn(group)
+    if cls == "I":
+        mem = og.member_fn(b.subgroups[u])
+        return lambda x: _new(ChainElement, (u, inv(x.g), not x.dotted and mem(x.g)))
+    if cls == "J":
+        down = og.cover_fn(group, -1)
+
+        def kernel(x):
+            g = down(inv(x.g))
+            if g is None:
+                raise CoverMissing(f"class-J layer {u!r} has no covers")
+            return _new(ChainElement, (u, g, False))
+        return kernel
+    return lambda x: _new(ChainElement, (u, inv(x.g), False))
+
+
 def _hashes_in_c(group: og.OGroup) -> bool:
     """No `Rat` factor: the values are ints, the unit mark and tuples of them."""
     if isinstance(group, og.Lex):
@@ -397,7 +415,9 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, *, seed: int = 0) -> R
     compare(pool[i], pool[j]), ``prod`` the id of pool[i] * pool[j] and
     ``resid`` the id of not(pool[i] * not(pool[j])).  A law reads the slots
     of its sampled pairs inline, in the orientation it writes the value, and
-    calls a helper (`cmp`, `times`, `res`) on None and for derived values.
+    so do associativity, monotonicity and adjointness for a derived id (a
+    product or residuum) that is a pool id; a helper (`cmp`, `times`,
+    `res`) runs only on None or for an off-pool id.
     Plain dicts hold the values with an off-pool id a: compare at (a, b), a
     times pool point p at a * n + p for both orientations (`times`), and
     complements by id.  So no ordered pair reaches `Chain.compare` or
@@ -485,25 +505,62 @@ def check_chain_laws(chain: Chain, samples: int = 10_000, *, seed: int = 0) -> R
          for p, q in [(prod[i * n + j], prod[j * n + i])]
          if (times(i, j) if p is None else p) != (times(j, i) if q is None else q)), None))
 
-    law("associativity", len(triples), next(
-        (f"{pool[i]}, {pool[j]}, {pool[k]}" for i, j, k in triples
-         for p, q in [(prod[i * n + j], prod[j * n + k])]
-         if times(times(i, j) if p is None else p, k)
-         != times(i, times(j, k) if q is None else q)), None))
+    failure = None
+    for i, j, k in triples:
+        p, q = prod[i * n + j], prod[j * n + k]
+        if p is None:
+            p = times(i, j)
+        left = prod[p * n + k] if p < n else None
+        if left is None:
+            left = times(p, k)
+        if q is None:
+            q = times(j, k)
+        right = prod[i * n + q] if q < n else None
+        if right is None:
+            right = times(i, q)
+        if left != right:
+            failure = f"{pool[i]}, {pool[j]}, {pool[k]}"
+            break
+    law("associativity", len(triples), failure)
 
     law("unit", n, unit_failure)
 
-    law("monotonicity", len(triples), next(
-        (f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}" for i, j, k in triples
-         for c, p, q in [(order[i * n + j], prod[i * n + k], prod[j * n + k])]
-         if (cmp(i, j) if c is None else c) <= 0
-         and cmp(times(i, k) if p is None else p, times(j, k) if q is None else q) > 0), None))
+    failure = None
+    for i, j, k in triples:
+        c, p, q = order[i * n + j], prod[i * n + k], prod[j * n + k]
+        if c is None:
+            c = cmp(i, j)
+        if c > 0:
+            continue
+        if p is None:
+            p = times(i, k)
+        if q is None:
+            q = times(j, k)
+        c = order[p * n + q] if p < n and q < n else None
+        if c is None:
+            c = cmp(p, q)
+        if c > 0:
+            failure = f"{pool[i]} <= {pool[j]} but products reversed with {pool[k]}"
+            break
+    law("monotonicity", len(triples), failure)
 
-    law("adjointness", len(triples), next(
-        (f"x={pool[i]}, v={pool[j]}, z={pool[k]}" for i, j, k in triples
-         for p, r in [(prod[i * n + j], resid[i * n + k])]
-         if (cmp(times(i, j) if p is None else p, k) <= 0)
-         != (cmp(j, res(i, k) if r is None else r) <= 0)), None))
+    failure = None
+    for i, j, k in triples:
+        p, r = prod[i * n + j], resid[i * n + k]
+        if p is None:
+            p = times(i, j)
+        c = order[p * n + k] if p < n else None
+        if c is None:
+            c = cmp(p, k)
+        if r is None:
+            r = res(i, k)
+        d = order[j * n + r] if r < n else None
+        if d is None:
+            d = cmp(j, r)
+        if (c <= 0) != (d <= 0):
+            failure = f"x={pool[i]}, v={pool[j]}, z={pool[k]}"
+            break
+    law("adjointness", len(triples), failure)
 
     law("involution", n, next((f"{pool[i]}" for i in range(n) if neg(neg(i)) != i), None))
 

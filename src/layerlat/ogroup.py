@@ -30,6 +30,20 @@ integer kernels on Fraction's ``__slots__`` ``_numerator`` and ``_denominator``
 No compiled function type-checks: only Fractions enter a `Rat` layer (through
 `parse_gelem`, `g_enumerate`, `g_unit`, ``int_to_rat``); `g_check` rejects the rest.
 
+`Rat` values are hash-consed too, in a bounded pool: ``_rat``, an
+``lru_cache(maxsize=RAT_CAP)`` over ``_fraction`` (which is not pooled),
+builds every value of `_rat_add`, `Rat` negation, ``int_to_rat``,
+``g_unit(RAT)`` and `_rationals`, so equal results below the cap are one
+object.  A chain point
+holding one then equals another by identity: CPython's tuple comparison
+settles identical items in C, where ``Fraction.__eq__`` runs a Python frame
+and an ABC ``isinstance``.  ``RAT_CAP`` (4096) bounds the pool; a value
+evicted past it is still right, and only its equality falls back to
+``Fraction.__eq__``.  Being an `lru_cache`, the pool is emptied with the
+other caches (which stay correct, since equality is by value).  Placement
+values (`standardize._midpoint`) keep to ``_fraction``: their denominators
+reach thousands of bits, and no chain point compares them.
+
 The module also owns the textual/JSON encodings for groups, elements, homs,
 and subgroups used by bunch files and the CLI.  `hom_check` tests the hom
 laws and returns a `report.Report`, one `Check` per property.
@@ -162,7 +176,7 @@ def g_unit(group: OGroup) -> GElem:
     if isinstance(group, Int):
         return 0
     if isinstance(group, Rat):
-        return Fraction(0)
+        return _rat(0, 1)
     return (g_unit(group.left), g_unit(group.right))
 
 
@@ -171,6 +185,11 @@ def _fraction(n: int, d: int) -> Fraction:
     q = object.__new__(Fraction)
     q._numerator, q._denominator = n, d
     return q
+
+
+#: Most `Rat` values the pool ``_rat`` keeps (module docstring).
+RAT_CAP = 4096
+_rat = lru_cache(maxsize=RAT_CAP)(_fraction)
 
 
 def _rat_cmp(a: Fraction, b: Fraction) -> int:
@@ -184,14 +203,14 @@ def _rat_add(a: Fraction, b: Fraction) -> Fraction:
     nb, db = b._numerator, b._denominator
     if da == db:
         g = math.gcd(na + nb, da)
-        return _fraction((na + nb) // g, da // g)
+        return _rat((na + nb) // g, da // g)
     g = math.gcd(da, db)
     if g == 1:
-        return _fraction(na * db + da * nb, da * db)
+        return _rat(na * db + da * nb, da * db)
     s = da // g
     t = na * (db // g) + nb * s
     g2 = math.gcd(t, g)
-    return _fraction(t // g2, s * (db // g2))
+    return _rat(t // g2, s * (db // g2))
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +241,7 @@ def inv_fn(group: OGroup) -> Callable[[GElem], GElem]:
     if isinstance(group, Trivial):
         return lambda a: UNIT
     if isinstance(group, Rat):
-        return lambda a: _fraction(-a._numerator, a._denominator)
+        return lambda a: _rat(-a._numerator, a._denominator)
     if isinstance(group, Int):
         return operator.neg
     left, right = inv_fn(group.left), inv_fn(group.right)
@@ -302,11 +321,11 @@ def g_cover_down(group: OGroup, x: GElem) -> GElem | None:
 def _rationals() -> Iterator[Fraction]:
     # 0 first, then each positive rational of the Calkin-Wilf walk with its
     # negative right behind it: n/d steps to d/((2*(n//d) + 1)*d - n), coprime.
-    yield _fraction(0, 1)
+    yield _rat(0, 1)
     n = d = 1
     while True:
-        yield _fraction(n, d)
-        yield _fraction(-n, d)
+        yield _rat(n, d)
+        yield _rat(-n, d)
         n, d = d, (2 * (n // d) + 1) * d - n
 
 
@@ -442,26 +461,38 @@ def hom_fn(h: Hom) -> Callable[[GElem], GElem]:
         k = h.k
         return lambda x: k * x
     if h.op == "int_to_rat":
-        return lambda x: _fraction(x, 1)
+        return lambda x: _rat(x, 1)
     if h.op == "inject_first":
         u = g_unit(h.target.right)
         return lambda x: (x, u)
     if h.op == "project_first":
         return lambda x: x[0]
     if h.op == "compose":
-        # `hom_compose` grows a composite by one stage per layer, so recursing
-        # into its parts, or nesting one closure per stage, would pass
-        # Python's recursion limit on a long skeleton: flatten it with a
-        # stack into its stages, innermost first, and pipe them as a tree
-        stages, todo = [], [h]
-        while todo:
-            g = todo.pop()
-            if g.op == "compose":
-                todo.extend(g.parts)
-            else:
-                stages.append(hom_fn(g))
-        return _pipeline(stages)
+        stages = _stages(h)
+        return _pipeline([hom_fn(g) for g in stages]) if stages else lambda x: x
     raise TypeMismatch(f"unknown hom constructor {h.op!r}")
+
+
+def _stages(h: Hom) -> list[Hom]:
+    """The stages of ``h``, innermost first, with each inject_first(L)
+    followed by project_first dropped (`hom_compose` type-checks, so that
+    is project_first(L)): the pair is the identity on L.left.  The reverse
+    pair sends (a, b) to (a, 0) and stays.
+
+    `hom_compose` grows a composite by one stage per layer, so recursing
+    into its parts, or nesting one closure per stage, would pass Python's
+    recursion limit on a long skeleton: the tree is flattened with a stack,
+    and the kept stages are a stack too."""
+    stages, todo = [], [h]
+    while todo:
+        g = todo.pop()
+        if g.op == "compose":
+            todo.extend(g.parts)
+        elif g.op == "project_first" and stages and stages[-1].op == "inject_first":
+            stages.pop()
+        else:
+            stages.append(g)
+    return stages
 
 
 def _pipeline(fns: list[Callable[[GElem], GElem]]) -> Callable[[GElem], GElem]:

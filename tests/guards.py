@@ -22,6 +22,8 @@ if __name__ == "__main__":
     sys.path.insert(0, str(SRC))
 
 from layerlat import Chain, densify_driver, fixtures, serialize_bunch, table_of_chain  # noqa: E402
+from layerlat import ogroup as og  # noqa: E402
+from layerlat.bunch import Bunch  # noqa: E402
 from layerlat.embed import identity_embedding, serialize_embedding_spec  # noqa: E402
 from layerlat.oracle import format_table_csv  # noqa: E402
 
@@ -36,6 +38,19 @@ def table(n: int) -> str:
 
 def r4(seed: int):
     return fixtures.random_bunch(random.Random(seed), max_layers=4)
+
+
+def alternating(n: int) -> Bunch:
+    """n layers t, u1, ..., u{n-1}: Int and Lex(Int, Int) in turn, class I
+    above t with the whole group as subgroup, stepped by inject_first and
+    project_first, so the transition from t to the top composes n - 1 stages."""
+    lex = og.Lex(og.INT, og.INT)
+    sk = ("t",) + tuple(f"u{i}" for i in range(1, n))
+    groups = {u: lex if i % 2 else og.INT for i, u in enumerate(sk)}
+    steps = {(a, b): og.inject_first(lex) if groups[a] == og.INT else og.project_first(lex)
+             for a, b in zip(sk, sk[1:])}
+    return Bunch(sk, {u: "I" if i else "O" for i, u in enumerate(sk)}, groups,
+                 {u: og.whole(groups[u]) for u in sk[1:]}, steps)
 
 
 CROSSED = {"skeleton_map": {"t": "u", "u": "t"}, "layer_maps": {"t": "id", "u": "id"}}
@@ -58,6 +73,7 @@ INPUTS = {
     "idr48.json": (lambda: spec(r4(48)), "cbd06720c9d13baa0dfc883676ad0546e6cc1fb560b6494f9420debe39c56c9d"),
     "r9.json": (lambda: r4(9), "b399a6ccf037cecafd5c0ec52de9b2f62ff52c41841d60494021693994696236"),
     "idr9.json": (lambda: spec(r4(9)), "7a91a64236d3020d1ebc8d5b2e4a2a5dec964492c7d635e219ee48141f1ef0f3"),
+    "alt10000.json": (lambda: alternating(10_000), "36c5fe446b52b3a0051ef784b7a0e515d1ef80bdbe91db0c46e527480a6b6e64"),
 }
 
 # Hashes zb's placed values of a 30,000-point prefix as hex "num/den;".
@@ -108,6 +124,8 @@ CALLS = [
     Call("embr48.txt", "--samples 400 embed-check r48.json r48.json idr48.json", "2308e278dc0de79935db339afe029668bbb23e23276194ad6d84a06aaf5c918a"),
     Call("lawsr9.txt", "--seed 1 laws r9.json --law-samples 100000", "10515608d93b13e9e061c4ef76ea07512540aac9fe998adedf75030e194e96d2"),
     Call("embr9.txt", "--samples 400 embed-check r9.json r9.json idr9.json", "b2da1ecf0bbc49afe2da38baff3b2f9e7f659230d51a3f2bd65331cb999076e3"),
+    # no sampled clause at --samples 0, and the transition cancels to one stage
+    Call("alt.txt", "--samples 0 eval alt10000.json --op cmp --lhs t:1 --rhs u9999:(0,0)", "e1e063eb0197bdf5b4e66acaf9b17de776d318552be2a8bf2e8d0b92b818f7e8", timeout=5),
 ]
 
 

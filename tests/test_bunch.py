@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from itertools import islice
 
@@ -36,6 +37,34 @@ def test_validate_reads_no_lift_on_a_finite_bunch(monkeypatch):
     monkeypatch.setattr(Chain, "lift", counted)
     assert validate(fixtures.finite_bunch(81)).ok
     assert calls == []
+
+
+# sha256 of `validate(b, 0).render()` plus a newline, over the fixtures in
+# name order and finite_bunch(1..40), recorded while G3 and D2 still built
+# their lift rows and span lists at samples 0
+VALIDATE_AT_NO_SAMPLES_SHA256 = "5fbd8c0838f324b07ddb49439c3587219e5ca13d7678684fb0d154012abe3849"
+
+
+def test_validate_at_no_samples_prints_what_it_printed_before_skipping_the_draws():
+    bunches = [f() for _, f in sorted(fixtures.ALL.items())]
+    bunches += [fixtures.finite_bunch(n) for n in range(1, 41)]
+    text = "".join(validate(b, 0).render() + "\n" for b in bunches)
+    assert hashlib.sha256(text.encode()).hexdigest() == VALIDATE_AT_NO_SAMPLES_SHA256
+
+
+def test_validate_at_no_samples_reads_no_lift_for_its_sampled_clauses(monkeypatch):
+    # lz2's doubling step is below its threshold, so G3 reads lift(t, u)
+    # whenever it draws
+    calls = []
+    lift = Chain.lift
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return lift(self, u, v)
+
+    monkeypatch.setattr(Chain, "lift", counted)
+    assert validate(fixtures.lz2(), 0).ok and calls == []
+    assert validate(fixtures.lz2(), 1).ok and calls == [("t", "t"), ("t", "u")]
 
 
 def test_validate_checks_the_structure_once(monkeypatch):

@@ -4,19 +4,20 @@ import pickle
 import random
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from itertools import islice
 
 import pytest
 
 from layerlat import cli, fixtures, ogroup as og
-from layerlat.bunch import Bunch, serialize_bunch
+from layerlat.bunch import Bunch, serialize_bunch, transition
 from layerlat.chain import (Chain, ChainElement, check_chain_laws,
                             format_element, parse_element)
 from layerlat.decompose import table_of_chain, window_table
 from layerlat.errors import (CoverMissing, LayerOrderError, ParseError, TypeMismatch,
                              UnknownLayer)
 from layerlat.oracle import brute_residuum, check_flea_axioms
+from guards import alternating
 from table_search import lawful_tables
 
 UNIT = og.UNIT
@@ -302,15 +303,20 @@ LEX = og.Lex(og.INT, og.INT)
 def long_bunch(shape: str) -> Bunch:
     """A skeleton whose transition from bottom to top composes more stages
     than the interpreter's recursion limit: ``alternating`` Int and Lex layers
-    stepped by inject_first and project_first, one stage per layer, or
+    stepped by inject_first and project_first, one stage per layer;
     ``composite`` Lex layers stepped by project_first then inject_first, two
-    stages per layer (which `og.hom_compose` does not cancel)."""
+    stages per layer (which `og.hom_compose` does not cancel); or ``scaled``,
+    Int, Int and Lex layers in turn stepped by scale_int(1), inject_first and
+    project_first, whose scale_int stages are still more than that limit once
+    `og.hom_fn` has cancelled each inject_first followed by project_first."""
     stages = sys.getrecursionlimit() + 501 | 1  # odd, so the top layer is Lex
     if shape == "alternating":
-        sk = ("t",) + tuple(f"u{i}" for i in range(1, stages + 1))
-        groups = {u: LEX if i % 2 else og.INT for i, u in enumerate(sk)}
-        steps = {(a, b): og.inject_first(LEX) if groups[a] == og.INT else og.project_first(LEX)
-                 for a, b in zip(sk, sk[1:])}
+        return alternating(stages + 1)
+    if shape == "scaled":
+        sk = ("t",) + tuple(f"u{i}" for i in range(1, 3 * stages))
+        groups = {u: LEX if i % 3 == 2 else og.INT for i, u in enumerate(sk)}
+        kinds = [og.scale_int(1), og.inject_first(LEX), og.project_first(LEX)]
+        steps = {(a, b): kinds[i % 3] for i, (a, b) in enumerate(zip(sk, sk[1:]))}
     else:
         sk = ("t",) + tuple(f"u{i}" for i in range(1, stages // 2 + 1))
         groups = dict.fromkeys(sk, LEX)
@@ -324,7 +330,7 @@ def long_operands(b: Bunch) -> tuple[str, str]:
     return "t:1" if b.groups["t"] == og.INT else "t:(1,7)", f"{b.skeleton[-1]}:(0,0)"
 
 
-@pytest.mark.parametrize("shape", ["alternating", "composite"])
+@pytest.mark.parametrize("shape", ["alternating", "composite", "scaled"])
 def test_a_transition_past_the_recursion_limit_compiles_and_applies(shape):
     b = long_bunch(shape)
     chain = Chain(b)
@@ -333,7 +339,7 @@ def test_a_transition_past_the_recursion_limit_compiles_and_applies(shape):
     assert chain.compare(low, high) == GT and chain.compare(high, low) == LT
 
 
-@pytest.mark.parametrize("shape", ["alternating", "composite"])
+@pytest.mark.parametrize("shape", ["alternating", "composite", "scaled"])
 def test_eval_across_a_transition_past_the_recursion_limit(shape, tmp_path, capsys):
     # at --samples 0 the validity check samples no D2 triple, whose loop is
     # cubic in the number of layers
@@ -344,3 +350,89 @@ def test_eval_across_a_transition_past_the_recursion_limit(shape, tmp_path, caps
     argv = ["--samples", "0", "eval", str(path), "--op", "cmp", "--lhs", low, "--rhs", high]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "GT\n"
+
+
+def flat_stages(h: og.Hom) -> list[og.Hom]:
+    """Every stage of ``h``'s compose tree, innermost first, none cancelled."""
+    stages, todo = [], [h]
+    while todo:
+        g = todo.pop()
+        if g.op == "compose":
+            todo.extend(g.parts)
+        else:
+            stages.append(g)
+    return stages
+
+
+def uncancelled(h: og.Hom):
+    """``h`` applied stage by stage, through every stage of its compose tree."""
+    fns = [og.hom_fn(g) for g in flat_stages(h)]
+    return lambda x: reduce(lambda acc, f: f(acc), fns, x)
+
+
+def test_the_alternating_transition_compiles_to_at_most_two_stages():
+    b = long_bunch("alternating")
+    sk = b.skeleton
+    assert [g.op for g in og._stages(transition(b, sk[0], sk[-1]))] == ["inject_first"]
+    assert og._stages(transition(b, sk[0], sk[-2])) == []
+    assert og._stages(transition(b, sk[1], sk[-1])) == [og.project_first(LEX), og.inject_first(LEX)]
+    assert og.hom_fn(transition(b, sk[0], sk[-2]))(5) == 5
+
+
+def test_the_reverse_pair_stays():
+    # project_first then inject_first sends (a, b) to (a, 0): in the
+    # composite skeleton each step is that pair, and the inject_first of one
+    # step followed by the project_first of the next is what cancels
+    b = long_bunch("composite")
+    sk = b.skeleton
+    step = b.steps[sk[0], sk[1]]
+    assert og._stages(step) == [og.project_first(LEX), og.inject_first(LEX)]
+    assert og._stages(transition(b, sk[0], sk[-1])) == og._stages(step)
+    assert og.hom_fn(transition(b, sk[0], sk[-1]))((3, 7)) == (3, 0)
+    scaled = long_bunch("scaled")
+    h = transition(scaled, scaled.skeleton[0], scaled.skeleton[-1])
+    assert [g.op for g in og._stages(h)] == ["scale_int"] * (len(scaled.skeleton) // 3) \
+        + ["inject_first"]
+
+
+@pytest.mark.parametrize("shape", ["alternating", "composite", "scaled"])
+def test_cancelled_transitions_give_the_uncancelled_values(shape):
+    b = long_bunch(shape)
+    sk, rng = b.skeleton, random.Random(shape)
+    pairs = [(0, len(sk) - 1)] + sorted(sorted(rng.sample(range(len(sk)), 2)) for _ in range(40))
+    for i, k in pairs:
+        h = transition(b, sk[i], sk[k])
+        xs = list(islice(og.g_enumerate(b.groups[sk[i]]), 30))
+        assert [og.hom_fn(h)(x) for x in xs] == [uncancelled(h)(x) for x in xs], (i, k)
+
+
+def walk_bunch(rng: random.Random, n: int) -> Bunch:
+    """n layers over Int and Lex(Int, Int), each step drawn from the homs
+    between them: scale_int, inject_first, project_first, the reverse pair
+    project_first then inject_first, and the identity."""
+    sk = ("t",) + tuple(f"u{i}" for i in range(1, n))
+    groups, steps = {"t": og.INT}, {}
+    loop = og.hom_compose(og.inject_first(LEX), og.project_first(LEX))
+    for a, b in zip(sk, sk[1:]):
+        if groups[a] == og.INT:
+            h = rng.choice([og.scale_int(rng.randint(1, 3)), og.inject_first(LEX),
+                            og.inject_first(LEX)])
+        else:
+            h = rng.choice([og.project_first(LEX), og.project_first(LEX), loop,
+                            og.identity(LEX)])
+        groups[b], steps[a, b] = h.target, h
+    return Bunch(sk, {u: "I" if i else "O" for i, u in enumerate(sk)}, groups,
+                 {u: og.whole(groups[u]) for u in sk[1:]}, steps)
+
+
+def test_cancelled_random_transitions_give_the_uncancelled_values():
+    rng, cancelled = random.Random(29), 0
+    for _ in range(60):
+        b = walk_bunch(rng, 12)
+        for i, u in enumerate(b.skeleton):
+            xs = list(islice(og.g_enumerate(b.groups[u]), 20))
+            for v in b.skeleton[i + 1:]:
+                h = transition(b, u, v)
+                assert [og.hom_fn(h)(x) for x in xs] == [uncancelled(h)(x) for x in xs]
+                cancelled += len(og._stages(h)) < len(flat_stages(h))
+    assert cancelled > 1000

@@ -58,9 +58,9 @@ from layerlat.densify import (InsertionReceipt, TraceRecord, densify_driver, fil
                               insert_above)
 from layerlat.embed import (EmbeddingSpec, _typecheck, check_embedding, element_map,
                             identity_embedding)
-from layerlat.errors import (AxiomFailure, EvenTypeUnsupported, InternalInvariant,
-                             LayerClassError, LeastLayerError, NotInvolutive, NotLess,
-                             NotOddOrEven, RoundTripMismatch, SubgroupObstruction,
+from layerlat.errors import (AxiomFailure, CoverMissing, EvenTypeUnsupported,
+                             InternalInvariant, LayerClassError, LeastLayerError, NotInvolutive,
+                             NotLess, NotOddOrEven, RoundTripMismatch, SubgroupObstruction,
                              TypeMismatch, UnknownLayer, WindowTooSmall)
 from layerlat.oracle import CayleyTable, brute_residuum, check_flea_axioms, format_table_csv
 from layerlat.report import EMBED, LAWS, RECOVER, VALIDATE, Check, Report
@@ -2223,3 +2223,86 @@ def test_tables_stay_small_through_the_checks(name):
     check_embedding(chain, chain, identity_embedding(b))
     recover_bunch_samples(chain)
     assert 0 < sum(map(len, tables(chain).values())) <= TABLE_POINTS[name]
+
+
+# ---------------------------------------------------------------------------
+# order and complement: the methods that decided equality by tuple equality
+# and looked up the layer's cover on every class-J complement
+
+
+def reference_compare(chain: Chain, x: ChainElement, y: ChainElement) -> int:
+    """`Chain.compare` as it was, deciding EQ by ``x == y`` first."""
+    if x == y:
+        return EQ
+    u, v = x.layer, y.layer
+    iu, iv = chain._idx[u], chain._idx[v]
+    if iu == iv:
+        c = chain._cmp[u](x.g, y.g)
+        if c:
+            return c
+        return LT if x.dotted else GT
+    unit_from = chain._unit_from or chain.thresholds()
+    if iu < iv:
+        lifted = chain._unit[v] if iv >= unit_from[iu] else chain._tr[(u, v)](x.g)
+        c = chain._cmp[v](lifted, y.g)
+        if c:
+            return c
+        return GT if y.dotted else LT
+    lifted = chain._unit[u] if iu >= unit_from[iv] else chain._tr[(v, u)](y.g)
+    c = chain._cmp[u](x.g, lifted)
+    if c:
+        return c
+    return LT if x.dotted else GT
+
+
+def reference_negate(chain: Chain, x: ChainElement) -> ChainElement:
+    """`Chain.negate` as it was, with one cover lookup per class-J call."""
+    u = x.layer
+    inv = og.inv_fn(chain.bunch.groups[u])(x.g)
+    cls = chain._cls[u]
+    if cls == "I":
+        return ChainElement(u, inv, not x.dotted and chain._member[u](x.g))
+    if cls == "J":
+        down = og.cover_fn(chain.bunch.groups[u], -1)(inv)
+        if down is None:
+            raise CoverMissing(f"class-J layer {u!r} has no covers")
+        return ChainElement(u, down, False)
+    return ChainElement(u, inv, False)
+
+
+def fresh_value(g: og.GElem) -> og.GElem:
+    """A value equal to ``g`` that shares none of its Fractions or pairs."""
+    if isinstance(g, tuple):
+        return tuple([fresh_value(v) for v in g])
+    if isinstance(g, Fraction):
+        return Fraction(g.numerator, g.denominator)
+    return g
+
+
+def twin(x: ChainElement) -> ChainElement:
+    return ChainElement(x.layer, fresh_value(x.g), x.dotted)
+
+
+def test_compare_and_negate_match_the_earlier_methods():
+    twins = dotted_pairs = 0
+    for i, b in enumerate(table_bunches()):
+        chain = Chain(b)
+        pool = list(islice(chain.enumerate_elements(), 64))
+        points = pool + [twin(x) for x in pool]
+        twins += sum(1 for x in pool if isinstance(x.g, (tuple, Fraction)))
+        for x in points:
+            z, ref = call_outcome(chain.negate, x), call_outcome(reference_negate, chain, x)
+            assert z == ref and type(z[1]) is type(ref[1]), (i, x)
+            for y in points:
+                assert chain.compare(x, y) == reference_compare(chain, x, y), (i, x, y)
+                dotted_pairs += x.layer == y.layer and x.g == y.g and x.dotted != y.dotted
+    assert twins > 1000 and dotted_pairs > 1000
+
+
+def test_a_class_j_complement_without_covers_raises_at_the_call():
+    chain = Chain(Bunch(("t",), {"t": "J"}, {"t": og.RAT}, {}, {}))
+    x = ChainElement("t", Fraction(1, 2))
+    assert chain.compare(x, x) == EQ and chain.mul(x, x) == ChainElement("t", Fraction(1))
+    for _ in range(2):  # once building the layer's kernel, once with it built
+        assert call_outcome(chain.negate, x) == call_outcome(reference_negate, chain, x) \
+            == (CoverMissing, "class-J layer 't' has no covers")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import operator
 import pickle
 import random
 import sys
@@ -13,7 +14,9 @@ from hypothesis import given, strategies as st
 
 from layerlat import fixtures, ogroup as og
 from layerlat.bunch import parse_bunch, serialize_bunch
+from layerlat.chain import Chain
 from layerlat.errors import ParseError, TypeMismatch
+from layerlat.standardize import _midpoint, cantor_map
 
 GROUPS = {
     "trivial": og.TRIVIAL,
@@ -292,6 +295,50 @@ def test_int_to_rat_and_int_in_rat_read_the_fraction_they_build():
         assert member(to_rat(x))
     for q in EDGE_RATS:
         assert member(q) == (q.denominator == 1)
+
+
+# -- the Rat value pool ------------------------------------------------------------
+
+def test_equal_rat_results_are_one_object_below_the_cap():
+    og._rat.cache_clear()
+    add, neg, to_rat = og.op_fn(og.RAT), og.inv_fn(og.RAT), og.hom_fn(og.int_to_rat())
+    walk = pool(og.RAT, 300)
+    assert all(a is b for a, b in zip(walk, pool(og.RAT, 300)))
+    zero, one = walk[0], walk[1]
+    assert (zero, one) == (0, 1) and to_rat(0) is zero and to_rat(1) is one
+    for a, b in product(walk[:60], repeat=2):
+        total = add(a, b)
+        assert add(b, a) is total and add(total, neg(b)) is add(a, zero)
+        assert_same_value(og.RAT, total, operator.add(a, b))
+        assert_same_value(og.RAT, neg(a), operator.neg(a))
+        assert neg(neg(a)) is a and add(a, neg(a)) is zero
+    for k in (0, 1, -1, 7, -BIG, BIG):
+        assert to_rat(k) is to_rat(k) is add(to_rat(k), zero)
+        assert_same_value(og.RAT, to_rat(k), Fraction(k))
+    assert og._rat.cache_info().currsize < og.RAT_CAP
+
+
+def test_a_walk_past_the_cap_keeps_the_pool_at_the_cap():
+    og._rat.cache_clear()
+    walk = pool(og.RAT, 5000)
+    assert og._rat.cache_info().currsize == og.RAT_CAP
+    for got, want in zip(walk, reference_rationals()):
+        assert_same_value(og.RAT, got, want)
+    # the last values met are still pooled, and the evicted ones are built again
+    last, first = walk[-1], walk[0]
+    assert og._rat(last.numerator, last.denominator) is last
+    assert og._rat(0, 1) is not first and og._rat(0, 1) == first
+
+
+def test_placement_midpoints_stay_out_of_the_pool():
+    og._rat.cache_clear()
+    halves = [Fraction(1, 2 ** k) for k in range(1, 40)]
+    mids = [_midpoint(a, b) for a in halves for b in halves]
+    mids.append(_midpoint(Fraction(1, 3), Fraction(1)))  # not dyadic: Fraction arithmetic
+    assert og._rat.cache_info() == (0, 0, og.RAT_CAP, 0)
+    assert mids == [(a + b) / 2 for a in halves for b in halves] + [Fraction(2, 3)]
+    cantor_map(Chain(fixtures.zb()), 400)
+    assert og._rat.cache_info().misses == 0
 
 
 # -- homomorphisms ---------------------------------------------------------------
