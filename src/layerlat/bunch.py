@@ -337,7 +337,7 @@ def bunch_from_json(doc) -> Bunch:
     if extra:
         raise ParseError(f"subgroups.{sorted(extra)[0]}: layer is not class I")
     subgroups = {}
-    for u in sorted(kappa_i, key=skeleton.index):
+    for u in filter(kappa_i.__contains__, skeleton):  # in skeleton order
         try:
             subgroups[u] = og.subgroup_from_json(subgroups_doc[u], groups[u])
         except ParseError as e:

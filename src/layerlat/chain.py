@@ -29,6 +29,9 @@ frame per layer.  Everything else is built on first use:
   peak RSS by 11%, the same-layer kernels with class I by 9.6%, and the
   class O and J kernels without the unit rule by 6.1%; this design by 1-2%.
   (`Rat` values are hash-consed in `ogroup` instead, up to ``og.RAT_CAP``.)
+* `mul_block`: x times a block of points of one layer, the layer pair
+  decided once: ``_same[u]`` mapped over it, the block or copies of x past
+  the threshold, x lifted once below it (`embed.check_embedding` uses it).
 * ``_neg``: one complement kernel per layer, built on first use, holding
   the layer's compiled inverse, its membership test (class I) or its
   compiled lower cover (class J), so `negate` is one dict hit and one call.
@@ -40,7 +43,8 @@ frame per layer.  Everything else is built on first use:
   `decompose.recover_bunch_samples` and `bunch._audit` go through `lift`,
   so a bunch is compiled here only.
 * ``_layer_blocks``: one point stream per layer, which
-  `recover_bunch_samples` reads too.
+  `recover_bunch_samples` reads too; `enumerate_elements` builds none for a
+  trivial layer, whose one block it yields directly.
 
 So the compiled form grows with the number of layers L, not with L^2,
 except for the pairs below a threshold that `lift` is asked for.
@@ -80,7 +84,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple
 
 from . import ogroup as og
@@ -215,6 +219,26 @@ class Chain:
         p = self._op[w](self._tr[(lo.layer, w)](lo.g), hi.g)
         return _new(ChainElement, (w, p, hi.dotted))
 
+    def mul_block(self, x: ChainElement, ys: list[ChainElement]) -> list[ChainElement]:
+        """``[self.mul(x, y) for y in ys]`` for points ``ys`` of one layer: the
+        same values, and objects wherever `mul` returns an operand or tabled point."""
+        if not ys:
+            return []
+        u, v = x.layer, ys[0].layer
+        if u == v:
+            return list(map(self._same[u], repeat(x), ys))
+        unit_from = self._unit_from or self.thresholds()
+        iu, iv = self._idx[u], self._idx[v]
+        if iu < iv:
+            if iv >= unit_from[iu]:
+                return list(ys)
+            xg, op = self._tr[(u, v)](x.g), self._op[v]
+            return [_new(ChainElement, (v, op(xg, y.g), y.dotted)) for y in ys]
+        if iu >= unit_from[iv]:
+            return [x] * len(ys)
+        tr, op, xg, dot = self._tr[(v, u)], self._op[u], x.g, x.dotted
+        return [_new(ChainElement, (u, op(tr(y.g), xg), dot)) for y in ys]
+
     def negate(self, x: ChainElement) -> ChainElement:
         return self._neg[x.layer](x)
 
@@ -256,8 +280,17 @@ class Chain:
 
     def enumerate_elements(self) -> Iterator[ChainElement]:
         """Round-robin over the layer streams; a dotted companion is emitted
-        immediately after its undotted original.  Every point appears once."""
-        streams = [self._layer_blocks(u) for u in self.bunch.skeleton]
+        immediately after its undotted original.  Every point appears once.
+        A trivial layer yields its one block in round one and gets no stream."""
+        streams = []
+        for u in self.bunch.skeleton:
+            if og.group_is_trivial(self._group[u]):  # every subgroup holds the unit
+                yield _new(ChainElement, (u, self._unit[u], False))
+                if self._cls[u] == "I":
+                    yield _new(ChainElement, (u, self._unit[u], True))
+            else:  # a non-trivial group has infinitely many points
+                streams.append(self._layer_blocks(u))
+                yield from next(streams[-1])
         while streams:
             alive = []
             for s in streams:

@@ -15,7 +15,10 @@ that the images ascend strictly on neighbours: about P log P + P compares for
 P samples, not P(P - 1).  Only when that fails does the scan of every
 unordered pair run, so the report names the first failing pair in pool
 order.  That scan and the product scan check each unordered pair once, since
-`Chain.compare` is antisymmetric and `Chain.mul` commutative.  Every DSL hom
+`Chain.compare` is antisymmetric and `Chain.mul` commutative.  Products are
+compared as lists by layer blocks (`Chain.mul_block`), a block mapped by the
+identity onto its own label being its own image; the pair scan runs only
+when some block differs, so it names the first failing pair.  Every DSL hom
 is an order-preserving group hom by construction, so of a layer map only its
 strictness is checked, on neighbours of its sorted pool, since the group
 orders are linear.
@@ -177,14 +180,37 @@ def check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
     report.checks.append(Check(
         "element-order", "carrier", bad is None, method,
         "" if bad is None else f"order not preserved at {bad}"))
+    # row i multiplies pool[i] by each layer's block from pool index i on
+    blocks: dict[str, tuple[list, list]] = {}
+    for x, fx in zip(pool, images):
+        xs, fxs = blocks.setdefault(x.layer, ([], []))
+        xs.append(x)
+        fxs.append(fx)
+    start = dict.fromkeys(blocks, 0)
+    fixed = {u for u in sb.skeleton if smap[u] == u and spec.layer_maps[u].op == "id"}
+
+    def emap_block(zs: list[ChainElement]) -> list[ChainElement]:  # points of one layer
+        w = zs[0].layer
+        if w in fixed:  # each image is equal to its point
+            return zs
+        fn, lw = maps[w], smap[w]
+        return [_new(ChainElement, (lw, fn(z.g), z.dotted)) for z in zs]
+
+    def rows_agree() -> bool:
+        for x, fx in zip(pool, images):
+            for u, (xs, fxs) in blocks.items():
+                s = start[u]
+                if s < len(xs) and (emap_block(src.mul_block(x, xs[s:]))
+                                    != dst.mul_block(fx, fxs[s:])):
+                    return False
+            start[x.layer] += 1
+        return True
+
     bad = None
-    for i, (x, fx) in enumerate(zip(pool, images)):
-        for y, fy in zip(pool[i:], images[i:]):
-            if emap(src.mul(x, y)) != dst.mul(fx, fy):
-                bad = (x, y)
-                break
-        if bad:
-            break
+    if not rows_agree():  # the pair scan names the first failing pair
+        bad = next(((x, y) for i, (x, fx) in enumerate(zip(pool, images))
+                    for y, fy in zip(pool[i:], images[i:])
+                    if emap(src.mul(x, y)) != dst.mul(fx, fy)), None)
     report.checks.append(Check(
         "element-product", "carrier", bad is None, method,
         "" if bad is None else f"product not preserved at {bad}"))

@@ -73,6 +73,8 @@ INPUTS = {
     "idr48.json": (lambda: spec(r4(48)), "cbd06720c9d13baa0dfc883676ad0546e6cc1fb560b6494f9420debe39c56c9d"),
     "r9.json": (lambda: r4(9), "b399a6ccf037cecafd5c0ec52de9b2f62ff52c41841d60494021693994696236"),
     "idr9.json": (lambda: spec(r4(9)), "7a91a64236d3020d1ebc8d5b2e4a2a5dec964492c7d635e219ee48141f1ef0f3"),
+    "idlz2.json": (lambda: spec(fixtures.lz2()), "c9023a62a9fe4bdddfaa2ed890845a76baa6c9d6c4a7328140818186884e4424"),
+    "idzb.json": (lambda: spec(fixtures.zb()), "c9023a62a9fe4bdddfaa2ed890845a76baa6c9d6c4a7328140818186884e4424"),
     "alt10000.json": (lambda: alternating(10_000), "36c5fe446b52b3a0051ef784b7a0e515d1ef80bdbe91db0c46e527480a6b6e64"),
 }
 
@@ -124,6 +126,9 @@ CALLS = [
     Call("embr48.txt", "--samples 400 embed-check r48.json r48.json idr48.json", "2308e278dc0de79935db339afe029668bbb23e23276194ad6d84a06aaf5c918a"),
     Call("lawsr9.txt", "--seed 1 laws r9.json --law-samples 100000", "10515608d93b13e9e061c4ef76ea07512540aac9fe998adedf75030e194e96d2"),
     Call("embr9.txt", "--samples 400 embed-check r9.json r9.json idr9.json", "b2da1ecf0bbc49afe2da38baff3b2f9e7f659230d51a3f2bd65331cb999076e3"),
+    # 80,200 product pairs each, over lifted, tabled and class-I layer blocks
+    Call("emblz2.txt", "--samples 400 embed-check lz2.json lz2.json idlz2.json", "3bf55e1b218366b564c5bb7ca6efb4aeafbc604fe8ce4cc1207b7e48e4d6a13f"),
+    Call("embzb.txt", "--samples 400 embed-check zb.json zb.json idzb.json", "f79fcac36f554ce61b243925f18a7fdb71738221c5f0905aff6b9b6c36d61cde"),
     # no sampled clause at --samples 0, and the transition cancels to one stage
     Call("alt.txt", "--samples 0 eval alt10000.json --op cmp --lhs t:1 --rhs u9999:(0,0)", "e1e063eb0197bdf5b4e66acaf9b17de776d318552be2a8bf2e8d0b92b818f7e8", timeout=5),
 ]

@@ -15,6 +15,7 @@ from layerlat.chain import Chain, ChainElement
 from layerlat.densify import densify_driver
 from layerlat.errors import LayerOrderError, ParseError, TypeMismatch, UnknownLayer
 from layerlat.report import Check
+from guards import alternating
 
 
 def test_s3_validates_every_clause():
@@ -286,6 +287,45 @@ def test_parse_missing_subgroup_is_an_error():
         "steps": {"t->u": "unit"},
     }
     with pytest.raises(ParseError, match="subgroups.u"):
+        bunch_from_json(doc)
+
+
+class IndexCountingList(list):
+    """A skeleton list that counts its ``index`` calls, each O(L)."""
+
+    def index(self, *args):
+        self.calls += 1
+        return super().index(*args)
+
+
+def test_parse_reads_the_class_i_layers_in_one_pass():
+    doc = bunch_to_json(alternating(3000))
+    doc["skeleton"] = IndexCountingList(doc["skeleton"])
+    doc["skeleton"].calls = 0
+    bunch_from_json(doc)
+    assert doc["skeleton"].calls == 0
+
+
+@pytest.mark.parametrize("make", [*(fixtures.ALL[k] for k in sorted(fixtures.ALL)),
+                                  lambda: alternating(3000)],
+                         ids=[*sorted(fixtures.ALL), "alternating3000"])
+def test_parse_gives_back_the_bunch_with_its_subgroups_in_skeleton_order(make):
+    b = make()
+    parsed = bunch_from_json(bunch_to_json(b))
+    assert parsed == b and serialize_bunch(parsed) == serialize_bunch(b)
+    assert list(parsed.subgroups) == [u for u in b.skeleton if b.partition[u] == "I"]
+
+
+def test_parse_reports_the_first_bad_subgroup_in_skeleton_order():
+    # neither the document's key order nor label order is the skeleton's
+    doc = {
+        "skeleton": ["t", "u2", "u1"],
+        "partition": {"t": "O", "u2": "I", "u1": "I"},
+        "groups": {"t": "int", "u2": "int", "u1": "int"},
+        "subgroups": {"u1": "nope", "u2": "nope"},
+        "steps": {"t->u2": "id", "u2->u1": "id"},
+    }
+    with pytest.raises(ParseError, match="^subgroups.u2: unknown subgroup encoding"):
         bunch_from_json(doc)
 
 

@@ -436,3 +436,37 @@ def test_cancelled_random_transitions_give_the_uncancelled_values():
                 assert [og.hom_fn(h)(x) for x in xs] == [uncancelled(h)(x) for x in xs]
                 cancelled += len(og._stages(h)) < len(flat_stages(h))
     assert cancelled > 1000
+
+
+# -- block products ------------------------------------------------------------------------
+
+
+def mul_block_bunches() -> list[Bunch]:
+    bunches = [f() for _, f in sorted(fixtures.ALL.items())]
+    bunches += [fixtures.random_bunch(random.Random(k), max_layers=4) for k in range(40)]
+    return bunches + [long_bunch(shape) for shape in ("alternating", "composite", "scaled")]
+
+
+def test_a_block_product_is_the_list_of_its_products():
+    # each point x times each layer block of the first 64 points; on a
+    # same-layer or past-threshold block, wherever `mul` gives the same
+    # object twice (an operand or a tabled point), `mul_block` gives it
+    kept = 0
+    for i, b in enumerate(mul_block_bunches()):
+        chain = Chain(b)
+        points = list(islice(chain.enumerate_elements(), 64))
+        blocks: dict[str, list[ChainElement]] = {}
+        for y in points:
+            blocks.setdefault(y.layer, []).append(y)
+        unit_from = chain.thresholds()
+        for x in points:
+            assert chain.mul_block(x, []) == []
+            for v, ys in blocks.items():
+                zs, ws = chain.mul_block(x, ys), [chain.mul(x, y) for y in ys]
+                assert zs == ws and all(type(z) is ChainElement for z in zs), (i, x, v)
+                lo, hi = sorted((b.index(x.layer), b.index(v)))
+                if lo == hi or hi >= unit_from[lo]:
+                    stable = [(z, w) for z, w, y in zip(zs, ws, ys) if chain.mul(x, y) is w]
+                    assert all(z is w for z, w in stable), (i, x, v)
+                    kept += len(stable)
+    assert kept > 10_000

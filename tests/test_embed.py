@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from layerlat import (bunch as bunch_module, chain as chain_module, decompose, embed, fixtures,
@@ -160,3 +162,22 @@ def test_embedding_and_recovery_compile_no_transition_on_a_finite_chain():
     assert check_embedding(chain, chain, identity_embedding(b)).ok
     assert recover_bunch_samples(chain).ok
     assert chain._tr == {}
+
+
+def test_a_passing_product_clause_multiplies_each_pair_once_by_blocks(monkeypatch):
+    # the blocks hold each unordered pool pair once on each chain, and no
+    # pair reaches Chain.mul: the pair scan runs only when a block differs
+    pairs, block_sizes = [], []
+    mul, mul_block = Chain.mul, Chain.mul_block
+    monkeypatch.setattr(Chain, "mul", lambda self, x, y: pairs.append((x, y)) or mul(self, x, y))
+    monkeypatch.setattr(Chain, "mul_block", lambda self, x, ys: block_sizes.append(len(ys))
+                        or mul_block(self, x, ys))
+    tripled = EmbeddingSpec({"t": "t", "u": "u"}, {"t": og.scale_int(3), "u": og.scale_int(3)})
+    for b, spec in [(fixtures.lz2(), tripled), (fixtures.lz2(), None), (fixtures.zb(), None),
+                    (fixtures.lz(), None), (fixtures.finite_bunch(9), None)]:
+        chain = Chain(b)
+        n = sum(1 for _ in islice(chain.enumerate_elements(), 64))
+        pairs.clear()
+        block_sizes.clear()
+        report = check_embedding(chain, chain, spec or identity_embedding(b), samples=64)
+        assert report.ok and pairs == [] and sum(block_sizes) == n * (n + 1), b.skeleton

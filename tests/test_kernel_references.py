@@ -18,7 +18,8 @@ product by a linear scan, the recovery identities that list each layer's
 points and compose each transition themselves, and the chain's compare, mul
 and zeta, which lift every pair across layers through its compiled
 transition (``ReferenceKernels``), and the same-layer product that builds a
-new point on every call (``fresh_same_layer_product``).  The current kernels
+new point on every call (``fresh_same_layer_product``), and the enumeration
+that streamed every layer, trivial ones included.  The current kernels
 decide each law value once over interned element ids, compare ranks instead
 of values in a lower-triangular table, multiply each extension pair once,
 compile each transition pair once and stream each layer's samples once,
@@ -1227,7 +1228,12 @@ def embedding_cases() -> list[tuple[Chain, Chain, EmbeddingSpec]]:
     the diagonal while its order holds; a skeleton map that sends u2 onto t,
     whose first failing order pair in pool order, t:e and u2:e, is not
     adjacent in source order, since u1:e lies between; and a 101-point
-    carrier, which is exhaustive at neither sample count."""
+    carrier, which is exhaustive at neither sample count.
+
+    The block products of `check_embedding` meet two chains with different
+    layer sets in s3, zb, jz and lz embedded into their densified bunches
+    at rounds 1 and 2, and a failing block in the zb and lz2 destinations
+    whose same-layer product is off away from the unit (`off_the_unit`)."""
     s3, ze, lz2 = Chain(fixtures.s3()), Chain(fixtures.ze()), Chain(fixtures.lz2())
     jz, five = Chain(fixtures.jz()), Chain(fixtures.finite_bunch(5))
     lex = og.Lex(og.INT, og.INT)
@@ -1260,10 +1266,38 @@ def embedding_cases() -> list[tuple[Chain, Chain, EmbeddingSpec]]:
     bunches += [fixtures.random_bunch(rng, max_layers=4) for _ in range(10)]
     bunches.append(fixtures.finite_bunch(101))
     cases += [(Chain(b), Chain(b), identity_embedding(b)) for b in bunches]
+    for name in ("s3", "zb", "jz", "lz"):
+        b = fixtures.ALL[name]()
+        cases += [(Chain(b), Chain(densify_driver(Chain(b), 3, rounds)[0]), identity_embedding(b))
+                  for rounds in (1, 2)]
+    cases += [(Chain(b), off_the_unit(b, u), identity_embedding(b))
+              for b, u in ((fixtures.zb(), "t"), (fixtures.lz2(), "u"))]
     return cases
 
 
-@pytest.mark.parametrize("samples", [64, 9])
+def off_the_unit(b: Bunch, u: str) -> Chain:
+    """The chain of ``b`` with a same-layer product on ``u`` that is one
+    step off wherever neither operand is the layer unit: commutative, so the
+    first failing pair of both scans lies in one triangle."""
+    chain = Chain(b)
+    right, e = chain._same[u], chain._unit[u]
+
+    def wrong(x, y):
+        z = right(x, y)
+        return z if e in (x.g, y.g) else z._replace(g=z.g + 1)
+    chain._same[u] = wrong
+    return chain
+
+
+def test_an_off_the_unit_product_fails_at_the_reference_pair():
+    for b, u in ((fixtures.zb(), "t"), (fixtures.lz2(), "u")):
+        src, dst, spec = Chain(b), off_the_unit(b, u), identity_embedding(b)
+        new = check_embedding(src, dst, spec, samples=64).first("element-product")
+        ref = reference_check_embedding(src, dst, spec, samples=64).first("element-product")
+        assert not new.ok and new == ref, (u, new)
+
+
+@pytest.mark.parametrize("samples", [64, 9, 100])
 def test_embedding_reports_match_the_reference(samples):
     reports = []
     for src, dst, spec in embedding_cases():
@@ -2062,6 +2096,55 @@ def test_a_chain_that_only_enumerates_fills_no_threshold():
     chain = Chain(fixtures.finite_bunch(255))
     assert sum(1 for _ in chain.enumerate_elements()) == 255
     assert chain._unit_from == [] and chain._tr == {} and chain._same == {}
+
+
+def reference_enumerate_elements(chain: Chain):
+    """`Chain.enumerate_elements` as it was: one `_layer_blocks` stream per
+    layer, trivial layers included, read round-robin."""
+    streams = [chain._layer_blocks(u) for u in chain.bunch.skeleton]
+    while streams:
+        alive = []
+        for s in streams:
+            block = next(s, None)
+            if block is None:
+                continue
+            alive.append(s)
+            yield from block
+        streams = alive
+
+
+TRIVIAL_LEX = og.Lex(og.TRIVIAL, og.TRIVIAL)
+
+
+def mixed_trivial_bunch() -> Bunch:
+    """Trivial layers of classes O and I, one of them Lex(Trivial, Trivial),
+    between Int, Rat and Lex layers, stepped by unit maps."""
+    groups = {"t": og.TRIVIAL, "u1": og.INT, "u2": og.TRIVIAL, "u3": TRIVIAL_LEX,
+              "u4": og.RAT, "u5": og.TRIVIAL, "u6": og.Lex(og.INT, og.INT), "u7": og.TRIVIAL}
+    sk = tuple(groups)
+    partition = {"t": "O", "u1": "I", "u2": "I", "u3": "I", "u4": "J", "u5": "O", "u6": "I",
+                 "u7": "I"}
+    subgroups = {u: og.whole(groups[u]) for u in sk if partition[u] == "I"}
+    subgroups["u1"] = og.int_multiples(2)
+    return Bunch(sk, partition, groups, subgroups,
+                 {(a, b): og.unit_map(groups[a], groups[b]) for a, b in zip(sk, sk[1:])})
+
+
+def test_enumeration_matches_the_stream_reference():
+    lex_layer_i = Bunch(("t",), {"t": "I"}, {"t": TRIVIAL_LEX}, {"t": og.whole(TRIVIAL_LEX)}, {})
+    assert list(Chain(lex_layer_i).enumerate_elements()) == [
+        ChainElement("t", (og.UNIT, og.UNIT)), ChainElement("t", (og.UNIT, og.UNIT), True)]
+    bunches = kernel_bunches() + table_bunches() + [lex_layer_i, mixed_trivial_bunch()]
+    for i, b in enumerate(bunches):
+        chain = Chain(b)
+        points = list(islice(chain.enumerate_elements(), 300))
+        assert points == list(islice(reference_enumerate_elements(chain), 300)), i
+        assert all(type(x) is ChainElement for x in points), i
+    mixed = list(islice(Chain(mixed_trivial_bunch()).enumerate_elements(), 14))
+    assert [(x.layer, x.dotted) for x in mixed] == [
+        ("t", False), ("u1", False), ("u1", True), ("u2", False), ("u2", True), ("u3", False),
+        ("u3", True), ("u4", False), ("u5", False), ("u6", False), ("u6", True),
+        ("u7", False), ("u7", True), ("u1", False)]
 
 
 def test_chain_kernels_match_the_transition_lifting_reference():
