@@ -20,15 +20,14 @@ frame per layer.  Everything else is built on first use:
   with no transition compiled.  A finite chain's steps are all unit maps,
   so it compiles none.
 * ``_same``: one product kernel per layer, built on first use.  A class O
-  or J layer whose group is non-trivial with no `Rat` factor (values that
-  hash in C) hash-conses its products: a product with the layer unit returns
-  the other operand object, any other the one point tabled for its value,
-  up to `TABLE_CAP` points, past which points are built afresh.  `Rat`
-  layers, class-I kernels, `negate` and cross-layer products stay untabled:
-  on a prototype, tabling every kernel raised the `elements` benchmark's
-  peak RSS by 11%, the same-layer kernels with class I by 9.6%, and the
-  class O and J kernels without the unit rule by 6.1%; this design by 1-2%.
-  (`Rat` values are hash-consed in `ogroup` instead, up to ``og.RAT_CAP``.)
+  or J layer whose group is non-trivial hash-conses its products (group
+  values hash in C): a product with the layer unit returns the other
+  operand object, any other the one point tabled for its value, up to
+  `TABLE_CAP` points, past which points are built afresh.  Class-I kernels,
+  `negate` and cross-layer products stay untabled: on a prototype, tabling
+  every kernel raised the `elements` benchmark's peak RSS by 11%, the
+  same-layer kernels with class I by 9.6%, and the class O and J kernels
+  without the unit rule by 6.1%; this design by 1-2%.
 * `mul_block`: x times a block of points of one layer, the layer pair
   decided once: ``_same[u]`` mapped over it, the block or copies of x past
   the threshold, x lifted once below it (`embed.check_embedding` uses it).
@@ -58,7 +57,7 @@ complement, and residuum are all decided from the bunch data:
   strict group comparison decides, and ties are broken by layer position
   and dottedness.  So two points are EQ exactly when they lie on one layer,
   their group parts compare EQ and their dots agree: `compare` tests no
-  tuple equality, which on `Rat` parts reached ``Fraction.__eq__``;
+  tuple equality;
 * product: multiply the lifted group parts in the higher layer's group; the
   result is dotted when the higher operand is dotted across distinct layers,
   or, within one class-I layer, when the product lands in the subgroup and
@@ -307,8 +306,8 @@ def _same_layer_kernel(b: Bunch, u: str):
     dotted within a class-I layer when it lands in the subgroup and the
     operands are not both undotted subgroup members.  A trivial group gives
     its unit, a whole subgroup dots exactly when either operand is dotted,
-    with no membership calls, and a layer that does not dot and has no `Rat`
-    factor tables its products in ``kernel.table`` (module docstring)."""
+    with no membership calls, and a layer that does not dot tables its
+    products in ``kernel.table`` (module docstring)."""
     group = b.groups[u]
     dotting = b.partition[u] == "I"
     if og.group_is_trivial(group):
@@ -319,8 +318,6 @@ def _same_layer_kernel(b: Bunch, u: str):
         return lambda x, y: dotted if x.dotted or y.dotted else plain
     op = og.op_fn(group)
     if not dotting:
-        if not _hashes_in_c(group):
-            return lambda x, y: _new(ChainElement, (u, op(x.g, y.g), False))
         e, table = og.g_unit(group), {}
 
         def tabled(x, y):
@@ -370,13 +367,6 @@ def _complement_kernel(b: Bunch, u: str):
             return _new(ChainElement, (u, g, False))
         return kernel
     return lambda x: _new(ChainElement, (u, inv(x.g), False))
-
-
-def _hashes_in_c(group: og.OGroup) -> bool:
-    """No `Rat` factor: the values are ints, the unit mark and tuples of them."""
-    if isinstance(group, og.Lex):
-        return _hashes_in_c(group.left) and _hashes_in_c(group.right)
-    return not isinstance(group, og.Rat)
 
 
 def _identity(g: og.GElem) -> og.GElem:

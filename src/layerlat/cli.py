@@ -7,13 +7,8 @@ LAYERLAT_SAMPLES overrides the default sample counts; it is read on every
 call, before parsing, by the rule of --samples, and stays out of the parser
 (--samples and --law-samples default to None, and ``main`` fills them in).
 
-``main`` builds the parser once per process (``_parser``) and each subparser
-on its first dispatch: argparse's ``parser_class`` hook gives each subcommand
-a ``_DeferredParser`` that records its definition and replays it into a real
-parser, which it keeps, when argparse first dispatches to it.  So a one-shot
-call builds two parsers, and a later call in the same process builds none.
-argparse still registers every name and help line, so help, usage and choice
-errors are its own.
+``main`` builds the parser once per process (``_parser``), so a later call in
+the same process builds none.
 """
 
 from __future__ import annotations
@@ -54,26 +49,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
-
-
-class _DeferredParser:
-    """A subparser built on its first dispatch and kept (see the module docstring)."""
-
-    def __init__(self, **kwargs):
-        self._kwargs, self._calls, self._parser = kwargs, [], None
-
-    def add_argument(self, *args, **kwargs) -> None:
-        self._calls.append((argparse.ArgumentParser.add_argument, args, kwargs))
-
-    def set_defaults(self, **kwargs) -> None:
-        self._calls.append((argparse.ArgumentParser.set_defaults, (), kwargs))
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._parser is None:
-            self._parser = argparse.ArgumentParser(**self._kwargs)
-            for method, a, kw in self._calls:
-                method(self._parser, *a, **kw)
-        return self._parser.parse_known_args(args, namespace)
 
 
 def _require_valid(path: str, samples: int) -> Chain:
@@ -244,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
     parser.add_argument("--samples", type=_int_at_least(0),
                         help="sample count for validation and sampled checks")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a bunch file")
     p.add_argument("bunch")

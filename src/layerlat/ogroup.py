@@ -3,7 +3,7 @@
 Groups come from a closed constructor family (trivial, integers, rationals,
 binary lexicographic products), so comparison, covers, enumeration, and
 subgroup membership all stay decidable.  Element values are plain Python
-data: the unit mark, exact ints, ``fractions.Fraction``, and nested pairs.
+data: the unit mark, exact ints, reduced int pairs, and nested pairs.
 
 Groups, subgroups and homs are hash-consed (Filliâtre and Conchon,
 "Type-safe modular hash-consing", 2006): a constructor returns the one
@@ -24,25 +24,12 @@ grows it, as `hom_fn`'s unbounded cache grows with the homs it compiles.
 A `WeakValueDictionary` would free them, at the cost of a Python-level
 lookup on every construction.
 
-`cmp_fn`, `op_fn` and `inv_fn` compile `Rat`, also as a `Lex` factor, to
-integer kernels on Fraction's ``__slots__`` ``_numerator`` and ``_denominator``
-(kept from Python 2.6 through 3.13) that return what its operators return.
-No compiled function type-checks: only Fractions enter a `Rat` layer (through
-`parse_gelem`, `g_enumerate`, `g_unit`, ``int_to_rat``); `g_check` rejects the rest.
-
-`Rat` values are hash-consed too, in a bounded pool: ``_rat``, an
-``lru_cache(maxsize=RAT_CAP)`` over ``_fraction`` (which is not pooled),
-builds every value of `_rat_add`, `Rat` negation, ``int_to_rat``,
-``g_unit(RAT)`` and `_rationals`, so equal results below the cap are one
-object.  A chain point
-holding one then equals another by identity: CPython's tuple comparison
-settles identical items in C, where ``Fraction.__eq__`` runs a Python frame
-and an ABC ``isinstance``.  ``RAT_CAP`` (4096) bounds the pool; a value
-evicted past it is still right, and only its equality falls back to
-``Fraction.__eq__``.  Being an `lru_cache`, the pool is emptied with the
-other caches (which stay correct, since equality is by value).  Placement
-values (`standardize._midpoint`) keep to ``_fraction``: their denominators
-reach thousands of bits, and no chain point compares them.
+A `Rat` value, alone or as a `Lex` factor, is a reduced pair of ints ``(n,
+d)`` with ``d > 0``, the one canonical form of a rational: equal values are
+equal tuples, so they hash and compare in C.  `cmp_fn`, `op_fn` and `inv_fn`
+compile it to integer kernels.  No compiled function type-checks: only
+reduced pairs enter a `Rat` layer (through `parse_gelem`, `g_enumerate`,
+`g_unit`, ``int_to_rat``); `g_check` rejects the rest.
 
 The module also owns the textual/JSON encodings for groups, elements, homs,
 and subgroups used by bunch files and the CLI.  `hom_check` tests the hom
@@ -57,7 +44,6 @@ import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from typing import Callable, Iterator
@@ -138,7 +124,7 @@ class Lex(_Interned):
 
 
 OGroup = Trivial | Int | Rat | Lex
-GElem = _UnitMark | int | Fraction | tuple
+GElem = _UnitMark | int | tuple
 
 TRIVIAL = Trivial()
 INT = Int()
@@ -158,8 +144,9 @@ def g_check(group: OGroup, x: GElem) -> None:
         if not isinstance(x, int) or isinstance(x, bool):
             raise TypeMismatch(f"expected an integer, got {x!r}")
     elif isinstance(group, Rat):
-        if not isinstance(x, Fraction):
-            raise TypeMismatch(f"expected a Fraction, got {x!r}")
+        if not (isinstance(x, tuple) and len(x) == 2 and type(x[0]) is type(x[1]) is int
+                and x[1] > 0 and math.gcd(*x) == 1):
+            raise TypeMismatch(f"expected a reduced pair (n, d) with d > 0, got {x!r}")
     elif isinstance(group, Lex):
         if not (isinstance(x, tuple) and len(x) == 2):
             raise TypeMismatch(f"expected a pair, got {x!r}")
@@ -176,46 +163,34 @@ def g_unit(group: OGroup) -> GElem:
     if isinstance(group, Int):
         return 0
     if isinstance(group, Rat):
-        return _rat(0, 1)
+        return (0, 1)
     return (g_unit(group.left), g_unit(group.right))
 
 
-def _fraction(n: int, d: int) -> Fraction:
-    """n/d for coprime n and d > 0, as 3.12's ``Fraction._from_coprime_ints``."""
-    q = object.__new__(Fraction)
-    q._numerator, q._denominator = n, d
-    return q
-
-
-#: Most `Rat` values the pool ``_rat`` keeps (module docstring).
-RAT_CAP = 4096
-_rat = lru_cache(maxsize=RAT_CAP)(_fraction)
-
-
-def _rat_cmp(a: Fraction, b: Fraction) -> int:
-    x, y = a._numerator * b._denominator, b._numerator * a._denominator
+def _rat_cmp(a: tuple, b: tuple) -> int:
+    x, y = a[0] * b[1], b[0] * a[1]
     return (x > y) - (x < y)
 
 
-def _rat_add(a: Fraction, b: Fraction) -> Fraction:
+def _rat_add(a: tuple, b: tuple) -> tuple:
     """a + b in lowest terms by the gcd steps of ``Fraction._add``."""
-    na, da = a._numerator, a._denominator
-    nb, db = b._numerator, b._denominator
+    na, da = a
+    nb, db = b
     if da == db:
         g = math.gcd(na + nb, da)
-        return _rat((na + nb) // g, da // g)
+        return (na + nb) // g, da // g
     g = math.gcd(da, db)
     if g == 1:
-        return _rat(na * db + da * nb, da * db)
+        return na * db + da * nb, da * db
     s = da // g
     t = na * (db // g) + nb * s
     g2 = math.gcd(t, g)
-    return _rat(t // g2, s * (db // g2))
+    return t // g2, s * (db // g2)
 
 
 @lru_cache(maxsize=None)
 def cmp_fn(group: OGroup) -> Callable[[GElem, GElem], int]:
-    """Compiled three-way comparison (no type checks); `Rat` cross-multiplies slots."""
+    """Compiled three-way comparison (no type checks); `Rat` cross-multiplies."""
     if isinstance(group, Trivial):
         return lambda a, b: EQ
     if isinstance(group, (Int, Rat)):
@@ -226,7 +201,7 @@ def cmp_fn(group: OGroup) -> Callable[[GElem, GElem], int]:
 
 @lru_cache(maxsize=None)
 def op_fn(group: OGroup) -> Callable[[GElem, GElem], GElem]:
-    """Compiled group operation (componentwise addition); `Rat` adds slots by gcds."""
+    """Compiled group operation (componentwise addition); `Rat` adds by gcds."""
     if isinstance(group, Trivial):
         return lambda a, b: UNIT
     if isinstance(group, (Int, Rat)):
@@ -237,11 +212,11 @@ def op_fn(group: OGroup) -> Callable[[GElem, GElem], GElem]:
 
 @lru_cache(maxsize=None)
 def inv_fn(group: OGroup) -> Callable[[GElem], GElem]:
-    """Compiled inverse; `Rat` negates the numerator slot."""
+    """Compiled inverse; `Rat` negates the numerator."""
     if isinstance(group, Trivial):
         return lambda a: UNIT
     if isinstance(group, Rat):
-        return lambda a: _rat(-a._numerator, a._denominator)
+        return lambda a: (-a[0], a[1])
     if isinstance(group, Int):
         return operator.neg
     left, right = inv_fn(group.left), inv_fn(group.right)
@@ -318,14 +293,14 @@ def g_cover_down(group: OGroup, x: GElem) -> GElem | None:
     return cover_fn(group, -1)(x)
 
 
-def _rationals() -> Iterator[Fraction]:
+def _rationals() -> Iterator[tuple]:
     # 0 first, then each positive rational of the Calkin-Wilf walk with its
     # negative right behind it: n/d steps to d/((2*(n//d) + 1)*d - n), coprime.
-    yield _rat(0, 1)
+    yield 0, 1
     n = d = 1
     while True:
-        yield _rat(n, d)
-        yield _rat(-n, d)
+        yield n, d
+        yield -n, d
         n, d = d, (2 * (n // d) + 1) * d - n
 
 
@@ -461,7 +436,7 @@ def hom_fn(h: Hom) -> Callable[[GElem], GElem]:
         k = h.k
         return lambda x: k * x
     if h.op == "int_to_rat":
-        return lambda x: _rat(x, 1)
+        return lambda x: (x, 1)
     if h.op == "inject_first":
         u = g_unit(h.target.right)
         return lambda x: (x, u)
@@ -595,7 +570,7 @@ def member_fn(sub: Subgroup) -> Callable[[GElem], bool]:
         k = sub.k
         return lambda x: x % k == 0
     if sub.op == "int_in_rat":
-        return lambda x: x._denominator == 1
+        return lambda x: x[1] == 1
     if sub.op == "first_zero":
         u = g_unit(sub.ambient.left)
         return lambda x: x[0] == u
@@ -631,7 +606,8 @@ def format_gelem(group: OGroup, x: GElem) -> str:
     return _format_gelem(group, x)
 
 
-def _digits(n: int) -> str:
+def digits(n: int) -> str:
+    """``str(n)`` for an int, also past the int-to-string digit limit."""
     try:  # str(Decimal(n)) is exact, and not bounded by the int-to-string digit limit
         return str(n)
     except ValueError:
@@ -642,9 +618,9 @@ def _format_gelem(group: OGroup, x: GElem) -> str:
     if isinstance(group, Trivial):
         return "e"
     if isinstance(group, Int):
-        return _digits(x)
+        return digits(x)
     if isinstance(group, Rat):
-        return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+        return f"{digits(x[0])}/{digits(x[1])}"
     return f"({_format_gelem(group.left, x[0])},{_format_gelem(group.right, x[1])})"
 
 
@@ -689,12 +665,11 @@ def _parse_gelem(group: OGroup, text: str) -> GElem:
         num, slash, den = text.partition("/")
         if not _INT_RE.match(num) or (slash and not _INT_RE.match(den)):
             raise ParseError(f"bad rational literal {text!r}")
-        if not slash:
-            return Fraction(_int_literal(num))
-        d = _int_literal(den)
+        n, d = _int_literal(num), _int_literal(den) if slash else 1
         if d == 0:
             raise ParseError(f"rational literal with zero denominator {text!r}")
-        return Fraction(_int_literal(num), d)
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+        return n // g, d // g
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"lex element must be a parenthesized pair, got {text!r}")
     left, right = _split_pair(text[1:-1])

@@ -25,6 +25,8 @@ power-of-two denominators on `Fraction`'s ``_numerator`` and ``_denominator``
 slots, by one shift and one strip of trailing zeros (``(a + b) / 2`` spends
 about ten times as long on gcds at 2,000 bits), and keeps ``(a + b) / 2``
 for any other pair.  Either way the result is the operator's, slots and hash.
+This is the one module that reads or writes those slots: placement values
+are points of [0, 1], not group elements, and stay `Fraction`s.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ import csv
 import io
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, repeat
 
 from .chain import Chain, ChainElement, format_element
 from .errors import TrivialChain, Unbounded
-from .ogroup import _fraction
+from .ogroup import digits
 
 
 @dataclass
@@ -95,11 +96,16 @@ class RationalPlacement:
         writer = csv.writer(out)
         for x in self._sorted:
             value = self._q[x]
-            # str(Decimal(n)) is exact for an int and, unlike str(n), not
-            # bounded by the interpreter's int-to-string digit limit
             writer.writerow([format_element(self.chain, x),
-                             str(Decimal(value.numerator)), str(Decimal(value.denominator))])
+                             digits(value.numerator), digits(value.denominator)])
         return out.getvalue()
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d for coprime n and d > 0, as 3.12's ``Fraction._from_coprime_ints``."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n, d
+    return q
 
 
 def _midpoint(a: Fraction, b: Fraction) -> Fraction:

@@ -79,9 +79,9 @@ INPUTS = {
 }
 
 # Hashes zb's placed values of a 30,000-point prefix as hex "num/den;".
-# Placement midpoints of dyadic neighbours, and Rat layers (the r48 and r9
-# rows), read Fraction's _numerator and _denominator slots; the 3.10-3.13 CI
-# matrix guards that those slots are still there.
+# Placement midpoints of dyadic neighbours read Fraction's _numerator and
+# _denominator slots (`standardize` is the one module that does); the
+# 3.10-3.13 CI matrix guards that those slots are still there.
 PLACEMENT = ("import hashlib; from layerlat import Chain, cantor_map, fixtures; "
              "p = cantor_map(Chain(fixtures.zb()), 30000); "
              "print(hashlib.sha256(''.join('%x/%x;' % (q.numerator, q.denominator) "

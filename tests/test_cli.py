@@ -597,7 +597,7 @@ ok   involution     48 samples
 ok   falsum-shape   48 samples"""
 
 
-# -- parser cache and deferral, argument checks and LAYERLAT_SAMPLES ------------
+# -- parser cache, argument checks and LAYERLAT_SAMPLES ------------
 
 
 @pytest.fixture
@@ -610,34 +610,15 @@ def cold_parser():
 
 
 @pytest.mark.parametrize("argv", [
-    ["--help"], ["-h"], [], ["bogus"], ["--samples", "3", "bogus", "laws"],
-    ["--seed", "x", "laws", "f.json"], ["--seed", "laws"], ["laws", "--help"],
-    ["eval", "--help"], ["enumerate", "--size", "0"], ["validate", "a", "b"],
-    ["laws", "f.json", "--extra"],
+    ["--help"],
+    ["laws", "--help"],
+    ["validate", "{s3}"],
+    ["enumerate", "--size", "2"],
+    ["--samples", "3", "eval", "{zb}", "--op", "neg", "--lhs", "t:1"],
 ])
-def test_deferred_subparsers_match_an_eager_parser(monkeypatch, cold_parser, argv):
-    # the same definitions built at once are the reference; no golden text,
-    # since argparse wraps usage lines differently across Python versions.
-    # Each side starts cold, so the eager side really builds eager parsers.
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("LAYERLAT_SAMPLES", raising=False)
-    deferred = cli_run(argv)
-    cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "_DeferredParser", argparse.ArgumentParser)
-    assert deferred == cli_run(argv)
-
-
-@pytest.mark.parametrize("argv, built", [
-    (["--help"], 1),
-    (["laws", "--help"], 2),
-    (["validate", "{s3}"], 2),
-    (["enumerate", "--size", "2"], 2),
-    (["--samples", "3", "eval", "{zb}", "--op", "neg", "--lhs", "t:1"], 2),
-])
-def test_a_call_builds_only_its_subcommands_parser(monkeypatch, cold_parser, fixture_files,
-                                                   argv, built):
-    # a cold call builds the main parser and its subcommand's; the same call
-    # again in the same process builds none
+def test_a_warm_call_builds_no_parser(monkeypatch, cold_parser, fixture_files, argv):
+    # a cold call builds the parser; the same call again in the same process
+    # builds none
     counts = []
     init = argparse.ArgumentParser.__init__
 
@@ -650,7 +631,7 @@ def test_a_call_builds_only_its_subcommands_parser(monkeypatch, cold_parser, fix
         counts.append(0)
         code, _, _ = cli_run([a.format(**fixture_files) for a in argv])
         assert code == 0
-    assert counts == [built, 0]
+    assert counts[0] > 0 and counts[1] == 0
 
 
 def test_a_warm_parser_answers_every_call_as_a_cold_one(monkeypatch, cold_parser, fixture_files,

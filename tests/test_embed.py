@@ -181,3 +181,34 @@ def test_a_passing_product_clause_multiplies_each_pair_once_by_blocks(monkeypatc
         block_sizes.clear()
         report = check_embedding(chain, chain, spec or identity_embedding(b), samples=64)
         assert report.ok and pairs == [] and sum(block_sizes) == n * (n + 1), b.skeleton
+
+
+def test_two_layers_sent_to_one_fail_skeleton_order_and_the_element_clauses():
+    # u1 and u2 both go to u1: the image positions tie, so skeleton-order
+    # fails, and the two layers' points collapse onto one
+    unit = og.unit_map(og.TRIVIAL, og.TRIVIAL)
+    spec = EmbeddingSpec({"t": "t", "u1": "u1", "u2": "u1"}, {"t": unit, "u1": unit, "u2": unit})
+    report = check_embedding(Chain(fixtures.finite_bunch(5)), Chain(fixtures.finite_bunch(9)), spec)
+    assert report.render() == """\
+FAIL skeleton-order     skeleton -- image positions are not strictly ascending [proved]
+ok   least-element      t [proved]
+ok   partition          t [proved]
+ok   partition          u1 [proved]
+ok   partition          u2 [proved]
+ok   layer-group-hom    t [proved]
+ok   layer-group-hom    u1 [proved]
+ok   layer-group-hom    u2 [proved]
+ok   transition-square  t->t [proved]
+ok   transition-square  t->u1 [proved]
+ok   transition-square  t->u2 [proved]
+ok   transition-square  u1->u1 [proved]
+ok   transition-square  u1->u2 [proved]
+ok   transition-square  u2->u2 [proved]
+ok   subgroup-both-ways u1 [proved]
+ok   subgroup-both-ways u2 [proved]
+FAIL element-order      carrier -- order not preserved at (ChainElement(layer='u1', g=e, \
+dotted=False), ChainElement(layer='u2', g=e, dotted=False)) [proved]
+FAIL element-product    carrier -- product not preserved at (ChainElement(layer='u1', g=e, \
+dotted=True), ChainElement(layer='u2', g=e, dotted=False)) [proved]
+ok   element-constants  t, f [proved]
+embedding FAILED"""

@@ -135,7 +135,8 @@ def coordinates(group: og.OGroup) -> st.SearchStrategy:
     if isinstance(group, og.Int):
         return ints
     if isinstance(group, og.Rat):
-        return st.builds(Fraction, ints, st.one_of(st.integers(1, 4), st.integers(1, HUGE)))
+        return st.builds(Fraction, ints, st.one_of(st.integers(1, 4), st.integers(1, HUGE))).map(
+            lambda q: (q.numerator, q.denominator))
     return st.tuples(coordinates(group.left), coordinates(group.right))
 
 
@@ -144,7 +145,7 @@ def into_subgroup(sub: og.Subgroup, g):
     if sub.op == "int_multiples":
         return g * sub.k
     if sub.op == "int_in_rat":
-        return Fraction(g.numerator)
+        return (g[0], 1)
     if sub.op == "first_zero":
         return (og.g_unit(sub.ambient.left), g[1])
     return g

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import operator
+import math
 import pickle
 import random
 import sys
@@ -14,9 +14,7 @@ from hypothesis import given, strategies as st
 
 from layerlat import fixtures, ogroup as og
 from layerlat.bunch import parse_bunch, serialize_bunch
-from layerlat.chain import Chain
 from layerlat.errors import ParseError, TypeMismatch
-from layerlat.standardize import _midpoint, cantor_map
 
 GROUPS = {
     "trivial": og.TRIVIAL,
@@ -38,14 +36,14 @@ def pool(group, size):
 def test_compare_examples():
     assert og.g_compare(og.INT, 2, 5) == og.LT
     assert og.g_compare(og.Lex(og.INT, og.INT), (1, 9), (2, 0)) == og.LT
-    assert og.g_compare(og.RAT, Fraction(1, 3), Fraction(1, 3)) == og.EQ
+    assert og.g_compare(og.RAT, (1, 3), (1, 3)) == og.EQ
 
 
 def test_compare_type_mismatch():
     with pytest.raises(TypeMismatch):
-        og.g_compare(og.INT, 2, Fraction(1, 2))
+        og.g_compare(og.INT, 2, (1, 2))
     with pytest.raises(TypeMismatch):
-        og.g_op(og.RAT, Fraction(1), 1)
+        og.g_op(og.RAT, (1, 1), 1)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -66,7 +64,7 @@ def test_compare_trichotomy_and_transitivity(name):
 
 def test_op_examples():
     assert og.g_op(og.INT, 2, 3) == 5
-    assert og.g_inv(og.Lex(og.INT, og.RAT), (1, Fraction(1, 2))) == (-1, Fraction(-1, 2))
+    assert og.g_inv(og.Lex(og.INT, og.RAT), (1, (1, 2))) == (-1, (-1, 2))
     for group in GROUPS.values():
         for x in pool(group, 5):
             assert og.g_op(group, x, og.g_unit(group)) == x
@@ -104,7 +102,7 @@ def test_discreteness_table():
 
 def test_cover_examples():
     assert og.g_cover_up(og.INT, 4) == 5
-    assert og.g_cover_up(og.RAT, Fraction(1, 2)) is None
+    assert og.g_cover_up(og.RAT, (1, 2)) is None
     assert og.g_cover_up(og.TRIVIAL, og.UNIT) is None
 
 
@@ -161,8 +159,7 @@ def test_enumerate_declared_orders():
     assert pool(og.INT, 5) == [0, 1, -1, 2, -2]
     assert pool(og.Lex(og.INT, og.INT), 3) == [(0, 0), (1, 0), (0, 1)]
     rats = pool(og.RAT, 7)
-    assert rats == [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
-                    Fraction(-1, 2), Fraction(2), Fraction(-2)]
+    assert rats == [(0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (2, 1), (-2, 1)]
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -175,9 +172,8 @@ def test_enumerate_no_repeats_and_well_typed(name):
 
 
 def test_enumerate_rationals_reduced():
-    for q in pool(og.RAT, 200):
-        assert q == Fraction(q.numerator, q.denominator)
-        assert q.denominator >= 1
+    for n, d in pool(og.RAT, 200):
+        assert d >= 1 and math.gcd(n, d) == 1
 
 
 # -- Rat kernels ----------------------------------------------------------------
@@ -193,17 +189,25 @@ def reference_rationals():
         q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
 
 
-def assert_same_value(group, got, want):
-    """Equal as Python values, of the same type, and for a Fraction with the
-    same slots and hash."""
-    assert type(got) is type(want) and got == want, (group, got, want)
+def as_fraction(group, x):
+    """A value of ``group`` with each `Rat` pair read as a Fraction."""
     if isinstance(group, og.Lex):
-        assert_same_value(group.left, got[0], want[0])
-        assert_same_value(group.right, got[1], want[1])
-    elif isinstance(group, og.Rat):
-        assert type(got) is Fraction
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-        assert hash(got) == hash(want)
+        return as_fraction(group.left, x[0]), as_fraction(group.right, x[1])
+    return Fraction(*x) if isinstance(group, og.Rat) else x
+
+
+def as_pair(group, x):
+    """The value of ``group`` that ``x``, with Fractions for its `Rat` parts, stands for."""
+    if isinstance(group, og.Lex):
+        return as_pair(group.left, x[0]), as_pair(group.right, x[1])
+    return (x.numerator, x.denominator) if isinstance(group, og.Rat) else x
+
+
+def assert_same_value(group, got, want):
+    """``got`` is a well-typed value of ``group`` (each `Rat` part a reduced
+    int pair) that reads as ``want``, where Fractions stand for the pairs."""
+    og.g_check(group, got)
+    assert as_fraction(group, got) == want and got == as_pair(group, want), (group, got, want)
 
 
 def reference_op(group, a, b):
@@ -225,11 +229,14 @@ def reference_cmp(group, a, b):
 
 
 def assert_kernels_match(group, pairs):
+    """The kernels on the pair form of each (a, b), given with Fractions,
+    against Fraction's operators on (a, b)."""
     cmp, op, inv = og.cmp_fn(group), og.op_fn(group), og.inv_fn(group)
     for a, b in pairs:
-        assert_same_value(group, op(a, b), reference_op(group, a, b))
-        assert_same_value(group, inv(a), reference_inv(group, a))
-        assert cmp(a, b) == reference_cmp(group, a, b), (group, a, b)
+        x, y = as_pair(group, a), as_pair(group, b)
+        assert_same_value(group, op(x, y), reference_op(group, a, b))
+        assert_same_value(group, inv(x), reference_inv(group, a))
+        assert cmp(x, y) == reference_cmp(group, a, b), (group, a, b)
 
 
 BIG = 10 ** 40
@@ -259,15 +266,14 @@ def test_rat_kernels_match_on_zeros_units_and_cancelling_sums():
     assert_kernels_match(og.RAT, product(EDGE_RATS, repeat=2))
     add = og.op_fn(og.RAT)
     for a in EDGE_RATS:
-        zero = add(a, -a)
-        assert (zero.numerator, zero.denominator) == (0, 1)
+        assert add(as_pair(og.RAT, a), as_pair(og.RAT, -a)) == (0, 1)
     # equal denominators that cancel to an integer
-    assert_same_value(og.RAT, add(Fraction(1, 6), Fraction(5, 6)), Fraction(1))
-    assert_same_value(og.RAT, add(Fraction(7, 6), Fraction(-1, 6)), Fraction(1))
+    assert_same_value(og.RAT, add((1, 6), (5, 6)), Fraction(1))
+    assert_same_value(og.RAT, add((7, 6), (-1, 6)), Fraction(1))
 
 
 def test_rat_kernels_match_on_the_enumerated_rationals():
-    points = pool(og.RAT, 2000)
+    points = [Fraction(*q) for q in pool(og.RAT, 2000)]
     n = len(points)
     assert_kernels_match(og.RAT, ((points[i], points[j]) for i in range(n)
                                   for j in (i, (i + 1) % n, n - 1 - i, 7 * i % n)))
@@ -279,7 +285,7 @@ def test_rat_kernels_match_on_the_enumerated_rationals():
     og.Lex(og.Lex(og.INT, og.RAT), og.RAT),
 ], ids=repr)
 def test_lex_kernels_over_rat_match_the_fraction_operators(group):
-    elems = pool(group, 60)
+    elems = [as_fraction(group, x) for x in pool(group, 60)]
     assert_kernels_match(group, product(elems, repeat=2))
 
 
@@ -294,51 +300,7 @@ def test_int_to_rat_and_int_in_rat_read_the_fraction_they_build():
         assert_same_value(og.RAT, to_rat(x), Fraction(x))
         assert member(to_rat(x))
     for q in EDGE_RATS:
-        assert member(q) == (q.denominator == 1)
-
-
-# -- the Rat value pool ------------------------------------------------------------
-
-def test_equal_rat_results_are_one_object_below_the_cap():
-    og._rat.cache_clear()
-    add, neg, to_rat = og.op_fn(og.RAT), og.inv_fn(og.RAT), og.hom_fn(og.int_to_rat())
-    walk = pool(og.RAT, 300)
-    assert all(a is b for a, b in zip(walk, pool(og.RAT, 300)))
-    zero, one = walk[0], walk[1]
-    assert (zero, one) == (0, 1) and to_rat(0) is zero and to_rat(1) is one
-    for a, b in product(walk[:60], repeat=2):
-        total = add(a, b)
-        assert add(b, a) is total and add(total, neg(b)) is add(a, zero)
-        assert_same_value(og.RAT, total, operator.add(a, b))
-        assert_same_value(og.RAT, neg(a), operator.neg(a))
-        assert neg(neg(a)) is a and add(a, neg(a)) is zero
-    for k in (0, 1, -1, 7, -BIG, BIG):
-        assert to_rat(k) is to_rat(k) is add(to_rat(k), zero)
-        assert_same_value(og.RAT, to_rat(k), Fraction(k))
-    assert og._rat.cache_info().currsize < og.RAT_CAP
-
-
-def test_a_walk_past_the_cap_keeps_the_pool_at_the_cap():
-    og._rat.cache_clear()
-    walk = pool(og.RAT, 5000)
-    assert og._rat.cache_info().currsize == og.RAT_CAP
-    for got, want in zip(walk, reference_rationals()):
-        assert_same_value(og.RAT, got, want)
-    # the last values met are still pooled, and the evicted ones are built again
-    last, first = walk[-1], walk[0]
-    assert og._rat(last.numerator, last.denominator) is last
-    assert og._rat(0, 1) is not first and og._rat(0, 1) == first
-
-
-def test_placement_midpoints_stay_out_of_the_pool():
-    og._rat.cache_clear()
-    halves = [Fraction(1, 2 ** k) for k in range(1, 40)]
-    mids = [_midpoint(a, b) for a in halves for b in halves]
-    mids.append(_midpoint(Fraction(1, 3), Fraction(1)))  # not dyadic: Fraction arithmetic
-    assert og._rat.cache_info() == (0, 0, og.RAT_CAP, 0)
-    assert mids == [(a + b) / 2 for a in halves for b in halves] + [Fraction(2, 3)]
-    cantor_map(Chain(fixtures.zb()), 400)
-    assert og._rat.cache_info().misses == 0
+        assert member(as_pair(og.RAT, q)) == (q.denominator == 1)
 
 
 # -- homomorphisms ---------------------------------------------------------------
@@ -372,7 +334,7 @@ def test_hom_apply_examples():
     composed = og.hom_compose(og.int_to_rat(), og.scale_int(3))
     # evaluate both stages independently
     staged = og.hom_apply(og.int_to_rat(), og.hom_apply(og.scale_int(3), 2))
-    assert og.hom_apply(composed, 2) == staged == Fraction(6, 1)
+    assert og.hom_apply(composed, 2) == staged == (6, 1)
 
 
 def test_hom_compose_type_mismatch():
@@ -428,8 +390,8 @@ def test_sub_member_examples():
     assert not og.sub_member(og.int_multiples(2), 3)
     assert og.sub_member(og.first_zero(og.Lex(og.INT, og.INT)), (0, 5))
     assert not og.sub_member(og.first_zero(og.Lex(og.INT, og.INT)), (1, 5))
-    assert og.sub_member(og.int_in_rat(), Fraction(3))
-    assert not og.sub_member(og.int_in_rat(), Fraction(1, 2))
+    assert og.sub_member(og.int_in_rat(), (3, 1))
+    assert not og.sub_member(og.int_in_rat(), (1, 2))
 
 
 @pytest.mark.parametrize("sub", [
@@ -461,11 +423,21 @@ def test_subgroup_is_whole_detection():
 
 def test_format_examples():
     assert og.format_gelem(og.INT, -7) == "-7"
-    assert og.format_gelem(og.RAT, Fraction(6)) == "6/1"
+    assert og.format_gelem(og.RAT, (6, 1)) == "6/1"
     assert og.format_gelem(og.TRIVIAL, og.UNIT) == "e"
     lex = og.Lex(og.INT, og.RAT)
-    assert og.format_gelem(lex, (1, Fraction(2, 3))) == "(1,2/3)"
-    assert og.parse_gelem(lex, "(1,2/3)") == (1, Fraction(2, 3))
+    assert og.format_gelem(lex, (1, (2, 3))) == "(1,2/3)"
+    assert og.parse_gelem(lex, "(1,2/3)") == (1, (2, 3))
+
+
+def test_a_rat_value_is_a_reduced_int_pair():
+    for bad in (Fraction(1, 2), (2, 4), (0, 3), (1, 0), (1, -2), (-1, -2), True, (True, 1),
+                (1, True), (1.0, 2), (1, 2, 3), 1):
+        with pytest.raises(TypeMismatch):
+            og.g_check(og.RAT, bad)
+    assert og.parse_gelem(og.RAT, "6/-4") == (-3, 2)
+    assert og.format_gelem(og.RAT, og.parse_gelem(og.RAT, "6/-4")) == "-3/2"
+    assert og.parse_gelem(og.RAT, "0/-5") == og.parse_gelem(og.RAT, "-0") == (0, 1)
 
 
 def test_parse_rejects_garbage():
