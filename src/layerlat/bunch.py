@@ -11,8 +11,10 @@ Layer classes are "O" (only ever the least layer), "J" (discrete layers whose
 transitions collapse the unit's lower cover), and "I" (layers carrying a
 subgroup whose elements get dotted companions in the reconstructed chain).
 
-`validate` checks the bunch laws G1-G3 and D1-D2 and returns a
-`report.Report`, one `Check` per clause and subject.
+A `Bunch` is structurally sound: its constructor raises `TypeMismatch`
+naming every `structural_problems` entry.  So `validate` checks the bunch
+laws G1-G3 and D1-D2 and returns a `report.Report`, one `Check` per clause
+and subject.
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ class BunchType(enum.Enum):
 
 @dataclass(frozen=True)
 class Bunch:
-    """Immutable bunch; maps are plain dicts treated as frozen after build.
+    """Immutable, structurally sound bunch (construction raises
+    `TypeMismatch` otherwise); maps are plain dicts treated as frozen.
 
-    ``skeleton`` is the ascending list of layer labels (list order *is* the
-    skeleton order); ``steps`` holds one hom per consecutive pair.
+    ``skeleton`` is the ascending list of distinct layer labels (list order
+    *is* the skeleton order); ``steps`` holds one hom per consecutive pair.
     """
 
     skeleton: tuple[str, ...]
@@ -57,9 +60,11 @@ class Bunch:
         default_factory=dict, init=False, compare=False, repr=False)
     _positions: dict[str, int] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:  # the first position wins, as with tuple.index
-        positions = {u: i for i, u in reversed(tuple(enumerate(self.skeleton)))}
-        object.__setattr__(self, "_positions", positions)
+    def __post_init__(self) -> None:
+        problems = structural_problems(self)
+        if problems:
+            raise TypeMismatch("bunch is structurally broken: " + "; ".join(problems))
+        object.__setattr__(self, "_positions", {u: i for i, u in enumerate(self.skeleton)})
 
     def least(self) -> str:
         return self.skeleton[0]
@@ -141,17 +146,17 @@ def structural_problems(b: Bunch) -> list[str]:
 
 
 def validate(b: Bunch, samples: int = 100) -> Report:
-    """The bunch's `_audit` as a `report.Report`; raises only if samples < 0."""
+    """The bunch's `_audit` as a `report.Report`; raises if samples < 0 or `Chain(b)` does."""
     return _audit(b, samples).report()
 
 
 class Audit(NamedTuple):
     """What one pass over the bunch laws found: the failed checks alone, and
-    the `Chain` they were decided on (None when the structure is broken).
-    ``ok`` is the verdict; `report` is `validate`'s report, built from them."""
+    the `Chain` they were decided on.  ``ok`` is the verdict; `report` is
+    `validate`'s report, built from them."""
 
     samples: int
-    chain: Chain | None
+    chain: Chain
     failed: dict[tuple, Check]  # by clause and layer positions: ("D2", i, j, k), ...
 
     @property
@@ -161,12 +166,10 @@ class Audit(NamedTuple):
     def report(self) -> Report:
         """Each failed check where it failed, a passing one for every other subject."""
         failed = self.failed
-        if self.chain is None:
-            return Report(list(failed.values()), self.samples, VALIDATE)
         b = self.chain.bunch
         sk, n = b.skeleton, len(b.skeleton)
         unit_from = self.chain.thresholds()
-        checks = [Check("structure", "bunch", True, "structural")]
+        checks = [Check("structure", "bunch", True, "structural")]  # a `Bunch` is sound
         checks += [c for key, c in failed.items() if key[0] == "G1"] \
             or [Check("G1", sk[0], True, "structural")]
         checks.append(Check("D1", "all layers", True, "structural"))  # `Chain.lift`'s identity
@@ -192,23 +195,17 @@ class Audit(NamedTuple):
 
 def _audit(b: Bunch, samples: int) -> Audit:
     """Decide every bunch law in one pass and keep the checks that failed.
-    The chain build checks the structure (`structural_problems` runs only to
-    list a failure's problems).  A clause that holds by construction is not
-    computed: a transition at or past `Chain.thresholds` lands in any
-    subgroup, and a whole subgroup absorbs anything.  Otherwise the first
+    The bunch is structurally sound, so its chain is built first; an error of
+    that build, such as an unknown subgroup constructor, propagates.  A
+    clause that holds by construction is not computed: a transition at or
+    past `Chain.thresholds` lands in any subgroup, and a whole subgroup
+    absorbs anything.  Otherwise the first
     ``samples`` elements of the source group go through `Chain.lift`; at
     samples 0 the sampled clauses, G3 and D2, build no lift row or span."""
     if samples < 0:
         raise ValueError("samples must be at least 0")
     from .chain import Chain, _Memo  # here, since chain.py imports this module
-    try:
-        chain = Chain(b)
-    except TypeMismatch:
-        problems = structural_problems(b)
-        if not problems:
-            raise
-        return Audit(samples, None, {("structure", i): Check(
-            "structure", "bunch", False, "structural", p) for i, p in enumerate(problems)})
+    chain = Chain(b)
     unit_from = chain.thresholds()
     sk, n = b.skeleton, len(b.skeleton)
     # lifts[i][k] applies the transition from sk[i] up to sk[k] for i <= k;

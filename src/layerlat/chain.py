@@ -1,24 +1,26 @@
 """The involutive FL_e-chain built over a bunch.
 
 A `Chain` is its bunch's compiled form, over the bunch's own maps, which it
-does not copy.  Set-up checks the bunch's structure and builds four tables
-keyed by layer: the group's unit, comparison and operation, and the
-subgroup's membership test.  Each is ``dict(zip(layers, map(compiler,
-groups)))`` over an `lru_cache`d `ogroup` compiler; groups are hash-consed
-and hash by identity, so this iterates and hashes in C, with no Python
-frame per layer.  Everything else is built on first use:
+does not copy.  A `Bunch` is structurally sound, so set-up checks nothing;
+it builds four tables keyed by layer: the group's unit, comparison and
+operation, and the subgroup's membership test.  Each is ``dict(zip(layers,
+map(compiler, groups)))`` over an `lru_cache`d `ogroup` compiler; groups
+are hash-consed and hash by identity, so this iterates and hashes in C,
+with no Python frame per layer.  Set-up also builds the thresholds:
 
 * ``_unit_from``: per layer position i, the position just above the first
   step at or above ``sk[i]`` that is `og.hom_is_constant_unit` (``len(sk)``
-  when there is none), read off ``bunch.steps`` on first use, never off
-  `transition`.  Every DSL hom sends unit to unit, so a composite with a
-  constant-unit stage is the constant unit map (`og.hom_compose`'s absorb
-  rule): from that position up, every transition out of ``sk[i]`` is the
-  constant unit map.  There `mul` returns the higher operand itself (op(e,
-  g) = g, and the higher operand's dot is kept), `compare` lifts to the
-  target layer's unit and `lift` returns the constant map to that unit,
-  with no transition compiled.  A finite chain's steps are all unit maps,
-  so it compiles none.
+  when there is none), read off ``bunch.steps``, never off `transition`.
+  Every DSL hom sends unit to unit, so a composite with a constant-unit
+  stage is the constant unit map (`og.hom_compose`'s absorb rule): from
+  that position up, every transition out of ``sk[i]`` is the constant unit
+  map.  There `mul` returns the higher operand itself (op(e, g) = g, and
+  the higher operand's dot is kept), `compare` lifts to the target layer's
+  unit and `lift` returns the constant map to that unit, with no transition
+  compiled.  A finite chain's steps are all unit maps, so it compiles none.
+
+Everything else is built on first use:
+
 * ``_same``: one product kernel per layer, built on first use.  A class O
   or J layer whose group is non-trivial hash-conses its products (group
   values hash in C): a product with the layer unit returns the other
@@ -87,7 +89,7 @@ from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple
 
 from . import ogroup as og
-from .bunch import Bunch, BunchType, bunch_type, structural_problems, transition
+from .bunch import Bunch, BunchType, bunch_type, transition
 from .errors import CoverMissing, ParseError, TypeMismatch, UnknownLayer
 from .report import LAWS, Check, Report
 
@@ -103,12 +105,10 @@ class ChainElement(NamedTuple):
 
 
 class Chain:
-    """Decidable chain over a structurally sound bunch; immutable and pure."""
+    """Decidable chain over a structurally sound bunch; immutable and pure.
+    Set-up checks no structure and builds the thresholds (module docstring)."""
 
     def __init__(self, bunch: Bunch):
-        problems = structural_problems(bunch)
-        if problems:
-            raise TypeMismatch(f"bunch is structurally broken: {problems[0]}")
         self.bunch = bunch
         # the bunch's own maps, frozen by convention; labels are distinct here
         self._idx = bunch._positions
@@ -122,19 +122,17 @@ class Chain:
         self._tr = _Memo(lambda uv: og.hom_fn(transition(bunch, *uv)))
         self._same = _Memo(lambda u: _same_layer_kernel(bunch, u))
         self._neg = _Memo(lambda u: _complement_kernel(bunch, u))
-        self._unit_from: list[int] = []  # filled by thresholds on first use
-
-    def thresholds(self) -> list[int]:
-        """Fill ``_unit_from``: position i -> the least position from which
-        every transition out of layer i is the constant unit map (the module
-        docstring says why)."""
-        sk, steps = self.bunch.skeleton, self.bunch.steps
-        unit_from = [len(sk)] * len(sk)
+        sk, steps = bunch.skeleton, bunch.steps
+        self._unit_from = unit_from = [len(sk)] * len(sk)
         for i in range(len(sk) - 2, -1, -1):
             unit_from[i] = (i + 1 if og.hom_is_constant_unit(steps[sk[i], sk[i + 1]])
                             else unit_from[i + 1])
-        self._unit_from = unit_from
-        return unit_from
+
+    def thresholds(self) -> list[int]:
+        """``_unit_from``: position i -> the least position from which every
+        transition out of layer i is the constant unit map (the module
+        docstring says why)."""
+        return self._unit_from
 
     # -- structure ---------------------------------------------------------
 
@@ -164,7 +162,7 @@ class Chain:
         iu, iv = self.bunch.index(u), self.bunch.index(v)
         if iu == iv:
             return _identity
-        if iv >= (self._unit_from or self.thresholds())[iu]:
+        if iv >= self._unit_from[iu]:
             unit = self._unit[v]
             return lambda g: unit
         return self._tr[(u, v)]
@@ -186,7 +184,7 @@ class Chain:
                 return c
             return LT if x.dotted else GT
         iu, iv = self._idx[u], self._idx[v]
-        unit_from = self._unit_from or self.thresholds()
+        unit_from = self._unit_from
         if iu < iv:
             lifted = self._unit[v] if iv >= unit_from[iu] else self._tr[(u, v)](x.g)
             c = self._cmp[v](lifted, y.g)
@@ -204,7 +202,7 @@ class Chain:
         if u == v:
             return self._same[u](x, y)
         # past the threshold op(e, g) = g, and the higher operand's dot is kept
-        unit_from = self._unit_from or self.thresholds()
+        unit_from = self._unit_from
         iu, iv = self._idx[u], self._idx[v]
         if iu < iv:
             if iv >= unit_from[iu]:
@@ -226,7 +224,7 @@ class Chain:
         u, v = x.layer, ys[0].layer
         if u == v:
             return list(map(self._same[u], repeat(x), ys))
-        unit_from = self._unit_from or self.thresholds()
+        unit_from = self._unit_from
         iu, iv = self._idx[u], self._idx[v]
         if iu < iv:
             if iv >= unit_from[iu]:

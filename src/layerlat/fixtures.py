@@ -142,7 +142,9 @@ def _step_options(src: og.OGroup, dst: og.OGroup, dst_sub: og.Subgroup | None) -
 
 
 def random_bunch(rng: random.Random, max_layers: int = 3) -> Bunch:
-    """A seeded random bunch, guaranteed valid by construction and checked."""
+    """A seeded random bunch, guaranteed valid by construction and checked.
+    After a class-J layer it always steps by `unit_map`, so it never draws
+    the valid J-then-`project_first` shape (ROADMAP item 17's gap)."""
     n_layers = rng.randint(1, max_layers)
     labels = tuple("t" if i == 0 else f"u{i}" for i in range(n_layers))
     partition = {}

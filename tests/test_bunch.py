@@ -14,7 +14,6 @@ from layerlat.bunch import (Bunch, BunchType, bunch_from_json, bunch_to_json, bu
 from layerlat.chain import Chain, ChainElement
 from layerlat.densify import densify_driver
 from layerlat.errors import LayerOrderError, ParseError, TypeMismatch, UnknownLayer
-from layerlat.report import Check
 from guards import alternating
 
 
@@ -69,17 +68,23 @@ def test_validate_at_no_samples_reads_no_lift_for_its_sampled_clauses(monkeypatc
 
 
 def test_validate_checks_the_structure_once(monkeypatch):
+    # the constructor is the one place that decides structure: one call per
+    # `Bunch(...)`, none in a chain or a validation over the built bunch
     calls = []
 
     def counted(b):
         calls.append(b)
         return structural_problems(b)
 
-    for module in (bunch_module, chain_module):
-        monkeypatch.setattr(module, "structural_problems", counted)
+    monkeypatch.setattr(bunch_module, "structural_problems", counted)
+    assert not hasattr(chain_module, "structural_problems")
     b = fixtures.lz2()
+    assert len(calls) == 1 and calls[0] is b
+    Chain(b)
     assert validate(b).ok
-    assert calls == [b]
+    assert len(calls) == 1
+    copy = dataclasses.replace(b)
+    assert len(calls) == 2 and calls[1] is copy
 
 
 def test_a_build_error_of_a_structurally_sound_bunch_propagates():
@@ -346,14 +351,16 @@ def test_parse_accepts_non_ascending_labels():
 def test_labels_with_an_arrow_are_rejected():
     # the steps a->b -> a and a -> b->a would share the key "a->b->a"
     sk = ("a->b", "a", "b->a")
-    b = Bunch(sk, {"a->b": "O", "a": "I", "b->a": "I"}, {u: og.TRIVIAL for u in sk},
+    bad = "layer label {!r} is empty or contains ':' or '->'"
+    with pytest.raises(TypeMismatch) as raised:
+        Bunch(sk, {"a->b": "O", "a": "I", "b->a": "I"}, {u: og.TRIVIAL for u in sk},
               {u: og.whole(og.TRIVIAL) for u in sk[1:]},
               {(u, v): og.unit_map(og.TRIVIAL, og.TRIVIAL) for u, v in zip(sk, sk[1:])})
-    report = validate(b)
-    assert [(c.clause, c.ok) for c in report.checks] == [("structure", False)] * 2
-    assert "'->'" in report.checks[0].detail
-    doc = bunch_to_json(b)
-    assert list(doc["steps"]) == ["a->b->a"]
+    assert str(raised.value) == "bunch is structurally broken: " + "; ".join(
+        [bad.format("a->b"), bad.format("b->a")])
+    doc = {"skeleton": list(sk), "partition": {"a->b": "O", "a": "I", "b->a": "I"},
+           "groups": dict.fromkeys(sk, "trivial"), "subgroups": dict.fromkeys(sk[1:], "whole"),
+           "steps": {"a->b->a": "unit"}}
     with pytest.raises(ParseError, match="skeleton: bad label 'a->b'"):
         bunch_from_json(doc)
 
@@ -378,14 +385,14 @@ def _three_layers(groups, subgroups, steps) -> Bunch:
 
 
 LII, LIR = og.Lex(og.INT, og.INT), og.Lex(og.INT, og.RAT)
-BROKEN = {
-    "subgroup of 'a' has wrong ambient group": _three_layers(
+BROKEN = {  # built by the test, since construction raises
+    "subgroup of 'a' has wrong ambient group": lambda: _three_layers(
         (og.TRIVIAL, og.INT, og.INT), (og.whole(og.RAT), og.whole(og.INT)),
         (og.unit_map(og.TRIVIAL, og.INT), og.identity(og.INT))),
-    "step 'a'->'b' has wrong source group": _three_layers(
+    "step 'a'->'b' has wrong source group": lambda: _three_layers(
         (og.TRIVIAL, LII, LII), (og.whole(LII), og.first_zero(LII)),
         (og.unit_map(og.TRIVIAL, LII), og.unit_map(LIR, LII))),
-    "step 't'->'a' has wrong target group": _three_layers(
+    "step 't'->'a' has wrong target group": lambda: _three_layers(
         (og.TRIVIAL, og.INT, og.INT), (og.whole(og.INT), og.whole(og.INT)),
         (og.unit_map(og.TRIVIAL, og.RAT), og.scale_int(2))),
 }
@@ -393,13 +400,9 @@ BROKEN = {
 
 @pytest.mark.parametrize("problem", sorted(BROKEN))
 def test_structural_mismatches_are_reported_by_every_reader(problem):
-    b = BROKEN[problem]
-    assert structural_problems(b) == [problem]
-    report = validate(b)
-    assert not report.ok
-    assert report.checks == [Check("structure", "bunch", False, "structural", problem)]
+    # the constructor is the one reader: no broken bunch reaches a chain or `validate`
     with pytest.raises(TypeMismatch, match=f"^bunch is structurally broken: {problem}$"):
-        Chain(b)
+        BROKEN[problem]()
 
 
 def test_groups_built_apart_are_one_group_to_the_structure_check():

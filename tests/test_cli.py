@@ -13,14 +13,15 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layerlat import cli, fixtures, ogroup as og, report as report_module
-from layerlat.bunch import Bunch, bunch_from_json, serialize_bunch
+from layerlat.bunch import Bunch, bunch_from_json, parse_bunch, serialize_bunch
 from layerlat.chain import Chain, check_chain_laws, parse_element
 from layerlat.decompose import table_of_chain
 from layerlat.densify import insert_above
 from layerlat.embed import EmbeddingSpec, identity_embedding, serialize_embedding_spec
+from layerlat.errors import ParseError
 from layerlat.oracle import format_table_csv
 from layerlat.standardize import cantor_map
 
@@ -371,6 +372,33 @@ def test_mutated_documents_never_end_in_a_traceback(tmp_path_factory, call):
     code, err = cli_exit(["--samples", "20"] + [a.format(**files) for a in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+BROKEN_DOCS = [  # each would be a structurally broken bunch past the parser
+    {"skeleton": ["t", "u", "t"], "partition": {"t": "O", "u": "I"},
+     "groups": {"t": "trivial", "u": "trivial"}, "subgroups": {"u": "whole"},
+     "steps": {"t->u": "unit", "u->t": "unit"}},
+    {"skeleton": ["t", "u"], "partition": {"t": "O", "u": "I"}, "groups": {"t": "int", "u": "int"},
+     "subgroups": {"u": "whole"}, "steps": {"t->u": "int_to_rat"}},
+    {"skeleton": ["a->b", "a", "b->a"], "partition": {"a->b": "O", "a": "I", "b->a": "I"},
+     "groups": {"a->b": "trivial", "a": "trivial", "b->a": "trivial"},
+     "subgroups": {"a": "whole", "b->a": "whole"}, "steps": {"a->b->a": "unit"}},
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(FIXTURE_DOCS)).flatmap(lambda name: mutated(FIXTURE_DOCS[name])))
+@example(json.dumps(BROKEN_DOCS[0]))
+@example(json.dumps(BROKEN_DOCS[1]))
+@example(json.dumps(BROKEN_DOCS[2]))
+def test_a_mutated_document_parses_or_raises_a_parse_error(text):
+    # the parser names every structural defect by its field, so the
+    # constructor's TypeMismatch is a backstop that no CLI input reaches
+    try:
+        b = parse_bunch(text)
+    except ParseError:
+        return
+    assert isinstance(b, Bunch)
 
 
 # -- pinned renders ------------------------------------------------------------

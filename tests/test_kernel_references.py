@@ -15,11 +15,12 @@ failures were audited apart, the densify driver that builds a bunch and its
 Chain for every insertion, the table decomposition and round trip that run
 the full axiom oracle before decomposing, the window export that floors a
 product by a linear scan, the recovery identities that list each layer's
-points and compose each transition themselves, and the chain's compare, mul
-and zeta, which lift every pair across layers through its compiled
-transition (``ReferenceKernels``), and the same-layer product that builds a
-new point on every call (``fresh_same_layer_product``), and the enumeration
-that streamed every layer, trivial ones included.  The current kernels
+points and compose each transition themselves, the chain's compare, mul,
+negate and zeta (``ReferenceKernels``), which decide EQ by tuple equality,
+build a new same-layer product on every call, look up a class-J layer's
+cover on every complement and lift every pair across layers through its
+compiled transition, and the enumeration that streamed every layer, trivial
+ones included.  The current kernels
 decide each law value once over interned element ids, compare ranks instead
 of values in a lower-triangular table, multiply each extension pair once,
 compile each transition pair once and stream each layer's samples once,
@@ -50,7 +51,7 @@ import pytest
 from layerlat import (bunch as bunch_module, chain as chain_module, cli,
                       decompose as decompose_module, fixtures, ogroup as og)
 from layerlat.bunch import (Bunch, BunchType, _audit, bunch_type, serialize_bunch,
-                            structural_problems, transition, validate)
+                            transition, validate)
 from layerlat.chain import Chain, ChainElement, _sample_triples, check_chain_laws, format_element
 from layerlat.decompose import (DecompositionResult, RoundTripWitness, decompose_table,
                                 recover_bunch_samples, roundtrip_table, table_of_chain,
@@ -436,10 +437,6 @@ def reference_validate(b: Bunch, samples: int = 100) -> Report:
     sampled G3 pair through `transition` and D2 by `reference_validate_d2`.
     Its values read `transition` from its module, so a patched one reaches
     them; G3 is structural where the real transition is the constant unit."""
-    problems = structural_problems(b)
-    if problems:
-        return Report([Check("structure", "bunch", False, "structural", p) for p in problems],
-                      samples, VALIDATE)
     checks = [Check("structure", "bunch", True, "structural")]
     sk = b.skeleton
     checks += [Check("G1", u, False, "structural", "class O is reserved for the least layer")
@@ -580,8 +577,7 @@ def test_d2_checks_match_the_reference(samples):
 
 
 def rejected_bunches() -> list[Bunch]:
-    """The G1, G2 and G3 counterexamples of the bunch and CLI tests, and a
-    bunch with a step of the wrong source group."""
+    """The G1, G2 and G3 counterexamples of the bunch and CLI tests."""
     trivial2 = {"t": og.TRIVIAL, "u": og.TRIVIAL}
     unit = {("t", "u"): og.unit_map(og.TRIVIAL, og.TRIVIAL)}
     return [
@@ -591,9 +587,16 @@ def rejected_bunches() -> list[Bunch]:
               {"u": og.whole(og.INT)}, {("t", "u"): og.identity(og.INT)}),
         Bunch(("t", "u"), {"t": "O", "u": "I"}, {"t": og.INT, "u": og.INT},
               {"u": og.int_multiples(2)}, {("t", "u"): og.identity(og.INT)}),
-        Bunch(("t", "u"), {"t": "O", "u": "I"}, trivial2, {"u": og.whole(og.TRIVIAL)},
-              {("t", "u"): og.identity(og.INT)}),
     ]
+
+
+def test_a_step_of_the_wrong_groups_raises_at_construction():
+    # so no such bunch reaches `_audit` or its reference
+    with pytest.raises(TypeMismatch, match="^bunch is structurally broken: "
+                       "step 't'->'u' has wrong source group; "
+                       "step 't'->'u' has wrong target group$"):
+        Bunch(("t", "u"), {"t": "O", "u": "I"}, {"t": og.TRIVIAL, "u": og.TRIVIAL},
+              {"u": og.whole(og.TRIVIAL)}, {("t", "u"): og.identity(og.INT)})
 
 
 def assert_audit_matches_the_reference(b: Bunch, samples: int = 100) -> Report:
@@ -1996,9 +1999,12 @@ def test_window_tables_match_the_scanning_reference(name):
 
 
 class ReferenceKernels:
-    """`Chain.compare`, `mul` and `zeta` as they were: per-layer function
-    tables, and every pair across layers lifted through its own compiled
-    transition, ``og.hom_fn(transition(...))``, memoised per pair."""
+    """`Chain.compare`, `mul`, `negate` and `zeta` as they were: per-layer
+    function tables, EQ decided by ``x == y`` first, every product a new
+    point, one cover lookup per class-J complement, and every pair across
+    layers lifted through its own compiled transition,
+    ``og.hom_fn(transition(...))``, memoised per pair.  It reads nothing of
+    the `Chain` it is compared with."""
 
     def __init__(self, b: Bunch):
         self.b = b
@@ -2057,6 +2063,20 @@ class ReferenceKernels:
         p = self._op[w](self.tr(lo.layer, w)(lo.g), hi.g)
         return ChainElement(w, p, hi.dotted)
 
+    def negate(self, x: ChainElement) -> ChainElement:
+        u = x.layer
+        group = self.b.groups[u]
+        inv = og.inv_fn(group)(x.g)
+        cls = self._cls[u]
+        if cls == "I":
+            return ChainElement(u, inv, not x.dotted and self._member[u](x.g))
+        if cls == "J":
+            down = og.cover_fn(group, -1)(inv)
+            if down is None:
+                raise CoverMissing(f"class-J layer {u!r} has no covers")
+            return ChainElement(u, down, False)
+        return ChainElement(u, inv, False)
+
 
 def call_outcome(fn, *args) -> tuple:
     try:
@@ -2095,7 +2115,7 @@ def test_the_unit_inside_bunch_is_valid_with_its_threshold_inside():
 def test_a_chain_that_only_enumerates_fills_no_threshold():
     chain = Chain(fixtures.finite_bunch(255))
     assert sum(1 for _ in chain.enumerate_elements()) == 255
-    assert chain._unit_from == [] and chain._tr == {} and chain._same == {}
+    assert chain._tr == {} and chain._same == {}  # its thresholds are built at set-up
 
 
 def reference_enumerate_elements(chain: Chain):
@@ -2206,17 +2226,6 @@ def test_densify_compiles_no_transition(monkeypatch, rounds):
 # same-layer product tables
 
 
-def fresh_same_layer_product(b: Bunch, x: ChainElement, y: ChainElement) -> ChainElement:
-    """x * y for two points of one layer, each product a new point, as the
-    kernels were before they tabled their products."""
-    u = x.layer
-    p = og.op_fn(b.groups[u])(x.g, y.g)
-    if b.partition[u] != "I":
-        return ChainElement(u, p, False)
-    mem = og.member_fn(b.subgroups[u])
-    return ChainElement(u, p, mem(p) and (x.dotted or y.dotted or not (mem(x.g) and mem(y.g))))
-
-
 def table_bunches() -> list[Bunch]:
     bunches = [f() for _, f in sorted(fixtures.ALL.items())]
     return bunches + [fixtures.random_bunch(random.Random(k), max_layers=4) for k in range(40)]
@@ -2229,12 +2238,12 @@ def tables(chain: Chain) -> dict[str, dict]:
 def test_same_layer_products_match_the_fresh_reference():
     tabled = 0
     for i, b in enumerate(table_bunches()):
-        chain = Chain(b)
+        chain, reference = Chain(b), ReferenceKernels(b)
         points = list(islice(chain.enumerate_elements(), 64))
         for x, y in product(points, repeat=2):
             if x.layer != y.layer:
                 continue
-            z, ref = chain.mul(x, y), fresh_same_layer_product(b, x, y)
+            z, ref = chain.mul(x, y), reference.mul(x, y)
             assert (z, type(z), z.dotted, type(z.g)) == \
                 (ref, ChainElement, ref.dotted, type(ref.g)), (i, x, y)
         tabled += len(tables(chain))
@@ -2263,13 +2272,13 @@ def test_equal_products_on_a_tabled_layer_are_one_object(b):
 @pytest.mark.parametrize("b, u", [
     (lex_layer(og.RAT), "t"), (lex_layer(og.Lex(og.INT, og.RAT)), "t"),
     (lex_layer(og.Lex(og.RAT, og.INT)), "t"), (fixtures.lz(), "u"), (fixtures.lz2(), "u")])
-def test_rat_factors_and_class_i_layers_build_no_table(b, u):
+def test_rat_layers_table_their_products_and_class_i_layers_build_none(b, u):
     # Rat values are int pairs, so a Rat layer of class O tables its products
-    # as any other does; a class-I layer still builds no table
-    chain = Chain(b)
+    # as any other does; a class-I layer builds no table
+    chain, reference = Chain(b), ReferenceKernels(b)
     points = [x for x in islice(chain.enumerate_elements(), 64) if x.layer == u]
     products = [chain.mul(x, y) for x in points for y in points]
-    assert products == [fresh_same_layer_product(b, x, y) for x in points for y in points]
+    assert products == [reference.mul(x, y) for x in points for y in points]
     if b.partition[u] == "I":
         assert not hasattr(chain._same[u], "table")
     else:
@@ -2317,48 +2326,7 @@ def test_tables_stay_small_through_the_checks(name):
 
 
 # ---------------------------------------------------------------------------
-# order and complement: the methods that decided equality by tuple equality
-# and looked up the layer's cover on every class-J complement
-
-
-def reference_compare(chain: Chain, x: ChainElement, y: ChainElement) -> int:
-    """`Chain.compare` as it was, deciding EQ by ``x == y`` first."""
-    if x == y:
-        return EQ
-    u, v = x.layer, y.layer
-    iu, iv = chain._idx[u], chain._idx[v]
-    if iu == iv:
-        c = chain._cmp[u](x.g, y.g)
-        if c:
-            return c
-        return LT if x.dotted else GT
-    unit_from = chain._unit_from or chain.thresholds()
-    if iu < iv:
-        lifted = chain._unit[v] if iv >= unit_from[iu] else chain._tr[(u, v)](x.g)
-        c = chain._cmp[v](lifted, y.g)
-        if c:
-            return c
-        return GT if y.dotted else LT
-    lifted = chain._unit[u] if iu >= unit_from[iv] else chain._tr[(v, u)](y.g)
-    c = chain._cmp[u](x.g, lifted)
-    if c:
-        return c
-    return LT if x.dotted else GT
-
-
-def reference_negate(chain: Chain, x: ChainElement) -> ChainElement:
-    """`Chain.negate` as it was, with one cover lookup per class-J call."""
-    u = x.layer
-    inv = og.inv_fn(chain.bunch.groups[u])(x.g)
-    cls = chain._cls[u]
-    if cls == "I":
-        return ChainElement(u, inv, not x.dotted and chain._member[u](x.g))
-    if cls == "J":
-        down = og.cover_fn(chain.bunch.groups[u], -1)(inv)
-        if down is None:
-            raise CoverMissing(f"class-J layer {u!r} has no covers")
-        return ChainElement(u, down, False)
-    return ChainElement(u, inv, False)
+# order and complement against `ReferenceKernels`, on equal twins too
 
 
 def fresh_value(g: og.GElem) -> og.GElem:
@@ -2375,23 +2343,24 @@ def twin(x: ChainElement) -> ChainElement:
 def test_compare_and_negate_match_the_earlier_methods():
     twins = dotted_pairs = 0
     for i, b in enumerate(table_bunches()):
-        chain = Chain(b)
+        chain, reference = Chain(b), ReferenceKernels(b)
         pool = list(islice(chain.enumerate_elements(), 64))
         points = pool + [twin(x) for x in pool]
         twins += sum(1 for x in pool if isinstance(x.g, tuple))
         for x in points:
-            z, ref = call_outcome(chain.negate, x), call_outcome(reference_negate, chain, x)
+            z, ref = call_outcome(chain.negate, x), call_outcome(reference.negate, x)
             assert z == ref and type(z[1]) is type(ref[1]), (i, x)
             for y in points:
-                assert chain.compare(x, y) == reference_compare(chain, x, y), (i, x, y)
+                assert chain.compare(x, y) == reference.compare(x, y), (i, x, y)
                 dotted_pairs += x.layer == y.layer and x.g == y.g and x.dotted != y.dotted
     assert twins > 1000 and dotted_pairs > 1000
 
 
 def test_a_class_j_complement_without_covers_raises_at_the_call():
-    chain = Chain(Bunch(("t",), {"t": "J"}, {"t": og.RAT}, {}, {}))
+    b = Bunch(("t",), {"t": "J"}, {"t": og.RAT}, {}, {})
+    chain, reference = Chain(b), ReferenceKernels(b)
     x = ChainElement("t", (1, 2))
     assert chain.compare(x, x) == EQ and chain.mul(x, x) == ChainElement("t", (1, 1))
     for _ in range(2):  # once building the layer's kernel, once with it built
-        assert call_outcome(chain.negate, x) == call_outcome(reference_negate, chain, x) \
+        assert call_outcome(chain.negate, x) == call_outcome(reference.negate, x) \
             == (CoverMissing, "class-J layer 't' has no covers")
