@@ -56,10 +56,10 @@ immediately below their undotted originals.  Order, product, residual
 complement, and residuum are all decided from the bunch data:
 
 * order: push both points up to the higher layer along the transition; a
-  strict group comparison decides, and ties are broken by layer position
-  and dottedness.  So two points are EQ exactly when they lie on one layer,
-  their group parts compare EQ and their dots agree: `compare` tests no
-  tuple equality;
+  strict group comparison decides.  On a tie, on one layer the dotted point
+  sits just below its undotted twin, and across layers u < v, x on u lies
+  below y on v unless y is dotted.  So two points are EQ exactly when they
+  lie on one layer, their group parts tie and their dots agree;
 * product: multiply the lifted group parts in the higher layer's group; the
   result is dotted when the higher operand is dotted across distinct layers,
   or, within one class-I layer, when the product lands in the subgroup and

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pickle
 import random
 import sys
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key
 from itertools import islice
 
 import pytest
@@ -17,6 +17,7 @@ from layerlat.errors import (CoverMissing, LayerOrderError, ParseError, TypeMism
                              UnknownLayer)
 from layerlat.oracle import brute_residuum, check_flea_axioms
 from guards import alternating
+from model import Model
 from table_search import lawful_tables
 
 UNIT = og.UNIT
@@ -351,22 +352,9 @@ def test_eval_across_a_transition_past_the_recursion_limit(shape, tmp_path, caps
     assert capsys.readouterr().out == "GT\n"
 
 
-def flat_stages(h: og.Hom) -> list[og.Hom]:
-    """Every stage of ``h``'s compose tree, innermost first, none cancelled."""
-    stages, todo = [], [h]
-    while todo:
-        g = todo.pop()
-        if g.op == "compose":
-            todo.extend(g.parts)
-        else:
-            stages.append(g)
-    return stages
-
-
-def uncancelled(h: og.Hom):
-    """``h`` applied stage by stage, through every stage of its compose tree."""
-    fns = [og.hom_fn(g) for g in flat_stages(h)]
-    return lambda x: reduce(lambda acc, f: f(acc), fns, x)
+def stage_count(h: og.Hom) -> int:
+    """The number of stages of ``h``'s compose tree, none cancelled."""
+    return sum(map(stage_count, h.parts)) if h.op == "compose" else 1
 
 
 def test_the_alternating_transition_compiles_to_at_most_two_stages():
@@ -396,13 +384,15 @@ def test_the_reverse_pair_stays():
 
 @pytest.mark.parametrize("shape", ["alternating", "composite", "scaled"])
 def test_cancelled_transitions_give_the_uncancelled_values(shape):
+    # the model folds the steps one by one and cancels nothing
     b = long_bunch(shape)
-    sk, rng = b.skeleton, random.Random(shape)
+    sk, rng, model = b.skeleton, random.Random(shape), Model(b)
     pairs = [(0, len(sk) - 1)] + sorted(sorted(rng.sample(range(len(sk)), 2)) for _ in range(40))
     for i, k in pairs:
         h = transition(b, sk[i], sk[k])
         xs = list(islice(og.g_enumerate(b.groups[sk[i]]), 30))
-        assert [og.hom_fn(h)(x) for x in xs] == [uncancelled(h)(x) for x in xs], (i, k)
+        assert [og.hom_fn(h)(x) for x in xs] == \
+            [model.zeta(sk[i], sk[k], ChainElement(sk[i], x)) for x in xs], (i, k)
 
 
 def walk_bunch(rng: random.Random, n: int) -> Bunch:
@@ -428,12 +418,14 @@ def test_cancelled_random_transitions_give_the_uncancelled_values():
     rng, cancelled = random.Random(29), 0
     for _ in range(60):
         b = walk_bunch(rng, 12)
+        model = Model(b)
         for i, u in enumerate(b.skeleton):
             xs = list(islice(og.g_enumerate(b.groups[u]), 20))
             for v in b.skeleton[i + 1:]:
                 h = transition(b, u, v)
-                assert [og.hom_fn(h)(x) for x in xs] == [uncancelled(h)(x) for x in xs]
-                cancelled += len(og._stages(h)) < len(flat_stages(h))
+                assert [og.hom_fn(h)(x) for x in xs] == \
+                    [model.zeta(u, v, ChainElement(u, x)) for x in xs]
+                cancelled += len(og._stages(h)) < stage_count(h)
     assert cancelled > 1000
 
 

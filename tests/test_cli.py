@@ -302,12 +302,28 @@ def doc_paths(doc, prefix=()):
             yield from doc_paths(value, prefix + (i,))
 
 
+SAME_KIND = {  # the names a bunch document gives a group, a subgroup or a step hom
+    "groups": ["trivial", "int", "rat", {"lex": ["int", "int"]}, {"lex": ["int", "rat"]}],
+    "subgroups": ["whole", "int_in_rat", "first_zero", {"int_multiples": 2}],
+    "steps": ["unit", "id", "int_to_rat", "inject_first", "project_first", {"scale_int": 2}],
+}
+
+
 @st.composite
 def mutated(draw, doc):
-    """``doc`` with one to three values replaced, keys or items deleted, or
-    keys or items added; returned as JSON text."""
+    """``doc`` with one to three values replaced, keys or items deleted, keys
+    or items added, or a group, subgroup or step swapped for another name of
+    its kind, which keeps the keys consistent; returned as JSON text."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
+        fields = [f for f in SAME_KIND
+                  if isinstance(doc, dict) and isinstance(doc.get(f), dict) and doc[f]]
+        if fields and draw(st.booleans()):
+            field = draw(st.sampled_from(fields))
+            key = draw(st.sampled_from(sorted(doc[field])))
+            # a copy, since a later mutation may edit it in place
+            doc[field][key] = copy.deepcopy(draw(st.sampled_from(SAME_KIND[field])))
+            continue
         path = draw(st.sampled_from(list(doc_paths(doc))))
         action = draw(st.sampled_from(["replace", "delete", "add"]))
         value = draw(VALUES)

@@ -6,6 +6,7 @@ import pytest
 
 from layerlat import (bunch as bunch_module, chain as chain_module, decompose, embed, fixtures,
                       ogroup as og)
+from layerlat.bunch import Bunch
 from layerlat.chain import Chain
 from layerlat.decompose import recover_bunch_samples
 from layerlat.densify import insert_above
@@ -91,6 +92,16 @@ def test_ze_doubling_fails_unit_cover(ze_chain):
     cover = next(c for c in report.checks if c.clause == "unit-cover")
     assert not cover.ok  # 1 doubles to 2, but the unit cover is 1
     assert not report.ok
+
+
+def test_a_class_j_source_without_a_unit_cover_fails_unit_cover():
+    lex = og.Lex(og.INT, og.RAT)  # ruled by its dense right factor
+    src = Chain(Bunch(("t",), {"t": "J"}, {"t": lex}, {}, {}))
+    dst = Chain(Bunch(("t",), {"t": "J"}, {"t": og.INT}, {}, {}))
+    report = check_embedding(src, dst, EmbeddingSpec({"t": "t"}, {"t": og.project_first(lex)}))
+    cover, constants = report.first("unit-cover"), report.first("element-constants")
+    assert (cover.ok, cover.detail) == (False, "the unit of 't' has no upper cover")
+    assert (constants.ok, constants.detail) == (False, "class-J layer 't' has no covers")
 
 
 def test_ze_identity_embeds_into_itself(ze_chain):

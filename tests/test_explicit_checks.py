@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = sorted((ROOT / "src" / "layerlat").rglob("*.py")) + [
-    ROOT / "tests" / name for name in ("guards.py", "table_search.py", "conftest.py")]
+    ROOT / "tests" / name for name in ("guards.py", "table_search.py", "conftest.py", "model.py")]
 
 
 def debug_only_checks(source: str, name: str) -> list[str]:

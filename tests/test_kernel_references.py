@@ -1,37 +1,17 @@
-"""The law, embedding, sup-table and validation kernels against their
-earlier loops.
+"""The package's kernels and checkers against slower statements of them.
 
-Each ``reference_*`` function below is the earlier implementation, kept
-literally but for the `report.Check`s it builds: the law checker with
-element-keyed memos (ordered, so that a product never stands in for its
-mirror), the embedding checker that maps every element through
-``element_map``, the ``Fraction``-valued prefix-maximum table behind
-``sup_extend`` (minus its per-placement cache, which now holds rank tables)
-with its own binary search and its full square table, the extension that
-multiplies every pair of its snapshot again in each pass, `validate`'s D2
-triple loop, which compiles three transitions and draws the sample pool
-afresh for every triple, and its whole report built check by check, before
-failures were audited apart, the densify driver that builds a bunch and its
-Chain for every insertion, the table decomposition and round trip that run
-the full axiom oracle before decomposing, the window export that floors a
-product by a linear scan, the recovery identities that list each layer's
-points and compose each transition themselves, the chain's compare, mul,
-negate and zeta (``ReferenceKernels``), which decide EQ by tuple equality,
-build a new same-layer product on every call, look up a class-J layer's
-cover on every complement and lift every pair across layers through its
-compiled transition, and the enumeration that streamed every layer, trivial
-ones included.  The current kernels
-decide each law value once over interned element ids, compare ranks instead
-of values in a lower-triangular table, multiply each extension pair once,
-compile each transition pair once and stream each layer's samples once,
-splice each densify pass into one bunch, certify a table by its
-reconstruction, floor by bisection, read the chain's own layer blocks and
-transitions, decide constant-unit transitions by one threshold per layer and
-table equal same-layer products as one point; these tests pin that their
-reports, values and errors are unchanged, on passing and on deliberately
-broken inputs.  The reports on the random bunches with `Rat` layers are
-pinned by digests recorded while `ogroup` added, negated and compared
-Fractions through their operators, before its integer kernels.
+The chain's order, product, complement, zeta and enumeration are checked
+against `model.Model` (tests/model.py), on equal twins of points too.  Each
+checker keeps its earlier loop as a ``reference_*`` function, literal but for
+the `report.Check`s it builds: the embedding check, the product extension and
+``sup_extend``'s prefix-maximum table, `validate`'s D2 triple loop and report,
+the recovery identities, the per-insertion densify driver, the oracle-first
+decomposition and round trip, and the scanning window export.  `literal_laws`
+is `check_chain_laws` with every value computed afresh.  The tests pin that
+reports, values and errors are unchanged, on passing and on broken inputs,
+and pin the raw-call counts no reference states.  The reports on random
+bunches with `Rat` layers are pinned by digests recorded while `ogroup` ran
+Fractions through their operators.
 """
 
 from __future__ import annotations
@@ -68,6 +48,7 @@ from layerlat.oracle import CayleyTable, brute_residuum, check_flea_axioms, form
 from layerlat.report import EMBED, LAWS, RECOVER, VALIDATE, Check, Report
 from layerlat.standardize import (RationalPlacement, cantor_map, extend_with_products,
                                   sup_extend)
+from model import Model, factors
 from table_search import lawful_tables
 
 EQ, LT, GT = og.EQ, og.LT, og.GT
@@ -75,126 +56,6 @@ EQ, LT, GT = og.EQ, og.LT, og.GT
 
 # ---------------------------------------------------------------------------
 # the earlier loops
-
-
-def law_check(law: str, checked: int, failures: list[str]) -> Check:
-    return Check(law, f"{checked} samples", not failures, "sampled",
-                 failures[0] if failures else "", checked)
-
-
-def reference_check_chain_laws(chain: Chain, samples: int = 10_000, pool_size: int = 48,
-                               seed: int = 0) -> Report:
-    """Sample-check the chain axioms on random triples from an enumerated pool.
-
-    Covers order totality/transitivity, commutativity, associativity, the
-    unit law, monotonicity, adjointness, involution, and the odd/even shape
-    of the falsum.  Finite chains get their whole carrier as the pool.
-    """
-    pool = list(islice(chain.enumerate_elements(), pool_size))
-    n = len(pool)
-    rng = random.Random(seed)
-    triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-               for _ in range(samples)]
-    t, f = chain.constants()
-    cmp = chain.compare
-    raw_mul = chain.mul
-    mul_memo: dict = {}
-
-    def mul(a, b):
-        key = (a, b)
-        r = mul_memo.get(key)
-        if r is None:
-            r = raw_mul(a, b)
-            mul_memo[key] = r
-        return r
-
-    neg_memo: dict = {}
-
-    def neg(a):
-        r = neg_memo.get(a)
-        if r is None:
-            r = chain.negate(a)
-            neg_memo[a] = r
-        return r
-
-    results = []
-
-    failures = []
-    for i, j, k in triples:
-        x, y, z = pool[i], pool[j], pool[k]
-        if cmp(x, y) != -cmp(y, x):
-            failures.append(f"asymmetry broken at {x}, {y}")
-        elif (x == y) != (cmp(x, y) == EQ):
-            failures.append(f"equality vs EQ mismatch at {x}, {y}")
-        elif cmp(x, y) <= 0 and cmp(y, z) <= 0 and cmp(x, z) > 0:
-            failures.append(f"transitivity broken at {x}, {y}, {z}")
-        if failures:
-            break
-    results.append(law_check("totality", len(triples), failures))
-
-    failures = []
-    for i, j, _ in triples:
-        x, y = pool[i], pool[j]
-        if raw_mul(x, y) != raw_mul(y, x):
-            failures.append(f"{x} * {y}")
-            break
-    results.append(law_check("commutativity", len(triples), failures))
-
-    failures = []
-    for i, j, k in triples:
-        x, y, z = pool[i], pool[j], pool[k]
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            failures.append(f"{x}, {y}, {z}")
-            break
-    results.append(law_check("associativity", len(triples), failures))
-
-    failures = []
-    for x in pool:
-        if raw_mul(t, x) != x or raw_mul(x, t) != x:
-            failures.append(f"{x}")
-            break
-    results.append(law_check("unit", n, failures))
-
-    failures = []
-    for i, j, k in triples:
-        x, y, z = pool[i], pool[j], pool[k]
-        if cmp(x, y) <= 0 and cmp(mul(x, z), mul(y, z)) > 0:
-            failures.append(f"{x} <= {y} but products reversed with {z}")
-            break
-    results.append(law_check("monotonicity", len(triples), failures))
-
-    failures = []
-    for i, j, k in triples:
-        x, v, z = pool[i], pool[j], pool[k]
-        r = neg(mul(x, neg(z)))
-        if (cmp(mul(x, v), z) <= 0) != (cmp(v, r) <= 0):
-            failures.append(f"x={x}, v={v}, z={z}")
-            break
-    results.append(law_check("adjointness", len(triples), failures))
-
-    failures = []
-    for x in pool:
-        if neg(neg(x)) != x:
-            failures.append(f"{x}")
-            break
-    results.append(law_check("involution", n, failures))
-
-    failures = []
-    kind = chain.type()
-    if kind == BunchType.ODD:
-        if f != t:
-            failures.append("odd chain must fix the unit under complement")
-    else:
-        if cmp(f, t) != LT:
-            failures.append("even chain needs falsum strictly below unit")
-        else:
-            for x in pool:
-                if cmp(f, x) == LT and cmp(x, t) == LT:
-                    failures.append(f"{x} lies strictly between falsum and unit")
-                    break
-    results.append(law_check("falsum-shape", n, failures))
-
-    return Report(results, samples, LAWS)
 
 
 def reference_check_embedding(src: Chain, dst: Chain, spec: EmbeddingSpec,
@@ -495,16 +356,9 @@ def reference_recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report
         raise ValueError("samples must be at least 0")
     b = chain.bunch
     per_layer = max(1, samples // len(b.skeleton)) if samples else 0
-    pools: dict[str, list[ChainElement]] = {}
-    for u in b.skeleton:
-        pool = []
-        member = og.member_fn(b.subgroups[u]) if b.partition[u] == "I" else None
-        for g in islice(og.g_enumerate(b.groups[u]), per_layer):
-            pool.append(ChainElement(u, g, False))
-            if member is not None and member(g):
-                pool.append(ChainElement(u, g, True))
-        pools[u] = pool
-
+    model = Model(b)  # the points of each layer and their transitions
+    pools = {u: [x for block in islice(model.stream(u), per_layer) for x in block]
+             for u in b.skeleton}
     idem = {u: ChainElement(u, og.g_unit(b.groups[u]), False) for u in b.skeleton}
     tried = dict.fromkeys("abcd", 0)
     first: dict[str, str] = {}
@@ -536,12 +390,11 @@ def reference_recover_bunch_samples(chain: Chain, samples: int = 1000) -> Report
                     fail("d", f"dot projection broken at {x}")
         iu = b.index(u)
         for v in b.skeleton[iu:]:
-            tr = og.hom_fn(transition(b, u, v))
             for x in pools[u]:
                 if x.dotted:
                     continue
                 tried["c"] += 1
-                if chain.mul(idem[v], x) != ChainElement(v, tr(x.g), False):
+                if chain.mul(idem[v], x) != ChainElement(v, model.zeta(u, v, x), False):
                     fail("c", f"idempotent multiplication is not the transition at {x} -> {v}")
     checks = [Check(f"({k})", subject, k not in first, "sampled", first.get(k, ""), tried[k])
               for k, subject in (("a", "local units"), ("b", "class-I invertibility"),
@@ -695,7 +548,7 @@ def law_bunches() -> list[tuple[str, object]]:
 
 def same_laws(chain: Chain, **kw) -> Report:
     new = check_chain_laws(chain, **kw)
-    ref = reference_check_chain_laws(chain, **kw)
+    ref = literal_laws(chain, **kw)
     assert new.render() == ref.render()
     # the unit, involution and falsum-shape checks count the pool
     assert [(c.clause, c.samples, c.ok, c.detail) for c in new.checks] == \
@@ -767,7 +620,7 @@ def test_commutativity_failure_matches_the_reference_on_a_non_commutative_mul():
     failed = 0
     for i, chain in enumerate(broken_chains(keep_the_left)):
         new = check_chain_laws(chain, samples=400, seed=i)
-        ref = reference_check_chain_laws(chain, samples=400, seed=i)
+        ref = literal_laws(chain, samples=400, seed=i)
         assert new.checks[1].clause == "commutativity"
         assert new.render().splitlines()[1] == ref.render().splitlines()[1]
         assert new.checks[1].detail == ref.checks[1].detail
@@ -872,14 +725,14 @@ def test_the_law_tables_are_freed_on_return():
         gc.enable()
 
 
-def literal_laws(chain: Chain, samples: int, seed: int,
-                 pool_size: int = 48) -> list[tuple[str, bool, str]]:
-    """(clause, ok, detail) of each law `check_chain_laws` checks, with every
-    value computed afresh by the chain's own calls, in the orientation the
-    law writes it, with no memo at all."""
-    pool = list(islice(chain.enumerate_elements(), pool_size))
-    triples = [(pool[i], pool[j], pool[k])
-               for i, j, k in _sample_triples(len(pool), samples, seed)]
+def literal_laws(chain: Chain, samples: int = 10_000, seed: int = 0) -> Report:
+    """`check_chain_laws` with every value computed afresh by the chain's own
+    calls, in the orientation the law writes it, with no memo at all, on
+    triples drawn by `random.Random(seed).randrange`."""
+    pool = list(islice(chain.enumerate_elements(), 48))
+    n, rng = len(pool), random.Random(seed)
+    triples = [(pool[rng.randrange(n)], pool[rng.randrange(n)], pool[rng.randrange(n)])
+               for _ in range(samples)]
     t, f = chain.constants()
     cmp, mul, neg = chain.compare, chain.mul, chain.negate
 
@@ -903,32 +756,27 @@ def literal_laws(chain: Chain, samples: int, seed: int,
         falsum = first(f"{x} lies strictly between falsum and unit" for x in pool
                        if cmp(f, x) == LT and cmp(x, t) == LT)
     details = [
-        ("totality", first(totality(x, y, z) for x, y, z in triples)),
-        ("commutativity", first(f"{x} * {y}" for x, y, _ in triples
-                                if mul(x, y) != mul(y, x))),
-        ("associativity", first(f"{x}, {y}, {z}" for x, y, z in triples
-                                if mul(mul(x, y), z) != mul(x, mul(y, z)))),
-        ("unit", first(f"{x}" for x in pool if mul(t, x) != x or mul(x, t) != x)),
-        ("monotonicity", first(f"{x} <= {y} but products reversed with {z}"
-                               for x, y, z in triples
-                               if cmp(x, y) <= 0 and cmp(mul(x, z), mul(y, z)) > 0)),
-        ("adjointness", first(f"x={x}, v={v}, z={z}" for x, v, z in triples
-                              if (cmp(mul(x, v), z) <= 0) != (cmp(v, neg(mul(x, neg(z)))) <= 0))),
-        ("involution", first(f"{x}" for x in pool if neg(neg(x)) != x)),
-        ("falsum-shape", falsum),
+        ("totality", samples, first(totality(x, y, z) for x, y, z in triples)),
+        ("commutativity", samples, first(f"{x} * {y}" for x, y, _ in triples
+                                         if mul(x, y) != mul(y, x))),
+        ("associativity", samples, first(f"{x}, {y}, {z}" for x, y, z in triples
+                                         if mul(mul(x, y), z) != mul(x, mul(y, z)))),
+        ("unit", n, first(f"{x}" for x in pool if mul(t, x) != x or mul(x, t) != x)),
+        ("monotonicity", samples, first(f"{x} <= {y} but products reversed with {z}"
+                                        for x, y, z in triples
+                                        if cmp(x, y) <= 0 and cmp(mul(x, z), mul(y, z)) > 0)),
+        ("adjointness", samples, first(
+            f"x={x}, v={v}, z={z}" for x, v, z in triples
+            if (cmp(mul(x, v), z) <= 0) != (cmp(v, neg(mul(x, neg(z)))) <= 0))),
+        ("involution", n, first(f"{x}" for x in pool if neg(neg(x)) != x)),
+        ("falsum-shape", n, falsum),
     ]
-    return [(clause, not detail, detail) for clause, detail in details]
+    return Report([Check(law, f"{checked} samples", not detail, "sampled", detail, checked)
+                   for law, checked, detail in details], samples, LAWS)
 
 
 def verdicts(report: Report) -> list[tuple[str, bool, str]]:
     return [(c.clause, c.ok, c.detail) for c in report.checks]
-
-
-def test_the_literal_laws_match_the_reference_on_fixtures_and_random_bunches():
-    for seed, (name, b) in enumerate(law_bunches()[:40]):
-        chain = Chain(b)
-        expected = verdicts(reference_check_chain_laws(chain, samples=200, seed=seed))
-        assert literal_laws(chain, 200, seed) == expected, name
 
 
 def test_the_unit_is_pool_point_zero():
@@ -948,9 +796,8 @@ def right_unit_lost(chain):
 def test_unit_failure_matches_the_reference_when_only_x_times_t_breaks():
     for i, chain in enumerate(broken_chains(right_unit_lost)):
         new = check_chain_laws(chain, samples=400, seed=i).first("unit")
-        ref = reference_check_chain_laws(chain, samples=400, seed=i).first("unit")
+        ref = literal_laws(chain, samples=400, seed=i).first("unit")
         assert (new.ok, new.detail, new.samples) == (ref.ok, ref.detail, ref.samples)
-        assert (new.clause, new.ok, new.detail) == literal_laws(chain, 400, i)[3]
         assert new.ok == (new.samples == 1)  # only a one-point pool passes
 
 
@@ -984,7 +831,6 @@ def test_law_reports_read_each_pool_pair_in_its_own_orientation():
     patch = broken_below_the_diagonal(BELOW_THE_DIAGONAL["complement"])
     for i, chain in enumerate(broken_chains(patch)):
         new = verdicts(same_laws(chain, samples=400, seed=i))
-        assert new == literal_laws(chain, 400, i)
         failed |= {clause for clause, ok, _ in new if not ok}
     assert failed == {"commutativity", "associativity", "unit", "monotonicity",
                       "adjointness"}
@@ -992,8 +838,8 @@ def test_law_reports_read_each_pool_pair_in_its_own_orientation():
 
 @pytest.mark.parametrize("name", sorted(BELOW_THE_DIAGONAL))
 def test_law_reports_match_the_reference_on_a_non_commutative_mul(name):
-    # the reference memoizes each product in its own orientation, so every
-    # law, not only those it decides from raw calls, pins the checker here
+    # the reference computes each product in its own orientation, so every
+    # law pins the checker here
     patch = broken_below_the_diagonal(BELOW_THE_DIAGONAL[name])
     reports = [same_laws(chain, samples=400, seed=i)
                for i, chain in enumerate(broken_chains(patch))]
@@ -1079,11 +925,6 @@ def test_the_law_checker_makes_exactly_the_recorded_raw_calls(name, make, sample
 def test_no_samples_make_exactly_the_recorded_raw_calls(name):
     chain = Chain(fixtures.ALL[name]())
     assert raw_call_counts(chain, 0, 1) == EXACT_CALLS_AT_NO_SAMPLES[name]
-
-
-def has_rat(group: og.OGroup) -> bool:
-    return group is og.RAT or (isinstance(group, og.Lex)
-                               and (has_rat(group.left) or has_rat(group.right)))
 
 
 def report_sha256(report: Report) -> str:
@@ -1181,8 +1022,8 @@ def rat_bunch(k: int) -> Bunch:
 
 
 def test_the_rat_bunches_are_those_recorded():
-    assert [k for k in range(60) if any(has_rat(g) for g in rat_bunch(k).groups.values())] \
-        == sorted(RAT_BUNCH_REPORTS)
+    rat = [k for k in range(60) if any(og.RAT in factors(g) for g in rat_bunch(k).groups.values())]
+    assert rat == sorted(RAT_BUNCH_REPORTS)
 
 
 @pytest.mark.parametrize("k", sorted(RAT_BUNCH_REPORTS))
@@ -1212,7 +1053,6 @@ def test_law_reports_match_when_totality_stops_at_the_first_triple():
         chain.compare = (lambda x, y, pair=pair, compare=compare:
                          LT if {x, y} == pair else compare(x, y))
         new = same_laws(chain, samples=400, seed=seed)
-        assert verdicts(new) == literal_laws(chain, 400, seed), name
         assert new.checks[0].detail == f"asymmetry broken at {pool[i]}, {pool[j]}", name
 
 
@@ -1995,87 +1835,7 @@ def test_window_tables_match_the_scanning_reference(name):
 
 
 # ---------------------------------------------------------------------------
-# chain kernels: every pair across layers lifted through its compiled transition
-
-
-class ReferenceKernels:
-    """`Chain.compare`, `mul`, `negate` and `zeta` as they were: per-layer
-    function tables, EQ decided by ``x == y`` first, every product a new
-    point, one cover lookup per class-J complement, and every pair across
-    layers lifted through its own compiled transition,
-    ``og.hom_fn(transition(...))``, memoised per pair.  It reads nothing of
-    the `Chain` it is compared with."""
-
-    def __init__(self, b: Bunch):
-        self.b = b
-        self._idx = {u: i for i, u in enumerate(b.skeleton)}
-        self._cls = b.partition
-        self._cmp = {u: og.cmp_fn(g) for u, g in b.groups.items()}
-        self._op = {u: og.op_fn(g) for u, g in b.groups.items()}
-        self._member = {u: og.member_fn(s) for u, s in b.subgroups.items()}
-        self._tr = {}
-
-    def tr(self, u: str, v: str):
-        if (u, v) not in self._tr:
-            self._tr[u, v] = og.hom_fn(transition(self.b, u, v))
-        return self._tr[u, v]
-
-    def zeta(self, u: str, v: str, x: ChainElement) -> og.GElem:
-        if x.layer != u:
-            raise TypeMismatch(f"element lives on layer {x.layer!r}, not {u!r}")
-        return self.tr(u, v)(x.g)
-
-    def compare(self, x: ChainElement, y: ChainElement) -> int:
-        if x == y:
-            return EQ
-        u, v = x.layer, y.layer
-        iu, iv = self._idx[u], self._idx[v]
-        if iu == iv:
-            c = self._cmp[u](x.g, y.g)
-            if c:
-                return c
-            return LT if x.dotted else GT
-        if iu < iv:
-            c = self._cmp[v](self.tr(u, v)(x.g), y.g)
-            if c:
-                return c
-            return GT if y.dotted else LT
-        c = self._cmp[u](x.g, self.tr(v, u)(y.g))
-        if c:
-            return c
-        return LT if x.dotted else GT
-
-    def mul(self, x: ChainElement, y: ChainElement) -> ChainElement:
-        u, v = x.layer, y.layer
-        if u == v:
-            p = self._op[u](x.g, y.g)
-            if self._cls[u] == "I":
-                mem = self._member[u]
-                if mem(p) and not (not x.dotted and not y.dotted
-                                   and mem(x.g) and mem(y.g)):
-                    return ChainElement(u, p, True)
-            return ChainElement(u, p, False)
-        if self._idx[u] < self._idx[v]:
-            lo, hi = x, y
-        else:
-            lo, hi = y, x
-        w = hi.layer
-        p = self._op[w](self.tr(lo.layer, w)(lo.g), hi.g)
-        return ChainElement(w, p, hi.dotted)
-
-    def negate(self, x: ChainElement) -> ChainElement:
-        u = x.layer
-        group = self.b.groups[u]
-        inv = og.inv_fn(group)(x.g)
-        cls = self._cls[u]
-        if cls == "I":
-            return ChainElement(u, inv, not x.dotted and self._member[u](x.g))
-        if cls == "J":
-            down = og.cover_fn(group, -1)(inv)
-            if down is None:
-                raise CoverMissing(f"class-J layer {u!r} has no covers")
-            return ChainElement(u, down, False)
-        return ChainElement(u, inv, False)
+# chain kernels against the model
 
 
 def call_outcome(fn, *args) -> tuple:
@@ -2112,25 +1872,10 @@ def test_the_unit_inside_bunch_is_valid_with_its_threshold_inside():
     assert chain._unit_from == [1, 3, 3]
 
 
-def test_a_chain_that_only_enumerates_fills_no_threshold():
+def test_enumerating_compiles_no_transition_and_builds_no_product_kernel():
     chain = Chain(fixtures.finite_bunch(255))
     assert sum(1 for _ in chain.enumerate_elements()) == 255
-    assert chain._tr == {} and chain._same == {}  # its thresholds are built at set-up
-
-
-def reference_enumerate_elements(chain: Chain):
-    """`Chain.enumerate_elements` as it was: one `_layer_blocks` stream per
-    layer, trivial layers included, read round-robin."""
-    streams = [chain._layer_blocks(u) for u in chain.bunch.skeleton]
-    while streams:
-        alive = []
-        for s in streams:
-            block = next(s, None)
-            if block is None:
-                continue
-            alive.append(s)
-            yield from block
-        streams = alive
+    assert chain._tr == {} and chain._same == {}
 
 
 TRIVIAL_LEX = og.Lex(og.TRIVIAL, og.TRIVIAL)
@@ -2158,7 +1903,7 @@ def test_enumeration_matches_the_stream_reference():
     for i, b in enumerate(bunches):
         chain = Chain(b)
         points = list(islice(chain.enumerate_elements(), 300))
-        assert points == list(islice(reference_enumerate_elements(chain), 300)), i
+        assert points == list(islice(Model(b).enumerate_elements(), 300)), i
         assert all(type(x) is ChainElement for x in points), i
     mixed = list(islice(Chain(mixed_trivial_bunch()).enumerate_elements(), 14))
     assert [(x.layer, x.dotted) for x in mixed] == [
@@ -2167,18 +1912,27 @@ def test_enumeration_matches_the_stream_reference():
         ("u7", False), ("u7", True), ("u1", False)]
 
 
+def model_table(model: Model, name: str, points: list[ChainElement]) -> list:
+    """``[getattr(model, name)(x, y) for x, y in product(points, repeat=2)]``,
+    each unordered pair decided once (test_model.py checks the symmetry)."""
+    half = [[getattr(model, name)(x, y) for y in points[i:]] for i, x in enumerate(points)]
+    flip = (lambda c: -c) if name == "compare" else (lambda z: z)
+    return [half[i][j - i] if i <= j else flip(half[j][i - j])
+            for i in range(len(points)) for j in range(len(points))]
+
+
 def test_chain_kernels_match_the_transition_lifting_reference():
     # every ordered pair of the first 64 points; zeta(x.layer, v, x) depends
     # on y only through its layer v, so each (x, v) is lifted once
     for i, b in enumerate(kernel_bunches()):
-        chain, ref = Chain(b), ReferenceKernels(b)
+        chain, ref = Chain(b), Model(b)
         points = list(islice(chain.enumerate_elements(), 64))
         assert all(type(chain.compare(x, x)) is int and chain.compare(x, x) == EQ
                    for x in points), i
         pairs = list(product(points, repeat=2))
         for name in ("compare", "mul"):
             assert list(starmap(getattr(chain, name), pairs)) == \
-                list(starmap(getattr(ref, name), pairs)), (i, name)
+                model_table(ref, name, points), (i, name)
         lifts = [(x.layer, v, x) for x in points for v in dict.fromkeys(p.layer for p in points)]
         assert [call_outcome(chain.zeta, *a) for a in lifts] == \
             [call_outcome(ref.zeta, *a) for a in lifts], (i, "zeta")
@@ -2236,9 +1990,11 @@ def tables(chain: Chain) -> dict[str, dict]:
 
 
 def test_same_layer_products_match_the_fresh_reference():
+    # each product, tabled or fresh, is the model's and sits where the model
+    # orders it against its left factor
     tabled = 0
     for i, b in enumerate(table_bunches()):
-        chain, reference = Chain(b), ReferenceKernels(b)
+        chain, reference = Chain(b), Model(b)
         points = list(islice(chain.enumerate_elements(), 64))
         for x, y in product(points, repeat=2):
             if x.layer != y.layer:
@@ -2246,6 +2002,7 @@ def test_same_layer_products_match_the_fresh_reference():
             z, ref = chain.mul(x, y), reference.mul(x, y)
             assert (z, type(z), z.dotted, type(z.g)) == \
                 (ref, ChainElement, ref.dotted, type(ref.g)), (i, x, y)
+            assert chain.compare(z, x) == reference.compare(ref, x), (i, x, y)
         tabled += len(tables(chain))
     assert tabled == 55  # class O and J layers with products met
 
@@ -2275,7 +2032,7 @@ def test_equal_products_on_a_tabled_layer_are_one_object(b):
 def test_rat_layers_table_their_products_and_class_i_layers_build_none(b, u):
     # Rat values are int pairs, so a Rat layer of class O tables its products
     # as any other does; a class-I layer builds no table
-    chain, reference = Chain(b), ReferenceKernels(b)
+    chain, reference = Chain(b), Model(b)
     points = [x for x in islice(chain.enumerate_elements(), 64) if x.layer == u]
     products = [chain.mul(x, y) for x in points for y in points]
     assert products == [reference.mul(x, y) for x in points for y in points]
@@ -2326,7 +2083,7 @@ def test_tables_stay_small_through_the_checks(name):
 
 
 # ---------------------------------------------------------------------------
-# order and complement against `ReferenceKernels`, on equal twins too
+# order and complement against the model, on equal twins too
 
 
 def fresh_value(g: og.GElem) -> og.GElem:
@@ -2343,22 +2100,25 @@ def twin(x: ChainElement) -> ChainElement:
 def test_compare_and_negate_match_the_earlier_methods():
     twins = dotted_pairs = 0
     for i, b in enumerate(table_bunches()):
-        chain, reference = Chain(b), ReferenceKernels(b)
+        chain, reference = Chain(b), Model(b)
         pool = list(islice(chain.enumerate_elements(), 64))
         points = pool + [twin(x) for x in pool]
         twins += sum(1 for x in pool if isinstance(x.g, tuple))
+        order = iter(model_table(reference, "compare", points))
+        few = list(product(pool[:8], repeat=2))
+        assert list(starmap(chain.residuum, few)) == list(starmap(reference.residuum, few)), i
         for x in points:
             z, ref = call_outcome(chain.negate, x), call_outcome(reference.negate, x)
             assert z == ref and type(z[1]) is type(ref[1]), (i, x)
             for y in points:
-                assert chain.compare(x, y) == reference.compare(x, y), (i, x, y)
+                assert chain.compare(x, y) == next(order), (i, x, y)
                 dotted_pairs += x.layer == y.layer and x.g == y.g and x.dotted != y.dotted
     assert twins > 1000 and dotted_pairs > 1000
 
 
 def test_a_class_j_complement_without_covers_raises_at_the_call():
     b = Bunch(("t",), {"t": "J"}, {"t": og.RAT}, {}, {})
-    chain, reference = Chain(b), ReferenceKernels(b)
+    chain, reference = Chain(b), Model(b)
     x = ChainElement("t", (1, 2))
     assert chain.compare(x, x) == EQ and chain.mul(x, x) == ChainElement("t", (1, 1))
     for _ in range(2):  # once building the layer's kernel, once with it built

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from layerlat import fixtures, ogroup as og
 from layerlat.bunch import parse_bunch, serialize_bunch
 from layerlat.errors import ParseError, TypeMismatch
+import model
 
 GROUPS = {
     "trivial": og.TRIVIAL,
@@ -126,19 +127,6 @@ def test_cover_round_trip_on_discrete(name):
         assert og.g_cover_up(group, down) == x
 
 
-def reference_cover(group, x, step):
-    """The recursive cover that `cover_fn` compiles: None where no factor covers."""
-    if isinstance(group, og.Int):
-        return x + step
-    if isinstance(group, og.Lex):
-        if not og.group_is_trivial(group.right):
-            inner = reference_cover(group.right, x[1], step)
-            return None if inner is None else (x[0], inner)
-        inner = reference_cover(group.left, x[0], step)
-        return None if inner is None else (inner, x[1])
-    return None
-
-
 def test_compiled_cover_matches_the_recursive_reference():
     groups = list(GROUPS.values()) + [
         og.Lex(og.RAT, og.INT), og.Lex(og.RAT, og.TRIVIAL), og.Lex(og.TRIVIAL, og.INT),
@@ -148,7 +136,8 @@ def test_compiled_cover_matches_the_recursive_reference():
             fn = og.cover_fn(group, step)
             assert og.cover_fn(group, step) is fn
             for x in pool(group, 40):
-                assert fn(x) == reference_cover(group, x, step), (group, x, step)
+                c = model.cover(group, model.as_fraction(group, x), step)
+                assert fn(x) == (None if c is None else model.as_pair(group, c)), (group, x, step)
                 assert (fn(x) is None) == (not og.is_discrete(group))
 
 
@@ -189,54 +178,22 @@ def reference_rationals():
         q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
 
 
-def as_fraction(group, x):
-    """A value of ``group`` with each `Rat` pair read as a Fraction."""
-    if isinstance(group, og.Lex):
-        return as_fraction(group.left, x[0]), as_fraction(group.right, x[1])
-    return Fraction(*x) if isinstance(group, og.Rat) else x
-
-
-def as_pair(group, x):
-    """The value of ``group`` that ``x``, with Fractions for its `Rat` parts, stands for."""
-    if isinstance(group, og.Lex):
-        return as_pair(group.left, x[0]), as_pair(group.right, x[1])
-    return (x.numerator, x.denominator) if isinstance(group, og.Rat) else x
-
-
 def assert_same_value(group, got, want):
     """``got`` is a well-typed value of ``group`` (each `Rat` part a reduced
     int pair) that reads as ``want``, where Fractions stand for the pairs."""
     og.g_check(group, got)
-    assert as_fraction(group, got) == want and got == as_pair(group, want), (group, got, want)
-
-
-def reference_op(group, a, b):
-    if isinstance(group, og.Lex):
-        return reference_op(group.left, a[0], b[0]), reference_op(group.right, a[1], b[1])
-    return a + b
-
-
-def reference_inv(group, a):
-    if isinstance(group, og.Lex):
-        return reference_inv(group.left, a[0]), reference_inv(group.right, a[1])
-    return -a
-
-
-def reference_cmp(group, a, b):
-    if isinstance(group, og.Lex):
-        return reference_cmp(group.left, a[0], b[0]) or reference_cmp(group.right, a[1], b[1])
-    return (a > b) - (a < b)
+    assert (model.as_fraction(group, got), got) == (want, model.as_pair(group, want)), group
 
 
 def assert_kernels_match(group, pairs):
     """The kernels on the pair form of each (a, b), given with Fractions,
-    against Fraction's operators on (a, b)."""
+    against the model's, which run Fraction's operators on (a, b)."""
     cmp, op, inv = og.cmp_fn(group), og.op_fn(group), og.inv_fn(group)
     for a, b in pairs:
-        x, y = as_pair(group, a), as_pair(group, b)
-        assert_same_value(group, op(x, y), reference_op(group, a, b))
-        assert_same_value(group, inv(x), reference_inv(group, a))
-        assert cmp(x, y) == reference_cmp(group, a, b), (group, a, b)
+        x, y = model.as_pair(group, a), model.as_pair(group, b)
+        assert_same_value(group, op(x, y), model.add(group, a, b))
+        assert_same_value(group, inv(x), model.inverse(group, a))
+        assert cmp(x, y) == model.compare_values(group, a, b), (group, a, b)
 
 
 BIG = 10 ** 40
@@ -266,7 +223,7 @@ def test_rat_kernels_match_on_zeros_units_and_cancelling_sums():
     assert_kernels_match(og.RAT, product(EDGE_RATS, repeat=2))
     add = og.op_fn(og.RAT)
     for a in EDGE_RATS:
-        assert add(as_pair(og.RAT, a), as_pair(og.RAT, -a)) == (0, 1)
+        assert add(model.as_pair(og.RAT, a), model.as_pair(og.RAT, -a)) == (0, 1)
     # equal denominators that cancel to an integer
     assert_same_value(og.RAT, add((1, 6), (5, 6)), Fraction(1))
     assert_same_value(og.RAT, add((7, 6), (-1, 6)), Fraction(1))
@@ -285,7 +242,7 @@ def test_rat_kernels_match_on_the_enumerated_rationals():
     og.Lex(og.Lex(og.INT, og.RAT), og.RAT),
 ], ids=repr)
 def test_lex_kernels_over_rat_match_the_fraction_operators(group):
-    elems = [as_fraction(group, x) for x in pool(group, 60)]
+    elems = [model.as_fraction(group, x) for x in pool(group, 60)]
     assert_kernels_match(group, product(elems, repeat=2))
 
 
@@ -300,7 +257,7 @@ def test_int_to_rat_and_int_in_rat_read_the_fraction_they_build():
         assert_same_value(og.RAT, to_rat(x), Fraction(x))
         assert member(to_rat(x))
     for q in EDGE_RATS:
-        assert member(as_pair(og.RAT, q)) == (q.denominator == 1)
+        assert member(model.as_pair(og.RAT, q)) == (q.denominator == 1)
 
 
 # -- homomorphisms ---------------------------------------------------------------
