@@ -21,6 +21,8 @@ them different.  It holds one object per distinct value ever built, and
 bunches share those objects where each used to hold its own copies; a
 process that meets unboundedly many distinct values (scale factors, say)
 grows it, as `hom_fn`'s unbounded cache grows with the homs it compiles.
+Folding a long skeleton does not: `hom_compose`'s normal form bounds a
+composite's length by its source and target, not by the steps it folds.
 A `WeakValueDictionary` would free them, at the cost of a Python-level
 lookup on every construction.
 
@@ -406,22 +408,45 @@ def project_first(source: Lex) -> Hom:
 
 
 def hom_compose(outer: Hom, inner: Hom) -> Hom:
-    """``outer`` after ``inner``, in normal form: an ``id`` stage is dropped,
-    a ``unit`` stage absorbs the composite, and two ``scale_int`` stages
-    merge into one."""
+    """``outer`` after ``inner``, in normal form.  A composite is
+    right-nested, ``parts`` being (last stage, rest); an ``outer`` composite
+    is folded in one stage at a time.  A constant stage
+    (`hom_is_constant_unit`) on either side makes the whole composite
+    `unit_map`; otherwise an ``id`` stage is dropped, adjacent ``scale_int``
+    stages merge, and ``project_first(L)`` right after ``inject_first(L)``
+    cancels (the reverse pair sends (a, b) to (a, 0) and stays).
+
+    So a composite is some project_first stages, at most one scale_int and
+    one int_to_rat, then some inject_first stages: at most spine(source) +
+    spine(target) + 2 stages, spine being the depth of a group's left
+    factors, however many steps it folds: `hom_fn` nests a closure per stage."""
     if inner.target != outer.source:
         raise TypeMismatch(
             f"cannot compose: inner target {inner.target!r} != outer source {outer.source!r}"
         )
-    if outer.op == "id":
+    stages = [outer]
+    while stages[-1].op == "compose":
+        stages[-1:] = stages[-1].parts
+    for stage in reversed(stages):
+        inner = _then(stage, inner)
+    return inner
+
+
+def _then(stage: Hom, inner: Hom) -> Hom:
+    """The one stage ``stage`` after ``inner``, a hom in normal form."""
+    if hom_is_constant_unit(stage) or hom_is_constant_unit(inner):
+        return unit_map(inner.source, stage.target)
+    if stage.op == "id":
         return inner
     if inner.op == "id":
-        return outer
-    if outer.op == "unit" or inner.op == "unit":
-        return unit_map(inner.source, outer.target)
-    if outer.op == inner.op == "scale_int":
-        return scale_int(outer.k * inner.k)
-    return Hom("compose", inner.source, outer.target, parts=(outer, inner))
+        return stage
+    last, rest = inner.parts if inner.op == "compose" else (inner, None)
+    if stage.op == last.op == "scale_int":
+        stage, inner = scale_int(stage.k * last.k), rest
+    elif stage.op == "project_first" and last.op == "inject_first":
+        return identity(stage.target) if rest is None else rest
+    return stage if inner is None else Hom("compose", inner.source, stage.target,
+                                           parts=(stage, inner))
 
 
 @lru_cache(maxsize=None)
@@ -443,41 +468,9 @@ def hom_fn(h: Hom) -> Callable[[GElem], GElem]:
     if h.op == "project_first":
         return lambda x: x[0]
     if h.op == "compose":
-        stages = _stages(h)
-        return _pipeline([hom_fn(g) for g in stages]) if stages else lambda x: x
+        outer, inner = hom_fn(h.parts[0]), hom_fn(h.parts[1])
+        return lambda x: outer(inner(x))
     raise TypeMismatch(f"unknown hom constructor {h.op!r}")
-
-
-def _stages(h: Hom) -> list[Hom]:
-    """The stages of ``h``, innermost first, with each inject_first(L)
-    followed by project_first dropped (`hom_compose` type-checks, so that
-    is project_first(L)): the pair is the identity on L.left.  The reverse
-    pair sends (a, b) to (a, 0) and stays.
-
-    `hom_compose` grows a composite by one stage per layer, so recursing
-    into its parts, or nesting one closure per stage, would pass Python's
-    recursion limit on a long skeleton: the tree is flattened with a stack,
-    and the kept stages are a stack too."""
-    stages, todo = [], [h]
-    while todo:
-        g = todo.pop()
-        if g.op == "compose":
-            todo.extend(g.parts)
-        elif g.op == "project_first" and stages and stages[-1].op == "inject_first":
-            stages.pop()
-        else:
-            stages.append(g)
-    return stages
-
-
-def _pipeline(fns: list[Callable[[GElem], GElem]]) -> Callable[[GElem], GElem]:
-    """``fns`` applied in order, as a balanced tree of two-stage closures:
-    the call depth is log2 of the number of stages."""
-    if len(fns) == 1:
-        return fns[0]
-    mid = len(fns) // 2
-    first, then = _pipeline(fns[:mid]), _pipeline(fns[mid:])
-    return lambda x: then(first(x))
 
 
 def hom_apply(h: Hom, x: GElem) -> GElem:
@@ -486,12 +479,10 @@ def hom_apply(h: Hom, x: GElem) -> GElem:
 
 
 def hom_is_constant_unit(h: Hom) -> bool:
-    """True when the hom provably maps everything to the target unit."""
-    if h.op == "unit":
-        return True
-    if h.op == "compose":
-        return any(hom_is_constant_unit(p) for p in h.parts)
-    return group_is_trivial(h.source) or group_is_trivial(h.target)
+    """True when the hom maps everything to the target unit.  In
+    `hom_compose`'s normal form a composite holds no constant stage, so
+    these are the ``unit`` maps and the homs from or to a trivial group."""
+    return h.op == "unit" or group_is_trivial(h.source) or group_is_trivial(h.target)
 
 
 def hom_check(h: Hom, samples: int = 1000) -> Report:

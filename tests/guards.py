@@ -43,7 +43,7 @@ def r4(seed: int):
 def alternating(n: int) -> Bunch:
     """n layers t, u1, ..., u{n-1}: Int and Lex(Int, Int) in turn, class I
     above t with the whole group as subgroup, stepped by inject_first and
-    project_first, so the transition from t to the top composes n - 1 stages."""
+    project_first, so the transition from t to the top folds n - 1 steps."""
     lex = og.Lex(og.INT, og.INT)
     sk = ("t",) + tuple(f"u{i}" for i in range(1, n))
     groups = {u: lex if i % 2 else og.INT for i, u in enumerate(sk)}
@@ -129,7 +129,7 @@ CALLS = [
     # 80,200 product pairs each, over lifted, tabled and class-I layer blocks
     Call("emblz2.txt", "--samples 400 embed-check lz2.json lz2.json idlz2.json", "3bf55e1b218366b564c5bb7ca6efb4aeafbc604fe8ce4cc1207b7e48e4d6a13f"),
     Call("embzb.txt", "--samples 400 embed-check zb.json zb.json idzb.json", "f79fcac36f554ce61b243925f18a7fdb71738221c5f0905aff6b9b6c36d61cde"),
-    # no sampled clause at --samples 0, and the transition cancels to one stage
+    # no sampled clause at --samples 0, and the transition term is one stage, inject_first
     Call("alt.txt", "--samples 0 eval alt10000.json --op cmp --lhs t:1 --rhs u9999:(0,0)", "e1e063eb0197bdf5b4e66acaf9b17de776d318552be2a8bf2e8d0b92b818f7e8", timeout=5),
 ]
 

@@ -19,6 +19,7 @@ from layerlat.oracle import brute_residuum, check_flea_axioms
 from guards import alternating
 from model import Model
 from table_search import lawful_tables
+from test_kernel_references import j_then_project_bunches
 
 UNIT = og.UNIT
 LT, EQ, GT = og.LT, og.EQ, og.GT
@@ -301,14 +302,13 @@ LEX = og.Lex(og.INT, og.INT)
 
 
 def long_bunch(shape: str) -> Bunch:
-    """A skeleton whose transition from bottom to top composes more stages
-    than the interpreter's recursion limit: ``alternating`` Int and Lex layers
-    stepped by inject_first and project_first, one stage per layer;
-    ``composite`` Lex layers stepped by project_first then inject_first, two
-    stages per layer (which `og.hom_compose` does not cancel); or ``scaled``,
-    Int, Int and Lex layers in turn stepped by scale_int(1), inject_first and
-    project_first, whose scale_int stages are still more than that limit once
-    `og.hom_fn` has cancelled each inject_first followed by project_first."""
+    """A skeleton whose transition from bottom to top folds more steps than
+    the interpreter's recursion limit: ``alternating`` Int and Lex layers
+    stepped by inject_first and project_first; ``composite`` Lex layers each
+    stepped by project_first then inject_first, a pair that does not cancel;
+    or ``scaled``, Int, Int and Lex layers in turn stepped by scale_int(1),
+    inject_first and project_first.  `og.hom_compose` folds each of them
+    into a term of at most two stages."""
     stages = sys.getrecursionlimit() + 501 | 1  # odd, so the top layer is Lex
     if shape == "alternating":
         return alternating(stages + 1)
@@ -353,16 +353,19 @@ def test_eval_across_a_transition_past_the_recursion_limit(shape, tmp_path, caps
 
 
 def stage_count(h: og.Hom) -> int:
-    """The number of stages of ``h``'s compose tree, none cancelled."""
-    return sum(map(stage_count, h.parts)) if h.op == "compose" else 1
+    """The number of stages of ``h``'s term, an identity counting none."""
+    return sum(map(stage_count, h.parts)) if h.op == "compose" else h.op != "id"
+
+
+REVERSE_PAIR = og.Hom("compose", LEX, LEX, parts=(og.inject_first(LEX), og.project_first(LEX)))
 
 
 def test_the_alternating_transition_compiles_to_at_most_two_stages():
     b = long_bunch("alternating")
     sk = b.skeleton
-    assert [g.op for g in og._stages(transition(b, sk[0], sk[-1]))] == ["inject_first"]
-    assert og._stages(transition(b, sk[0], sk[-2])) == []
-    assert og._stages(transition(b, sk[1], sk[-1])) == [og.project_first(LEX), og.inject_first(LEX)]
+    assert transition(b, sk[0], sk[-1]) is og.inject_first(LEX)
+    assert transition(b, sk[0], sk[-2]) is og.identity(og.INT)
+    assert transition(b, sk[1], sk[-1]) is REVERSE_PAIR
     assert og.hom_fn(transition(b, sk[0], sk[-2]))(5) == 5
 
 
@@ -372,14 +375,12 @@ def test_the_reverse_pair_stays():
     # step followed by the project_first of the next is what cancels
     b = long_bunch("composite")
     sk = b.skeleton
-    step = b.steps[sk[0], sk[1]]
-    assert og._stages(step) == [og.project_first(LEX), og.inject_first(LEX)]
-    assert og._stages(transition(b, sk[0], sk[-1])) == og._stages(step)
-    assert og.hom_fn(transition(b, sk[0], sk[-1]))((3, 7)) == (3, 0)
+    assert b.steps[sk[0], sk[1]] is REVERSE_PAIR
+    assert transition(b, sk[0], sk[-1]) is REVERSE_PAIR
+    assert og.hom_fn(REVERSE_PAIR)((3, 7)) == (3, 0)
     scaled = long_bunch("scaled")
-    h = transition(scaled, scaled.skeleton[0], scaled.skeleton[-1])
-    assert [g.op for g in og._stages(h)] == ["scale_int"] * (len(scaled.skeleton) // 3) \
-        + ["inject_first"]
+    assert transition(scaled, scaled.skeleton[0], scaled.skeleton[-1]) is \
+        og.Hom("compose", og.INT, LEX, parts=(og.inject_first(LEX), og.scale_int(1)))
 
 
 @pytest.mark.parametrize("shape", ["alternating", "composite", "scaled"])
@@ -419,14 +420,27 @@ def test_cancelled_random_transitions_give_the_uncancelled_values():
     for _ in range(60):
         b = walk_bunch(rng, 12)
         model = Model(b)
-        for i, u in enumerate(b.skeleton):
+        sk = b.skeleton
+        for i, u in enumerate(sk):
             xs = list(islice(og.g_enumerate(b.groups[u]), 20))
-            for v in b.skeleton[i + 1:]:
+            for k, v in enumerate(sk[i + 1:], i + 1):
                 h = transition(b, u, v)
                 assert [og.hom_fn(h)(x) for x in xs] == \
                     [model.zeta(u, v, ChainElement(u, x)) for x in xs]
-                cancelled += len(og._stages(h)) < stage_count(h)
-    assert cancelled > 1000
+                folded = sum(stage_count(b.steps[p]) for p in zip(sk[i:], sk[i + 1:k + 1]))
+                cancelled += stage_count(h) < folded
+    assert cancelled > 2500
+
+
+def test_every_transition_survives_a_json_round_trip():
+    # from every layer of a short skeleton, and from the lowest two of a long one
+    rng = random.Random(34)
+    for b in mul_block_bunches() + [walk_bunch(rng, 12) for _ in range(20)]:
+        sk = b.skeleton
+        for i, u in enumerate(sk if len(sk) < 50 else sk[:2]):
+            for v in sk[i:]:
+                h = transition(b, u, v)
+                assert og.hom_from_json(og.hom_to_json(h), h.source, h.target) is h, (u, v)
 
 
 # -- block products ------------------------------------------------------------------------
@@ -435,6 +449,7 @@ def test_cancelled_random_transitions_give_the_uncancelled_values():
 def mul_block_bunches() -> list[Bunch]:
     bunches = [f() for _, f in sorted(fixtures.ALL.items())]
     bunches += [fixtures.random_bunch(random.Random(k), max_layers=4) for k in range(40)]
+    bunches += j_then_project_bunches()
     return bunches + [long_bunch(shape) for shape in ("alternating", "composite", "scaled")]
 
 

@@ -410,14 +410,26 @@ def d2_checks(report: Report) -> list[Check]:
     return [c for c in report.checks if c.clause == "D2"]
 
 
+def j_then_project_bunches() -> list[Bunch]:
+    """The valid shape that `fixtures.random_bunch` never draws: t is class
+    J over Lex(Int, Int) and steps by project_first, which collapses the
+    unit's lower cover (0, -1) to 0, to u1, an Int layer of class I with the
+    whole subgroup or of class J."""
+    lex = og.Lex(og.INT, og.INT)
+    return [Bunch(("t", "u1"), {"t": "J", "u1": cls}, {"t": lex, "u1": og.INT},
+                  {"u1": og.whole(og.INT)} if cls == "I" else {},
+                  {("t", "u1"): og.project_first(lex)}) for cls in "IJ"]
+
+
 def validation_bunches() -> list[Bunch]:
-    """The fixtures, finite bunches, seeded random bunches and a densified
-    `lz`, whose identity steps fold no constant unit, so that D2 compares
-    every triple u < v < w there."""
+    """The fixtures, finite bunches, seeded random bunches, the
+    J-then-project_first bunches and a densified `lz`, whose identity steps
+    fold no constant unit, so that D2 compares every triple u < v < w there."""
     rng = random.Random(2312)
     return ([f() for _, f in sorted(fixtures.ALL.items())]
             + [fixtures.finite_bunch(n) for n in range(1, 41)]
             + [fixtures.random_bunch(rng, max_layers=8) for _ in range(200)]
+            + j_then_project_bunches()
             + [densify_driver(Chain(fixtures.lz()), 4, 2)[0]])
 
 
@@ -543,7 +555,8 @@ def law_bunches() -> list[tuple[str, object]]:
     rng = random.Random(2024)
     named = [(k, f()) for k, f in sorted(fixtures.ALL.items())]
     return named + [(f"random{i}", fixtures.random_bunch(rng, max_layers=4))
-                    for i in range(100)]
+                    for i in range(100)] + [(f"j_then_project{i}", b)
+                                            for i, b in enumerate(j_then_project_bunches())]
 
 
 def same_laws(chain: Chain, **kw) -> Report:
@@ -1108,6 +1121,7 @@ def embedding_cases() -> list[tuple[Chain, Chain, EmbeddingSpec]]:
     bunches = [f() for _, f in sorted(fixtures.ALL.items())]
     bunches += [fixtures.random_bunch(rng, max_layers=4) for _ in range(10)]
     bunches.append(fixtures.finite_bunch(101))
+    bunches += j_then_project_bunches()
     cases += [(Chain(b), Chain(b), identity_embedding(b)) for b in bunches]
     for name in ("s3", "zb", "jz", "lz"):
         b = fixtures.ALL[name]()
@@ -1167,12 +1181,13 @@ def test_ill_typed_spec_raises_in_both():
 
 def recovery_chains() -> list[tuple[Chain, tuple[int, ...]]]:
     """Each chain with the sample counts it is recovered at: 1000 only on the
-    fixtures, which keeps the random and finite bunches cheap."""
+    fixtures and the J-then-project_first bunches, which keeps the random
+    and finite bunches cheap."""
     rng = random.Random(15)
     cases = [(Chain(f()), (0, 7, 1000)) for _, f in sorted(fixtures.ALL.items())]
     cases += [(Chain(fixtures.finite_bunch(n)), (0, 7)) for n in range(1, 13)]
     cases += [(Chain(fixtures.random_bunch(rng, max_layers=6)), (0, 7)) for _ in range(50)]
-    return cases
+    return cases + [(Chain(b), (0, 7, 1000)) for b in j_then_project_bunches()]
 
 
 def test_recovery_reports_match_the_reference():
@@ -1861,7 +1876,7 @@ def kernel_bunches() -> list[Bunch]:
     bunches += [fixtures.random_bunch(rng, max_layers=8) for _ in range(200)]
     bunches += [densify_driver(Chain(fixtures.s3()), 3, r)[0] for r in range(7)]
     bunches.append(unit_inside_bunch())
-    return bunches
+    return bunches + j_then_project_bunches()
 
 
 def test_the_unit_inside_bunch_is_valid_with_its_threshold_inside():

@@ -11,7 +11,7 @@ from model import Model
 
 # the package's compilers and transition composition, and the chain
 # operations that the model restates under their own names
-COMPILED = {"cmp_fn", "op_fn", "inv_fn", "cover_fn", "member_fn", "hom_fn", "_stages", "transition"}
+COMPILED = {"cmp_fn", "op_fn", "inv_fn", "cover_fn", "member_fn", "hom_fn", "hom_compose", "transition"}
 RESTATED = {"bunch", "compare", "mul", "negate", "residuum", "zeta", "constants", "enumerate_elements"}
 
 
